@@ -17,13 +17,10 @@ from pathlib import Path
 from .config import RunConfig, parse_config, parse_config_text
 from .errors import ConfigError, DataError, MoecastError
 from .evaluation import (
-    MODELS,
     fit_pooled_experts,
-    linear_one_step,
-    lstm_one_step,
-    moe_one_step,
+    forecast_paths,
+    holdout_models,
     plan_walk_forward,
-    recursive_forecast,
     returns_for_policy,
     run_holdout,
     run_walk_forward,
@@ -191,13 +188,21 @@ def cmd_forecast(config: RunConfig, ticker: str, horizon: int) -> int:
             f"(stored fingerprint {store.fingerprint[:12]}, current {config.short_fingerprint})"
         )
     folds = store.folds_for(ticker)
-    if not folds:
+    if not folds and store.pooled is None:
         raise DataError(f"no stored models for ticker {ticker!r}")
-    fm = store.fold_models[(ticker, folds[-1])]
     universe = _load_universe(config)
     if ticker not in universe:
         raise DataError(f"ticker {ticker!r} missing from {config['data.path']}")
     series = universe[ticker]
+    if folds:
+        fm = store.fold_models[(ticker, folds[-1])]
+        source = f"fold {folds[-1]}"
+    else:
+        # a holdout firm: the pooled experts under its own scaler, sigma and regime
+        fm = holdout_models(
+            series, store.pooled, config.policy_for_backtest(), config.backtest_settings()
+        )
+        source = "pooled experts"
     values = (
         series.prices if fm.mode is WindowMode.PRICE_LEVELS else log_returns(series).values
     )
@@ -206,22 +211,17 @@ def cmd_forecast(config: RunConfig, ticker: str, horizon: int) -> int:
     standardized = fm.scaler.apply(values)
     window = standardized[fm.launch_t - fm.window:fm.launch_t]
     weights = gate_for_regime(fm.regime, config.gate_table())
-    fns = {
-        "Linear": linear_one_step(fm.linear),
-        "LSTM": lstm_one_step(fm.lstm),
-        "MoE": moe_one_step(fm.lstm, fm.linear, weights),
-    }
     paths = {
-        model: fm.scaler.invert(
-            recursive_forecast(fns[model], window, float(fm.launch_t), fm.sigma, horizon)
-        )
-        for model in MODELS
+        model: fm.scaler.invert(path)
+        for model, path in forecast_paths(
+            fm.lstm, fm.linear, weights, window, float(fm.launch_t), fm.sigma, horizon
+        ).items()
     }
     dates = series.dates
     date_offset = 0 if fm.mode is WindowMode.PRICE_LEVELS else 1
     print(stamp(config.fingerprint, config["seed"]).rstrip("\n"))
     print(f"# {ticker}: recursive {horizon}-step forecast from index {fm.launch_t} "
-          f"(fold {folds[-1]}, regime {fm.regime.value})")
+          f"({source}, regime {fm.regime.value})")
     print("step,date,linear,lstm,moe")
     for j in range(horizon):
         idx = fm.launch_t + j + date_offset

@@ -7,6 +7,12 @@ LSTM, and the mixture on the validation window at horizon one plus recursive
 horizons.  Nothing fitted ever sees a validation index: scalers, volatility
 reads, classifications, and parameters are all functions of data strictly
 before the validation start, which the tests assert by perturbation.
+
+Recursive horizons share one path per model: a length-``h`` recursion is
+exactly the first ``h`` steps of a longer one, so :func:`forecast_paths` runs
+the LSTM and the mixture once, to the longest horizon that fits, and every
+shorter horizon is scored on a prefix of that path.  The linear expert never
+reads its window, so its path is closed form over the time index.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from .market_data import (
     rolling_volatility,
     simple_returns,
 )
-from .moe import DEFAULT_GATE_TABLE, GateWeights, combine, gate_for_regime
+from .moe import DEFAULT_GATE_TABLE, GateWeights, blend, gate_for_regime
 from .regime import (
     PolicyKind,
     RegimeAssignment,
@@ -70,8 +76,10 @@ __all__ = [
     "lstm_one_step",
     "linear_one_step",
     "moe_one_step",
+    "forecast_paths",
     "run_walk_forward",
     "fit_pooled_experts",
+    "holdout_models",
     "run_holdout",
     "aggregate_stratified",
 ]
@@ -241,9 +249,32 @@ def moe_one_step(
     def step(window: np.ndarray, t: float, sigma: float) -> float:
         rnn_p = predict_lstm(lstm_params, window)
         lm_p = predict_linear(linear_params, t, sigma)
-        return combine([(weights.w_rnn, rnn_p), (weights.w_lm, lm_p)])
+        return blend(weights, rnn_p, lm_p)
 
     return step
+
+
+def forecast_paths(
+    lstm: LstmParams,
+    linear: LinearParams,
+    weights: GateWeights,
+    window: np.ndarray,
+    t0: float,
+    sigma: float,
+    h: int,
+) -> dict[str, np.ndarray]:
+    """Recursive ``h``-step paths of every model, launched from one window.
+
+    Equal to :func:`recursive_forecast` with the ``*_one_step`` closures, and
+    any prefix equals the shorter recursion, bit for bit.  The LSTM and the
+    mixture recurse once each; the linear path is closed form over
+    ``t0, t0 + 1, ...`` since that expert never reads the window.
+    """
+    return {
+        "Linear": predict_linear(linear, t0 + np.arange(h), sigma),
+        "LSTM": recursive_forecast(lstm_one_step(lstm), window, t0, sigma, h),
+        "MoE": recursive_forecast(moe_one_step(lstm, linear, weights), window, t0, sigma, h),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +288,8 @@ class MetricRecord:
     ``mse``/``mae``/``rmse`` are measured on the standardized scale the
     models predict in; the ``raw_*`` triple is the same comparison after
     undoing the firm's scaler.  ``mase`` is scale-free so a single value
-    covers both.
+    covers both.  Every metric must be finite and non-negative, so a diverged
+    fit fails here instead of being averaged into a table.
     """
 
     ticker: str
@@ -277,9 +309,15 @@ class MetricRecord:
     def __post_init__(self) -> None:
         if self.model not in MODELS:
             raise EvaluationError(f"unknown model {self.model!r}")
-        for name in ("mse", "mae", "rmse", "raw_mse", "raw_mae", "raw_rmse"):
-            if getattr(self, name) < 0:
-                raise EvaluationError(f"{name} must be non-negative")
+        for name in METRIC_NAMES:
+            value = getattr(self, name)
+            if value is None and name == "mase":
+                continue
+            if not (math.isfinite(value) and value >= 0):
+                raise EvaluationError(
+                    f"{self.ticker} fold {self.fold_id} {self.model} h={self.horizon}: "
+                    f"{name} must be finite and non-negative, got {value!r}"
+                )
 
 
 METRIC_NAMES = ("mse", "mae", "rmse", "raw_mse", "raw_mae", "raw_rmse", "mase")
@@ -437,6 +475,15 @@ class _FoldFirmData:
     def window_for_target(self, t_local: int) -> np.ndarray:
         return self.dataset.inputs[t_local - self.dataset.window]
 
+    @property
+    def train_targets(self) -> np.ndarray:
+        return self.dataset.targets[:self.train_len - self.dataset.window]
+
+    @property
+    def val_targets(self) -> np.ndarray:
+        w = self.dataset.window
+        return self.dataset.targets[self.train_len - w:self.total_len - w]
+
 
 def _prepare_fold_firm(
     series: PriceSeries,
@@ -546,6 +593,35 @@ def _classify_fold(
     )
 
 
+def _horizon_scores(
+    data: _FoldFirmData,
+    fm: FoldModels,
+    weights: GateWeights,
+    horizons: HorizonSpec,
+) -> list[tuple[int, str, dict[str, float | None]]]:
+    """``(horizon, model, scores)`` for every configured horizon.
+
+    The forecasts launch at the first validation target.  Each model runs
+    one recursion to the longest horizon that fits; a horizon is scored on a
+    prefix of that path, truncated to the validation observations left.
+    """
+    actual = data.val_targets
+    longest = min(max(horizons.horizons, default=0), len(actual))
+    if longest < 1:
+        return []
+    paths = forecast_paths(
+        fm.lstm, fm.linear, weights, data.window_for_target(data.train_len),
+        float(fm.launch_t), fm.sigma, longest,
+    )
+    out = []
+    for h in horizons.horizons:
+        avail = min(h, longest)
+        for model in MODELS:
+            scores = _score(paths[model][:avail], actual[:avail], fm.scaler, data.train_targets)
+            out.append((h, model, scores))
+    return out
+
+
 def run_walk_forward(
     universe: Mapping[str, PriceSeries],
     plan: WalkForwardPlan,
@@ -592,44 +668,36 @@ def run_walk_forward(
             lstm_params, linear_params = _fit_fold_experts(
                 data, policy, settings, task_seed(settings.seed, ticker, fold.fold_id)
             )
-            sigma = data.sigma_frozen
-            launch_t = fold.val_range.start
-            models[(ticker, fold.fold_id)] = FoldModels(
+            fm = FoldModels(
                 lstm=lstm_params,
                 linear=linear_params,
                 scaler=data.dataset.scaler,
-                sigma=sigma,
+                sigma=data.sigma_frozen,
                 regime=regime,
-                launch_t=launch_t,
+                launch_t=fold.val_range.start,
                 window=settings.window,
                 mode=settings.mode,
             )
-            train_targets = data.dataset.restrict(data.dataset.window, data.train_len).targets
+            models[(ticker, fold.fold_id)] = fm
 
-            # horizon 1: single-step predictions across the validation window
-            steps: dict[str, list[float]] = {m: [] for m in MODELS}
-            actual_std = []
-            for t_local in range(data.train_len, data.total_len):
-                window = data.window_for_target(t_local)
-                t_global = float(data.t_offset + t_local)
-                lstm_p = predict_lstm(lstm_params, window)
-                lin_p = predict_linear(linear_params, t_global, sigma)
-                moe_p = combine([(weights.w_rnn, lstm_p), (weights.w_lm, lin_p)])
-                steps["LSTM"].append(lstm_p)
-                steps["Linear"].append(lin_p)
-                steps["MoE"].append(moe_p)
-                actual_std.append(data.target_at(t_local))
-            actual_arr = np.asarray(actual_std)
-            scaler = data.dataset.scaler
+            # horizon 1: one LSTM call per validation window (a batched call
+            # rounds differently); the linear and mixture columns are arrays
+            val = range(data.train_len, data.total_len)
+            lstm_h1 = np.array([predict_lstm(fm.lstm, data.window_for_target(t)) for t in val])
+            t_global = np.arange(fm.launch_t, fm.launch_t + len(val), dtype=float)
+            lin_h1 = predict_linear(fm.linear, t_global, fm.sigma)
+            h1 = {"Linear": lin_h1, "LSTM": lstm_h1, "MoE": blend(weights, lstm_h1, lin_h1)}
+            actual_arr = data.val_targets
+            scaler = fm.scaler
             for model in MODELS:
-                preds = np.asarray(steps[model])
-                scores = _score(preds, actual_arr, scaler, train_targets)
+                preds = h1[model]
+                scores = _score(preds, actual_arr, scaler, data.train_targets)
                 records.append(
                     MetricRecord(
                         ticker, fold.fold_id, WALK_FORWARD_SPLIT, regime, 1, model, **scores
                     )
                 )
-                for j, t_local in enumerate(range(data.train_len, data.total_len)):
+                for j, t_local in enumerate(val):
                     predictions.append(
                         PredictionPoint(
                             ticker, fold.fold_id, data.t_offset + t_local, model,
@@ -639,29 +707,12 @@ def run_walk_forward(
                         )
                     )
 
-            # recursive horizons launched at the validation start
-            last_window = data.window_for_target(data.train_len)
-            t_launch_global = float(data.t_offset + data.train_len)
-            fns = {
-                "Linear": linear_one_step(linear_params),
-                "LSTM": lstm_one_step(lstm_params),
-                "MoE": moe_one_step(lstm_params, linear_params, weights),
-            }
-            for h in settings.horizons.horizons:
-                avail = min(h, data.total_len - data.train_len)
-                if avail < 1:
-                    continue
-                horizon_actual = actual_arr[:avail]
-                for model in MODELS:
-                    preds = recursive_forecast(
-                        fns[model], last_window, t_launch_global, sigma, avail
+            for h, model, scores in _horizon_scores(data, fm, weights, settings.horizons):
+                records.append(
+                    MetricRecord(
+                        ticker, fold.fold_id, WALK_FORWARD_SPLIT, regime, h, model, **scores
                     )
-                    scores = _score(preds, horizon_actual, scaler, train_targets)
-                    records.append(
-                        MetricRecord(
-                            ticker, fold.fold_id, WALK_FORWARD_SPLIT, regime, h, model, **scores
-                        )
-                    )
+                )
 
     return WalkForwardResult(
         records=tuple(records),
@@ -741,6 +792,49 @@ def fit_pooled_experts(
     return PooledExperts(lstm_params, linear_params, launch_t, tuple(tickers), decision)
 
 
+def _holdout_firm(
+    series: PriceSeries,
+    experts: PooledExperts,
+    policy: RegimePolicy,
+    settings: BacktestSettings,
+) -> tuple[_FoldFirmData, FoldModels]:
+    launch = experts.launch_t
+    n_vals = n_values(series, settings.mode)
+    if n_vals < launch + 1:
+        raise EvaluationError(f"{series.ticker}: too short to evaluate at launch index {launch}")
+    fold = FoldSpec(HOLDOUT_FOLD_ID, range(0, launch), range(launch, n_vals))
+    data = _prepare_fold_firm(series, fold, policy, settings)
+    sigma = data.sigma_frozen
+    boundary = policy.tau if policy.kind is PolicyKind.THRESHOLD else experts.decision_sigma
+    regime = RegimeLabel.VOLATILE if sigma > boundary else RegimeLabel.STABLE
+    fm = FoldModels(
+        lstm=experts.lstm,
+        linear=experts.linear,
+        scaler=data.dataset.scaler,
+        sigma=sigma,
+        regime=regime,
+        launch_t=launch,
+        window=settings.window,
+        mode=settings.mode,
+    )
+    return data, fm
+
+
+def holdout_models(
+    series: PriceSeries,
+    experts: PooledExperts,
+    policy: RegimePolicy,
+    settings: BacktestSettings,
+) -> FoldModels:
+    """The pooled experts as one held-out firm sees them.
+
+    The firm gets its own pre-launch scaler and frozen volatility, and is
+    labelled against the frozen decision boundary (``tau`` under the
+    threshold rule).  :func:`run_holdout` scores exactly these models.
+    """
+    return _holdout_firm(series, experts, policy, settings)[1]
+
+
 def run_holdout(
     universe: Mapping[str, PriceSeries],
     holdout: HoldoutSpec,
@@ -758,41 +852,13 @@ def run_holdout(
     if overlap:
         raise EvaluationError(f"holdout firms overlap the training universe: {sorted(overlap)}")
     records: list[MetricRecord] = []
-    launch = experts.launch_t
     for ticker in sorted(holdout.tickers):
         if ticker not in universe:
             raise EvaluationError(f"holdout ticker {ticker} missing from the universe")
-        series = universe[ticker]
-        n_vals = n_values(series, settings.mode)
-        if n_vals < launch + 1:
-            raise EvaluationError(f"{ticker}: too short to evaluate at launch index {launch}")
-        fold = FoldSpec(HOLDOUT_FOLD_ID, range(0, launch), range(launch, n_vals))
-        data = _prepare_fold_firm(series, fold, policy, settings)
-        sigma = data.sigma_frozen
-        if policy.kind is PolicyKind.THRESHOLD:
-            regime = RegimeLabel.VOLATILE if sigma > policy.tau else RegimeLabel.STABLE
-        else:
-            regime = (
-                RegimeLabel.VOLATILE if sigma > experts.decision_sigma else RegimeLabel.STABLE
+        data, fm = _holdout_firm(universe[ticker], experts, policy, settings)
+        weights = gate_for_regime(fm.regime, settings.gate_table)
+        for h, model, scores in _horizon_scores(data, fm, weights, settings.horizons):
+            records.append(
+                MetricRecord(ticker, HOLDOUT_FOLD_ID, HOLDOUT_SPLIT, fm.regime, h, model, **scores)
             )
-        weights = gate_for_regime(regime, settings.gate_table)
-        train_targets = data.dataset.restrict(data.dataset.window, launch).targets
-        last_window = data.window_for_target(launch)
-        scaler = data.dataset.scaler
-        fns = {
-            "Linear": linear_one_step(experts.linear),
-            "LSTM": lstm_one_step(experts.lstm),
-            "MoE": moe_one_step(experts.lstm, experts.linear, weights),
-        }
-        for h in settings.horizons.horizons:
-            avail = min(h, n_vals - launch)
-            actual = np.array([data.target_at(t) for t in range(launch, launch + avail)])
-            for model in MODELS:
-                preds = recursive_forecast(fns[model], last_window, float(launch), sigma, avail)
-                scores = _score(preds, actual, scaler, train_targets)
-                records.append(
-                    MetricRecord(
-                        ticker, HOLDOUT_FOLD_ID, HOLDOUT_SPLIT, regime, h, model, **scores
-                    )
-                )
     return tuple(records)

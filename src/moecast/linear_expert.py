@@ -90,5 +90,8 @@ def fit_ols(t, sigma, y) -> LinearFitReport:
     return LinearFitReport(params, float(residuals @ residuals), n)
 
 
-def predict_linear(params: LinearParams, t: float, sigma: float) -> float:
+def predict_linear(
+    params: LinearParams, t: float | np.ndarray, sigma: float
+) -> float | np.ndarray:
+    """``b0 + b1 * t + b2 * sigma``; an array of times gives the whole path."""
     return params.beta0 + params.beta1 * t + params.beta2 * sigma

@@ -45,13 +45,9 @@ PARAM_FIELDS = ("W_f", "W_i", "W_C", "W_o", "b_f", "b_i", "b_C", "b_o", "W_y", "
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # both branches saturate gracefully; exp never sees a large positive arg
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp only ever sees a non-positive argument, so neither branch overflows
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 @dataclass
@@ -220,6 +216,45 @@ def init_params(hidden: int, input_dim: int, seed: int) -> LstmParams:
     )
 
 
+def _as_batch(params: LstmParams, inputs: np.ndarray) -> np.ndarray:
+    X = np.asarray(inputs, dtype=float)
+    if X.ndim == 2:
+        X = X[:, :, None]
+    if X.ndim != 3 or X.shape[1] < 1:
+        raise FitError(f"inputs must be (batch, steps[, dim]) with steps >= 1, got {X.shape}")
+    if X.shape[2] != params.input_dim:
+        raise FitError(f"input dim {X.shape[2]} does not match parameters ({params.input_dim})")
+    return X
+
+
+def _as_single(inputs: np.ndarray) -> np.ndarray:
+    arr = np.asarray(inputs, dtype=float)
+    if arr.ndim not in (1, 2):
+        raise FitError(f"a single sequence must be 1- or 2-dimensional, got shape {arr.shape}")
+    return arr[None]
+
+
+def _cell(params: LstmParams, z: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, ...]:
+    """One step on the ``[h, x]`` rows ``z``: ``(f, i, cbar, o, C', tanh C', h')``.
+
+    The four gate matmuls stay separate (a fused one rounds differently); the
+    three sigmoid gates share one elementwise call.
+    """
+    f, i, o = _sigmoid(
+        np.stack(
+            [
+                z @ params.W_f.T + params.b_f,
+                z @ params.W_i.T + params.b_i,
+                z @ params.W_o.T + params.b_o,
+            ]
+        )
+    )
+    cbar = np.tanh(z @ params.W_C.T + params.b_C)
+    C_new = f * C + i * cbar
+    tanh_C = np.tanh(C_new)
+    return f, i, cbar, o, C_new, tanh_C, o * tanh_C
+
+
 def cell_step(params: LstmParams, x_t: np.ndarray, prev: LstmState) -> LstmState:
     """One LSTM cell update for a single (unbatched) input vector."""
     x_t = np.asarray(x_t, dtype=float).reshape(-1)
@@ -244,27 +279,14 @@ def forward_batch(params: LstmParams, inputs: np.ndarray) -> tuple[np.ndarray, T
     input_dim).  Returns the per-sequence predictions and the activation tape
     needed by :func:`backward_bptt`.
     """
-    X = np.asarray(inputs, dtype=float)
-    if X.ndim == 2:
-        X = X[:, :, None]
-    if X.ndim != 3 or X.shape[1] < 1:
-        raise FitError(f"inputs must be (batch, steps[, dim]) with steps >= 1, got {X.shape}")
-    if X.shape[2] != params.input_dim:
-        raise FitError(f"input dim {X.shape[2]} does not match parameters ({params.input_dim})")
+    X = _as_batch(params, inputs)
     batch, steps, _ = X.shape
-    hidden = params.hidden
-    h = np.zeros((batch, hidden))
-    C = np.zeros((batch, hidden))
+    h = np.zeros((batch, params.hidden))
+    C = np.zeros((batch, params.hidden))
     caches: list[_StepCache] = []
     for t in range(steps):
         z = np.concatenate([h, X[:, t, :]], axis=1)
-        f = _sigmoid(z @ params.W_f.T + params.b_f)
-        i = _sigmoid(z @ params.W_i.T + params.b_i)
-        cbar = np.tanh(z @ params.W_C.T + params.b_C)
-        C_new = f * C + i * cbar
-        o = _sigmoid(z @ params.W_o.T + params.b_o)
-        tanh_C = np.tanh(C_new)
-        h = o * tanh_C
+        f, i, cbar, o, C_new, tanh_C, h = _cell(params, z, C)
         caches.append(_StepCache(z, f, i, cbar, C, C_new, o, tanh_C, h))
         C = C_new
     predictions = h @ params.W_y[0] + params.b_y[0]
@@ -273,14 +295,7 @@ def forward_batch(params: LstmParams, inputs: np.ndarray) -> tuple[np.ndarray, T
 
 def forward_sequence(params: LstmParams, inputs: np.ndarray) -> tuple[float, Tape]:
     """Single-sequence forward pass; returns the scalar prediction and its tape."""
-    arr = np.asarray(inputs, dtype=float)
-    if arr.ndim == 1:
-        arr = arr[None, :]
-    elif arr.ndim == 2:
-        arr = arr[None, :, :]
-    else:
-        raise FitError(f"a single sequence must be 1- or 2-dimensional, got shape {arr.shape}")
-    preds, tape = forward_batch(params, arr)
+    preds, tape = forward_batch(params, _as_single(inputs))
     return float(preds[0]), tape
 
 
@@ -448,6 +463,14 @@ def train_early_stopping(
 
 
 def predict_lstm(params: LstmParams, window: np.ndarray) -> float:
-    """Forward pass of one window with the tape discarded."""
-    prediction, _ = forward_sequence(params, window)
-    return prediction
+    """Forward pass of one window that keeps no activations.
+
+    Runs the same per-step arithmetic as :func:`forward_batch` at batch size
+    one, so the result equals :func:`forward_sequence`'s bit for bit.
+    """
+    X = _as_batch(params, _as_single(window))
+    h = np.zeros((1, params.hidden))
+    C = np.zeros((1, params.hidden))
+    for t in range(X.shape[1]):
+        *_, C, _, h = _cell(params, np.concatenate([h, X[:, t, :]], axis=1), C)
+    return float((h @ params.W_y[0] + params.b_y[0])[0])

@@ -26,6 +26,7 @@ __all__ = [
     "DEFAULT_GATE_TABLE",
     "gate_for_regime",
     "combine",
+    "blend",
     "predict_moe",
 ]
 
@@ -108,6 +109,16 @@ def combine(expert_preds: Iterable[tuple[float, float]]) -> float:
     for w, p in pairs:
         total += w * p
     return total
+
+
+def blend(weights: GateWeights, rnn, lm):
+    """``w_rnn * rnn + w_lm * lm`` on scalars or arrays.
+
+    Sums in :func:`combine`'s order, so each element equals the two-expert
+    ``combine`` bit for bit.  The linear weight is ``weights.w_lm`` itself,
+    never ``1 - w_rnn``, which differs in the last bit for 0.3 and 0.7.
+    """
+    return weights.w_rnn * rnn + weights.w_lm * lm
 
 
 def predict_moe(

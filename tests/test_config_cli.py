@@ -8,7 +8,7 @@ from moecast.config import parse_config, parse_config_text
 from moecast.errors import ConfigError
 from moecast.evaluation import HorizonSpec, plan_walk_forward, run_walk_forward
 from moecast.lstm_expert import predict_lstm
-from moecast.market_data import SyntheticSpec, generate_synthetic
+from moecast.market_data import SyntheticSpec, generate_synthetic, load_csv
 from moecast.model_store import ModelStore
 from moecast.regime import PolicyKind, RegimeLabel
 from moecast.reporting import records_from_csv, records_to_csv, render_tables_text
@@ -241,6 +241,39 @@ class TestCli:
         assert len(match) == 1
         stored_predicted = match[0].rsplit(",", 1)[1]
         assert stored_predicted == moe_text
+
+    def test_forecast_holdout_ticker_uses_pooled_experts(self, cli_workspace, capsys):
+        cfg, data, reports = cli_workspace
+        main(["--config", str(cfg), "synth"])
+        main(["--config", str(cfg), "backtest"])
+        capsys.readouterr()
+        config = parse_config(cfg)
+        store = ModelStore.load(reports / f"models_{config.short_fingerprint}.npz")
+        universe = load_csv(data)
+        holdout = sorted(set(universe) - set(store.pooled.training_tickers))
+        assert len(holdout) == 2  # holdout.k = 1: one volatile and one stable firm
+        records = records_from_csv(
+            (reports / f"records_{config.short_fingerprint}.csv").read_text()
+        )
+        launch = store.pooled.launch_t
+        for ticker in holdout:
+            assert main(
+                ["--config", str(cfg), "forecast", "--ticker", ticker, "--horizon", "3"]
+            ) == 0
+            out = capsys.readouterr().out
+            assert "pooled experts" in out
+            rows = [l.split(",") for l in out.splitlines() if l[:2] in ("1,", "2,", "3,")]
+            paths = np.array([[float(v) for v in row[2:]] for row in rows])
+            actual = universe[ticker].prices[launch:launch + 3]
+            # the forecast replays the path run_holdout scored at horizon 3
+            for col, model in enumerate(("Linear", "LSTM", "MoE")):
+                (record,) = [
+                    r for r in records
+                    if r.ticker == ticker and r.horizon == 3 and r.model == model
+                ]
+                assert f"regime {record.regime.value})" in out
+                expected = float(np.abs(paths[:, col] - actual).mean())
+                assert record.raw_mae == pytest.approx(expected, rel=1e-9)
 
     def test_forecast_without_store_fails(self, cli_workspace, capsys):
         cfg, _, _ = cli_workspace

@@ -14,10 +14,13 @@ from moecast.evaluation import (
     TrainMode,
     aggregate_stratified,
     fit_pooled_experts,
+    forecast_paths,
     improvement_pct,
     linear_one_step,
+    lstm_one_step,
     mae,
     mase,
+    moe_one_step,
     mse,
     plan_walk_forward,
     recursive_forecast,
@@ -25,7 +28,9 @@ from moecast.evaluation import (
     run_holdout,
     run_walk_forward,
 )
-from moecast.lstm_expert import PARAM_FIELDS, TrainConfig
+from moecast.linear_expert import LinearParams
+from moecast.lstm_expert import PARAM_FIELDS, TrainConfig, init_params
+from moecast.moe import GateWeights, gate_for_regime
 from moecast.market_data import (
     PricePoint,
     PriceSeries,
@@ -209,8 +214,62 @@ class TestRecursiveForecast:
 
 
 def linear_one_step_stub(slope):
-    from moecast.linear_expert import LinearParams
     return linear_one_step(LinearParams(0.0, slope, 0.0))
+
+
+class TestForecastPaths:
+    @pytest.mark.parametrize("weights", [GateWeights(0.7, 0.3), GateWeights(0.3, 0.7)])
+    def test_every_prefix_equals_the_one_step_recursion(self, weights):
+        lstm = init_params(hidden=6, input_dim=1, seed=3)
+        linear = LinearParams(0.25, -0.0125, 3.5)
+        window = np.random.default_rng(8).normal(size=5)
+        t0, sigma, longest = 41.0, 0.031, 12
+        paths = forecast_paths(lstm, linear, weights, window, t0, sigma, longest)
+        fns = {
+            "Linear": linear_one_step(linear),
+            "LSTM": lstm_one_step(lstm),
+            "MoE": moe_one_step(lstm, linear, weights),
+        }
+        for h in range(1, longest + 1):
+            for model, fn in fns.items():
+                expected = recursive_forecast(fn, window, t0, sigma, h)
+                assert np.array_equal(paths[model][:h], expected), (model, h)
+
+    @pytest.mark.parametrize(
+        "horizons", [(3, 25), (3, 5, 10)], ids=["val_len<max_h", "val_len>=max_h"]
+    )
+    def test_walk_forward_records_replay_one_step_recursions(self, tiny_universe, horizons):
+        val_len = 10
+        plan = plan_walk_forward(60, 40, val_len, 10)
+        settings = fast_settings(horizons=HorizonSpec(horizons))
+        result = run_walk_forward(tiny_universe, plan, small_policy(), settings)
+        checked = 0
+        for record in result.records:
+            if record.horizon == 1:
+                continue
+            fm = result.models[(record.ticker, record.fold_id)]
+            standardized = fm.scaler.apply(tiny_universe[record.ticker].prices)
+            window = standardized[fm.launch_t - fm.window:fm.launch_t]
+            fn = {
+                "Linear": linear_one_step(fm.linear),
+                "LSTM": lstm_one_step(fm.lstm),
+                "MoE": moe_one_step(
+                    fm.lstm, fm.linear, gate_for_regime(fm.regime, settings.gate_table)
+                ),
+            }[record.model]
+            avail = min(record.horizon, val_len)
+            preds = recursive_forecast(fn, window, float(fm.launch_t), fm.sigma, avail)
+            actual = standardized[fm.launch_t:fm.launch_t + avail]
+            assert record.mse == mse(preds, actual)
+            assert record.mae == mae(preds, actual)
+            checked += 1
+        assert checked == 4 * 2 * 3 * len(horizons)
+
+    def test_empty_horizons_score_horizon_one_only(self, tiny_universe):
+        plan = plan_walk_forward(60, 40, 10, 10)
+        result = run_walk_forward(tiny_universe, plan, small_policy(), fast_settings())
+        assert {r.horizon for r in result.records} == {1}
+        assert len(result.records) == 4 * 2 * 3
 
 
 class TestRunWalkForward:
@@ -355,6 +414,11 @@ class TestHoldout:
         with pytest.raises(EvaluationError):
             run_holdout(universe, overlap, experts, policy, settings)
 
+    def test_empty_horizons_give_no_records(self, pooled_setup):
+        universe, holdout, experts, policy, settings = pooled_setup
+        settings = fast_settings(horizons=HorizonSpec(()))
+        assert run_holdout(universe, holdout, experts, policy, settings) == ()
+
     def test_ten_plus_ten_firms_three_horizons_yield_180_records(self):
         universe = generate_synthetic(
             SyntheticSpec(n_stable=12, n_volatile=12, length=60), seed=2
@@ -367,6 +431,30 @@ class TestHoldout:
         experts = fit_pooled_experts(train, small_policy(), settings, launch_t=50)
         records = run_holdout(universe, holdout, experts, small_policy(), settings)
         assert len(records) == 20 * 3 * 3
+
+
+class TestMetricRecord:
+    @staticmethod
+    def record(**overrides):
+        values = dict(
+            ticker="STB01", fold_id=0, split="walk_forward", regime=RegimeLabel.STABLE,
+            horizon=1, model="LSTM", mse=1.0, mae=0.5, rmse=1.0,
+            raw_mse=4.0, raw_mae=1.0, raw_rmse=2.0, mase=0.9,
+        )
+        values.update(overrides)
+        return MetricRecord(**values)
+
+    def test_finite_record_and_missing_mase_accepted(self):
+        assert self.record().mase == 0.9
+        assert self.record(mase=None).mase is None
+
+    @pytest.mark.parametrize(
+        "name", ["mse", "mae", "rmse", "raw_mse", "raw_mae", "raw_rmse", "mase"]
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+    def test_non_finite_or_negative_metric_rejected(self, name, value):
+        with pytest.raises(EvaluationError, match=name):
+            self.record(**{name: value})
 
 
 class TestAggregateStratified:

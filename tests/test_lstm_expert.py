@@ -212,6 +212,51 @@ class TestForward:
         window = np.arange(10.0) / 10.0
         assert predict_lstm(p, window) == forward_sequence(p, window)[0]
 
+    def test_predict_lstm_builds_no_tape(self, monkeypatch):
+        p = init_params(4, 1, seed=3)
+        window = np.random.default_rng(5).normal(size=8)
+        expected = forward_sequence(p, window)[0]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("predict_lstm must not record activations")
+
+        monkeypatch.setattr(lstm_expert, "_StepCache", forbidden)
+        monkeypatch.setattr(lstm_expert, "Tape", forbidden)
+        assert predict_lstm(p, window) == expected
+
+    def test_predict_lstm_rejects_bad_shapes(self):
+        p = init_params(3, 1, seed=0)
+        for bad in (np.empty(0), np.zeros((1, 2, 3)), np.zeros((4, 2))):
+            with pytest.raises(FitError):
+                predict_lstm(p, bad)
+
+
+def test_sigmoid_matches_two_branch_reference_bit_for_bit():
+    def reference(x):
+        out = np.empty_like(x)
+        pos = x >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ex = np.exp(x[~pos])
+        out[~pos] = ex / (1.0 + ex)
+        return out
+
+    rng = np.random.default_rng(4)
+    x = np.concatenate(
+        [
+            np.linspace(-800.0, 800.0, 4001),
+            rng.normal(0.0, 3.0, 5000),
+            [0.0, -0.0, np.inf, -np.inf],
+        ]
+    )
+    got = lstm_expert._sigmoid(x)
+    assert np.array_equal(got, reference(x))
+    # the cell applies one call to the three stacked gate pre-activations
+    stacked = rng.normal(0.0, 4.0, size=(3, 16, 50))
+    got = lstm_expert._sigmoid(stacked)
+    assert np.array_equal(got, reference(stacked.ravel()).reshape(stacked.shape))
+    for k in range(3):
+        assert np.array_equal(got[k], lstm_expert._sigmoid(stacked[k]))
+
 
 class TestLossMse:
     def test_perfect_predictions(self):
