@@ -17,7 +17,7 @@ from moecast import (
     rolling_volatility,
     simple_returns,
 )
-from moecast.regime import RegimeLabel
+from moecast.regime import label_for
 
 
 def main():
@@ -44,7 +44,7 @@ def main():
         vol = rolling_volatility(simple_returns(universe[ticker]), threshold.vol_window)
         sigma = float(vol.values[-1])
         sigmas[ticker] = sigma
-        label = RegimeLabel.VOLATILE if sigma > threshold.tau else RegimeLabel.STABLE
+        label = label_for(sigma, threshold.tau)
         print(f"  {ticker}: sigma {sigma:.5f} -> {label.value}")
 
     # rule 2: strictly above the cross-sectional median

@@ -13,15 +13,18 @@ from moecast import (
     TrainConfig,
     WindowMode,
     fit_ols,
+    gate_for_regime,
     generate_synthetic,
     make_windows,
-    predict_moe,
+    predict_linear,
+    predict_lstm,
     rolling_volatility,
     simple_returns,
     train_early_stopping,
 )
 from moecast.evaluation import mae, mse
-from moecast.regime import RegimeLabel
+from moecast.moe import blend
+from moecast.regime import label_for
 
 
 def main():
@@ -59,16 +62,18 @@ def main():
 
     # out-of-sample tail: volatility frozen at the last training read
     sigma_frozen = sigma_at(train_end - 1)
-    regime = RegimeLabel.VOLATILE if sigma_frozen > policy.tau else RegimeLabel.STABLE
+    regime = label_for(sigma_frozen, policy.tau)
+    weights = gate_for_regime(regime)
     print(f"frozen sigma {sigma_frozen:.5f} -> regime {regime.value}\n")
     rows = {"LSTM": [], "Linear": [], "MoE": []}
     actual = []
     for t in range(train_end, len(series)):
         window = dataset.inputs[t - w]
-        blended = predict_moe(lstm, linear, window, float(t), sigma_frozen, regime)
-        rows["LSTM"].append(blended.rnn_component)
-        rows["Linear"].append(blended.lm_component)
-        rows["MoE"].append(blended.combined)
+        rnn = predict_lstm(lstm, window)
+        lm = predict_linear(linear, float(t), sigma_frozen)
+        rows["LSTM"].append(rnn)
+        rows["Linear"].append(lm)
+        rows["MoE"].append(blend(weights, rnn, lm))
         actual.append(float(dataset.targets[t - w]))
     print(f"{'model':<8}{'MSE':>10}{'MAE':>10}   (standardized, one-step, "
           f"{len(actual)} points)")

@@ -10,7 +10,6 @@ from .market_data import (
     SyntheticSpec,
     VolatilitySeries,
     WindowMode,
-    WindowSample,
     WindowedDataset,
     fit_scaler,
     generate_synthetic,
@@ -32,17 +31,13 @@ from .regime import (
 )
 from .linear_expert import LinearFitReport, LinearParams, fit_ols, predict_linear
 from .lstm_expert import (
-    AdamState,
-    GradientSet,
     LstmParams,
-    LstmState,
     Tape,
     TrainConfig,
     adam_step,
     backward_bptt,
     cell_step,
     forward_batch,
-    forward_sequence,
     init_params,
     loss_mse,
     predict_lstm,
@@ -51,10 +46,8 @@ from .lstm_expert import (
 from .moe import (
     DEFAULT_GATE_TABLE,
     GateWeights,
-    MoePrediction,
     combine,
     gate_for_regime,
-    predict_moe,
 )
 from .evaluation import (
     BacktestSettings,

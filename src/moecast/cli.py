@@ -38,7 +38,7 @@ from .market_data import (
 )
 from .model_store import ModelStore
 from .moe import gate_for_regime
-from .regime import PolicyKind, RegimeLabel, classify_median, rank_by_volatility
+from .regime import PolicyKind, classify_median, label_for, rank_by_volatility
 from .reporting import (
     predictions_to_csv,
     records_from_csv,
@@ -95,10 +95,7 @@ def cmd_classify(config: RunConfig) -> int:
         vol = rolling_volatility(returns_for_policy(universe[ticker], policy), policy.vol_window)
         sigmas[ticker] = float(vol.values[-1])
     if policy.kind is PolicyKind.THRESHOLD:
-        labels = {
-            t: RegimeLabel.VOLATILE if s > policy.tau else RegimeLabel.STABLE
-            for t, s in sigmas.items()
-        }
+        labels = {t: label_for(s, policy.tau) for t, s in sigmas.items()}
         rule = f"threshold (window {policy.vol_window}, tau {policy.tau})"
     else:
         labels = classify_median(sigmas)

@@ -48,6 +48,7 @@ from .regime import (
     RegimePolicy,
     classify_median,
     classify_threshold,
+    label_for,
 )
 
 __all__ = [
@@ -517,6 +518,14 @@ def _linear_row_start(settings: BacktestSettings, policy: RegimePolicy) -> int:
     return max(settings.window, policy.vol_window - 1)
 
 
+def _early_stopping_split(ds: WindowedDataset, fraction: float) -> tuple[np.ndarray, ...]:
+    """``(train_x, train_y, val_x, val_y)``: the last ``round(fraction * n)``
+    samples, at least one and never all of them, drive early stopping."""
+    n = len(ds)
+    cut = n - min(max(1, int(round(fraction * n))), n - 1)
+    return ds.inputs[:cut], ds.targets[:cut], ds.inputs[cut:], ds.targets[cut:]
+
+
 def _fit_fold_experts(
     data: _FoldFirmData,
     policy: RegimePolicy,
@@ -524,20 +533,11 @@ def _fit_fold_experts(
     seed: int,
 ) -> tuple[LstmParams, LinearParams]:
     train_ds = data.dataset.restrict(data.dataset.window, data.train_len)
-    n_train = len(train_ds)
-    if n_train < 2:
-        raise EvaluationError(f"{data.ticker}: not enough training samples ({n_train})")
-    n_es = max(1, int(round(settings.es_val_fraction * n_train)))
-    if n_es >= n_train:
-        n_es = n_train - 1
+    if len(train_ds) < 2:
+        raise EvaluationError(f"{data.ticker}: not enough training samples ({len(train_ds)})")
     cfg = replace(settings.train, seed=seed)
     lstm_params, _ = train_early_stopping(
-        train_ds.inputs[:n_train - n_es],
-        train_ds.targets[:n_train - n_es],
-        train_ds.inputs[n_train - n_es:],
-        train_ds.targets[n_train - n_es:],
-        cfg,
-        hidden=settings.hidden,
+        *_early_stopping_split(train_ds, settings.es_val_fraction), cfg, hidden=settings.hidden
     )
     row_start = _linear_row_start(settings, policy)
     if data.train_len - row_start < 3:
@@ -753,7 +753,7 @@ def fit_pooled_experts(
     if not train_universe:
         raise EvaluationError("pooled training universe is empty")
     tickers = sorted(train_universe)
-    train_x, train_y, val_x, val_y = [], [], [], []
+    splits = []
     lin_t, lin_sigma, lin_y = [], [], []
     sigmas: dict[str, float] = {}
     row_start = _linear_row_start(settings, policy)
@@ -764,14 +764,7 @@ def fit_pooled_experts(
         fold = FoldSpec(0, range(0, launch_t), range(launch_t, launch_t + 1))
         data = _prepare_fold_firm(series, fold, policy, settings)
         ds = data.dataset.restrict(data.dataset.window, launch_t)
-        n = len(ds)
-        n_es = max(1, int(round(settings.es_val_fraction * n)))
-        if n_es >= n:
-            n_es = n - 1
-        train_x.append(ds.inputs[:n - n_es])
-        train_y.append(ds.targets[:n - n_es])
-        val_x.append(ds.inputs[n - n_es:])
-        val_y.append(ds.targets[n - n_es:])
+        splits.append(_early_stopping_split(ds, settings.es_val_fraction))
         for t_local in range(row_start, launch_t):
             lin_t.append(float(t_local))
             lin_sigma.append(data.sigma_for_target(t_local))
@@ -779,9 +772,7 @@ def fit_pooled_experts(
         sigmas[ticker] = data.sigma_frozen
     cfg = replace(settings.train, seed=task_seed(settings.seed, "__pooled__", HOLDOUT_FOLD_ID))
     lstm_params, _ = train_early_stopping(
-        np.concatenate(train_x), np.concatenate(train_y),
-        np.concatenate(val_x), np.concatenate(val_y),
-        cfg, hidden=settings.hidden,
+        *(np.concatenate(part) for part in zip(*splits)), cfg, hidden=settings.hidden
     )
     linear_params = fit_ols(lin_t, lin_sigma, lin_y).params
     decision = (
@@ -806,13 +797,12 @@ def _holdout_firm(
     data = _prepare_fold_firm(series, fold, policy, settings)
     sigma = data.sigma_frozen
     boundary = policy.tau if policy.kind is PolicyKind.THRESHOLD else experts.decision_sigma
-    regime = RegimeLabel.VOLATILE if sigma > boundary else RegimeLabel.STABLE
     fm = FoldModels(
         lstm=experts.lstm,
         linear=experts.linear,
         scaler=data.dataset.scaler,
         sigma=sigma,
-        regime=regime,
+        regime=label_for(sigma, boundary),
         launch_t=launch,
         window=settings.window,
         mode=settings.mode,

@@ -7,8 +7,20 @@ The cell follows the standard gate algebra
     o = sig(W_o [h, x] + b_o)          h' = o * tanh(C')
 
 with elementwise products throughout; the prediction after the final step is
-``W_y h + b_y``.  Gradients are exact analytic backpropagation through time
-of the batch mean-squared error; ``tests`` verify them against central finite
+``W_y h + b_y``.
+
+All parameters live in one flat float64 vector ``theta``.  For hidden size H
+and input dimension D it holds, in ``PARAM_FIELDS`` order,
+
+    W_f, W_i, W_C, W_o    (H, H + D) each, acting on the concatenated [h, x]
+    b_f, b_i, b_C, b_o    (H,) each
+    W_y, b_y              (1, H) and (1,)
+
+that is ``4H(H + D) + 5H + 1`` entries, and the named fields are reshaped
+views into it.  A gradient has the same layout, so Adam, clipping and copies
+act on ``theta`` alone while the cell and BPTT read and write the views.
+Gradients are exact analytic backpropagation through time of the batch
+mean-squared error; ``tests`` verify them against central finite
 differences.  Everything is plain float64 numpy and deterministic for a
 fixed seed.
 """
@@ -17,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
@@ -24,15 +37,11 @@ from .errors import FitError
 
 __all__ = [
     "LstmParams",
-    "LstmState",
-    "GradientSet",
     "TrainConfig",
-    "AdamState",
     "Tape",
     "EpochRecord",
     "init_params",
     "cell_step",
-    "forward_sequence",
     "forward_batch",
     "loss_mse",
     "backward_bptt",
@@ -50,80 +59,56 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-@dataclass
+def _field_shapes(hidden: int, input_dim: int) -> tuple[tuple[int, ...], ...]:
+    gate, bias = (hidden, hidden + input_dim), (hidden,)
+    return (gate,) * 4 + (bias,) * 4 + ((1, hidden), (1,))
+
+
 class LstmParams:
-    """Gate weights over the concatenated ``[h, x]`` input, biases, and output head."""
+    """One flat float64 ``theta`` plus the named views into it (module docstring).
 
-    W_f: np.ndarray
-    W_i: np.ndarray
-    W_C: np.ndarray
-    W_o: np.ndarray
-    b_f: np.ndarray
-    b_i: np.ndarray
-    b_C: np.ndarray
-    b_o: np.ndarray
-    W_y: np.ndarray
-    b_y: np.ndarray
+    A write through a view, such as ``p.b_f[...] = 0``, writes ``theta``.
+    :meth:`from_arrays` builds parameters from named arrays and checks their
+    shapes; the constructor wraps a ``theta`` of the right size.
+    """
 
-    @property
-    def hidden(self) -> int:
-        return self.W_f.shape[0]
+    def __init__(self, theta: np.ndarray, hidden: int, input_dim: int) -> None:
+        if hidden < 1 or input_dim < 1:
+            raise FitError(f"inconsistent shapes: hidden={hidden}, input_dim={input_dim}")
+        shapes = _field_shapes(hidden, input_dim)
+        sizes = [math.prod(shape) for shape in shapes]
+        if theta.dtype != np.float64 or theta.shape != (sum(sizes),):
+            raise FitError(f"theta must be float64 of shape {(sum(sizes),)}, got {theta.shape}")
+        self.theta, self.hidden, self.input_dim = theta, hidden, input_dim
+        offset = 0
+        for name, shape, size in zip(PARAM_FIELDS, shapes, sizes):
+            setattr(self, name, theta[offset:offset + size].reshape(shape))
+            offset += size
 
-    @property
-    def input_dim(self) -> int:
-        return self.W_f.shape[1] - self.W_f.shape[0]
+    @classmethod
+    def from_arrays(cls, arrays: Mapping[str, np.ndarray]) -> "LstmParams":
+        """Copy the ten named arrays into one ``theta``, rejecting any wrong shape."""
+        gate_shape = np.shape(arrays["W_f"])
+        if len(gate_shape) != 2:
+            raise FitError(f"W_f must be a matrix, got shape {gate_shape}")
+        hidden, input_dim = gate_shape[0], gate_shape[1] - gate_shape[0]
+        parts = []
+        for name, shape in zip(PARAM_FIELDS, _field_shapes(hidden, input_dim)):
+            arr = np.asarray(arrays[name], dtype=float)
+            if arr.shape != shape:
+                raise FitError(f"{name} must have shape {shape}, got {arr.shape}")
+            parts.append(arr.reshape(-1))
+        return cls(np.concatenate(parts), hidden, input_dim)
+
+    def with_theta(self, theta: np.ndarray) -> "LstmParams":
+        """Parameters of the same shapes over another flat vector."""
+        return LstmParams(theta, self.hidden, self.input_dim)
 
     def arrays(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, name) for name in PARAM_FIELDS}
 
     def copy(self) -> "LstmParams":
-        return LstmParams(**{name: getattr(self, name).copy() for name in PARAM_FIELDS})
-
-    def check_shapes(self) -> None:
-        h, d = self.hidden, self.input_dim
-        if d < 1 or h < 1:
-            raise FitError(f"inconsistent shapes: hidden={h}, input_dim={d}")
-        for name in ("W_f", "W_i", "W_C", "W_o"):
-            if getattr(self, name).shape != (h, h + d):
-                raise FitError(f"{name} must have shape {(h, h + d)}")
-        for name in ("b_f", "b_i", "b_C", "b_o"):
-            if getattr(self, name).shape != (h,):
-                raise FitError(f"{name} must have shape {(h,)}")
-        if self.W_y.shape != (1, h) or self.b_y.shape != (1,):
-            raise FitError("output head must be W_y (1, hidden) and b_y (1,)")
-
-
-@dataclass(frozen=True)
-class LstmState:
-    """Hidden and cell vectors after a step; h stays inside (-1, 1)."""
-
-    h: np.ndarray
-    C: np.ndarray
-
-
-@dataclass
-class GradientSet:
-    """Loss gradient for every parameter field, shape-matched."""
-
-    W_f: np.ndarray
-    W_i: np.ndarray
-    W_C: np.ndarray
-    W_o: np.ndarray
-    b_f: np.ndarray
-    b_i: np.ndarray
-    b_C: np.ndarray
-    b_o: np.ndarray
-    W_y: np.ndarray
-    b_y: np.ndarray
-
-    def arrays(self) -> dict[str, np.ndarray]:
-        return {name: getattr(self, name) for name in PARAM_FIELDS}
-
-    def global_norm(self) -> float:
-        return math.sqrt(sum(float((g * g).sum()) for g in self.arrays().values()))
-
-    def scaled(self, factor: float) -> "GradientSet":
-        return GradientSet(**{k: v * factor for k, v in self.arrays().items()})
+        return self.with_theta(self.theta.copy())
 
 
 @dataclass(frozen=True)
@@ -149,40 +134,15 @@ class TrainConfig:
             raise FitError(f"clip_norm must be positive when set, got {self.clip_norm}")
 
 
-@dataclass
-class AdamState:
-    """First/second moment accumulators, one pair per parameter field."""
-
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
-
-    @classmethod
-    def zeros_like(cls, params: LstmParams) -> "AdamState":
-        return cls(
-            m={k: np.zeros_like(a) for k, a in params.arrays().items()},
-            v={k: np.zeros_like(a) for k, a in params.arrays().items()},
-        )
-
-
-@dataclass(frozen=True)
-class _StepCache:
-    z: np.ndarray
-    f: np.ndarray
-    i: np.ndarray
-    cbar: np.ndarray
-    C_prev: np.ndarray
-    C: np.ndarray
-    o: np.ndarray
-    tanh_C: np.ndarray
-    h: np.ndarray
-
-
 @dataclass(frozen=True)
 class Tape:
-    """Per-step activations cached by the forward pass for exact BPTT."""
+    """Per-step activations cached by the forward pass for exact BPTT.
 
-    inputs: np.ndarray
-    steps: tuple[_StepCache, ...]
+    ``steps[t]`` is ``(z, C_prev, f, i, cbar, o, C, tanh_C, h)``: the step's
+    ``[h, x]`` rows and incoming cell state, then :func:`_cell`'s outputs.
+    """
+
+    steps: tuple[tuple[np.ndarray, ...], ...]
     predictions: np.ndarray
 
 
@@ -202,17 +162,19 @@ def init_params(hidden: int, input_dim: int, seed: int) -> LstmParams:
         return rng.uniform(-bound, bound, size=(rows, cols))
 
     gate_cols = hidden + input_dim
-    return LstmParams(
-        W_f=draw(hidden, gate_cols),
-        W_i=draw(hidden, gate_cols),
-        W_C=draw(hidden, gate_cols),
-        W_o=draw(hidden, gate_cols),
-        b_f=np.ones(hidden),
-        b_i=np.zeros(hidden),
-        b_C=np.zeros(hidden),
-        b_o=np.zeros(hidden),
-        W_y=draw(1, hidden),
-        b_y=np.zeros(1),
+    return LstmParams.from_arrays(
+        dict(
+            W_f=draw(hidden, gate_cols),
+            W_i=draw(hidden, gate_cols),
+            W_C=draw(hidden, gate_cols),
+            W_o=draw(hidden, gate_cols),
+            b_f=np.ones(hidden),
+            b_i=np.zeros(hidden),
+            b_C=np.zeros(hidden),
+            b_o=np.zeros(hidden),
+            W_y=draw(1, hidden),
+            b_y=np.zeros(1),
+        )
     )
 
 
@@ -255,21 +217,26 @@ def _cell(params: LstmParams, z: np.ndarray, C: np.ndarray) -> tuple[np.ndarray,
     return f, i, cbar, o, C_new, tanh_C, o * tanh_C
 
 
-def cell_step(params: LstmParams, x_t: np.ndarray, prev: LstmState) -> LstmState:
-    """One LSTM cell update for a single (unbatched) input vector."""
+def cell_step(
+    params: LstmParams, x_t: np.ndarray, h: np.ndarray, C: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """One LSTM cell update ``(h', C')`` for a single (unbatched) input vector.
+
+    Written gate by gate, apart from :func:`_cell`, as the reference the
+    batched forward pass is tested against.
+    """
     x_t = np.asarray(x_t, dtype=float).reshape(-1)
     if x_t.shape[0] != params.input_dim:
         raise FitError(f"input has dim {x_t.shape[0]}, parameters expect {params.input_dim}")
-    if prev.h.shape != (params.hidden,) or prev.C.shape != (params.hidden,):
+    if h.shape != (params.hidden,) or C.shape != (params.hidden,):
         raise FitError("state vectors do not match the hidden size")
-    z = np.concatenate([prev.h, x_t])
+    z = np.concatenate([h, x_t])
     f = _sigmoid(params.W_f @ z + params.b_f)
     i = _sigmoid(params.W_i @ z + params.b_i)
     cbar = np.tanh(params.W_C @ z + params.b_C)
-    C = f * prev.C + i * cbar
+    C_new = f * C + i * cbar
     o = _sigmoid(params.W_o @ z + params.b_o)
-    h = o * np.tanh(C)
-    return LstmState(h=h, C=C)
+    return o * np.tanh(C_new), C_new
 
 
 def forward_batch(params: LstmParams, inputs: np.ndarray) -> tuple[np.ndarray, Tape]:
@@ -283,20 +250,14 @@ def forward_batch(params: LstmParams, inputs: np.ndarray) -> tuple[np.ndarray, T
     batch, steps, _ = X.shape
     h = np.zeros((batch, params.hidden))
     C = np.zeros((batch, params.hidden))
-    caches: list[_StepCache] = []
+    caches = []
     for t in range(steps):
         z = np.concatenate([h, X[:, t, :]], axis=1)
-        f, i, cbar, o, C_new, tanh_C, h = _cell(params, z, C)
-        caches.append(_StepCache(z, f, i, cbar, C, C_new, o, tanh_C, h))
-        C = C_new
+        out = _cell(params, z, C)
+        caches.append((z, C) + out)
+        *_, C, _, h = out
     predictions = h @ params.W_y[0] + params.b_y[0]
-    return predictions, Tape(inputs=X, steps=tuple(caches), predictions=predictions)
-
-
-def forward_sequence(params: LstmParams, inputs: np.ndarray) -> tuple[float, Tape]:
-    """Single-sequence forward pass; returns the scalar prediction and its tape."""
-    preds, tape = forward_batch(params, _as_single(inputs))
-    return float(preds[0]), tape
+    return predictions, Tape(steps=tuple(caches), predictions=predictions)
 
 
 def loss_mse(predictions, targets) -> float:
@@ -311,11 +272,12 @@ def loss_mse(predictions, targets) -> float:
     return float((diff * diff).mean())
 
 
-def backward_bptt(params: LstmParams, targets: np.ndarray, tape: Tape) -> GradientSet:
+def backward_bptt(params: LstmParams, targets: np.ndarray, tape: Tape) -> LstmParams:
     """Exact gradient of the batch MSE with respect to every parameter.
 
-    The tape must come from :func:`forward_batch`/:func:`forward_sequence` on
-    the same batch the targets belong to.
+    The gradient comes back as an :class:`LstmParams` of the same layout.  The
+    tape must come from :func:`forward_batch` on the batch the targets belong
+    to.
     """
     targets = np.asarray(targets, dtype=float).reshape(-1)
     if targets.shape[0] != tape.predictions.shape[0]:
@@ -325,64 +287,73 @@ def backward_bptt(params: LstmParams, targets: np.ndarray, tape: Tape) -> Gradie
         )
     batch = targets.shape[0]
     hidden = params.hidden
-    grads = {name: np.zeros_like(arr) for name, arr in params.arrays().items()}
+    grads = params.with_theta(np.zeros_like(params.theta))
 
     dpred = 2.0 * (tape.predictions - targets) / batch
-    last = tape.steps[-1]
-    grads["W_y"][0] = dpred @ last.h
-    grads["b_y"][0] = dpred.sum()
+    grads.W_y[0] = dpred @ tape.steps[-1][-1]
+    grads.b_y[0] = dpred.sum()
     dh = dpred[:, None] * params.W_y
     dC = np.zeros((batch, hidden))
-    for step in reversed(tape.steps):
-        do = dh * step.tanh_C
-        dC = dC + dh * step.o * (1.0 - step.tanh_C**2)
-        df = dC * step.C_prev
-        di = dC * step.cbar
-        dcbar = dC * step.i
-        da_f = df * step.f * (1.0 - step.f)
-        da_i = di * step.i * (1.0 - step.i)
-        da_c = dcbar * (1.0 - step.cbar**2)
-        da_o = do * step.o * (1.0 - step.o)
-        grads["W_f"] += da_f.T @ step.z
-        grads["W_i"] += da_i.T @ step.z
-        grads["W_C"] += da_c.T @ step.z
-        grads["W_o"] += da_o.T @ step.z
-        grads["b_f"] += da_f.sum(axis=0)
-        grads["b_i"] += da_i.sum(axis=0)
-        grads["b_C"] += da_c.sum(axis=0)
-        grads["b_o"] += da_o.sum(axis=0)
+    for z, C_prev, f, i, cbar, o, _, tanh_C, _ in reversed(tape.steps):
+        do = dh * tanh_C
+        dC = dC + dh * o * (1.0 - tanh_C**2)
+        df = dC * C_prev
+        di = dC * cbar
+        dcbar = dC * i
+        da_f = df * f * (1.0 - f)
+        da_i = di * i * (1.0 - i)
+        da_c = dcbar * (1.0 - cbar**2)
+        da_o = do * o * (1.0 - o)
+        grads.W_f += da_f.T @ z
+        grads.W_i += da_i.T @ z
+        grads.W_C += da_c.T @ z
+        grads.W_o += da_o.T @ z
+        grads.b_f += da_f.sum(axis=0)
+        grads.b_i += da_i.sum(axis=0)
+        grads.b_C += da_c.sum(axis=0)
+        grads.b_o += da_o.sum(axis=0)
         dz = da_f @ params.W_f + da_i @ params.W_i + da_c @ params.W_C + da_o @ params.W_o
         dh = dz[:, :hidden]
-        dC = dC * step.f
-    return GradientSet(**grads)
+        dC = dC * f
+    return grads
+
+
+def _clipped(grads: LstmParams, clip_norm: float) -> LstmParams:
+    """``grads`` scaled down to global norm ``clip_norm`` when it is longer."""
+    # summed per field, in field order, not as one sum over theta: the two
+    # round differently, and clipped runs are pinned to this order's bits
+    norm = math.sqrt(sum(float((g * g).sum()) for g in grads.arrays().values()))
+    if norm <= clip_norm:
+        return grads
+    return grads.with_theta(grads.theta * (clip_norm / norm))
 
 
 def adam_step(
     params: LstmParams,
-    grads: GradientSet,
-    moments: AdamState,
+    grads: LstmParams,
+    moments: tuple[np.ndarray, np.ndarray],
     t: int,
     cfg: TrainConfig,
-) -> tuple[LstmParams, AdamState]:
-    """One bias-corrected Adam update; returns fresh params and moments."""
+) -> tuple[LstmParams, tuple[np.ndarray, np.ndarray]]:
+    """One bias-corrected Adam update of ``theta``; returns fresh params and moments.
+
+    ``moments`` is the pair of first/second moment vectors, zeros before the
+    first step.
+    """
     if t < 1:
         raise FitError(f"Adam step counter must be >= 1, got {t}")
-    new_params: dict[str, np.ndarray] = {}
-    new_m: dict[str, np.ndarray] = {}
-    new_v: dict[str, np.ndarray] = {}
+    g = grads.theta
+    if g.shape != params.theta.shape:
+        raise FitError(f"gradient has shape {g.shape}, expected {params.theta.shape}")
     b1, b2 = cfg.adam_beta1, cfg.adam_beta2
-    for name, theta in params.arrays().items():
-        g = getattr(grads, name)
-        if g.shape != theta.shape:
-            raise FitError(f"gradient for {name} has shape {g.shape}, expected {theta.shape}")
-        m = b1 * moments.m[name] + (1.0 - b1) * g
-        v = b2 * moments.v[name] + (1.0 - b2) * g * g
-        m_hat = m / (1.0 - b1**t)
-        v_hat = v / (1.0 - b2**t)
-        new_params[name] = theta - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
-        new_m[name] = m
-        new_v[name] = v
-    return LstmParams(**new_params), AdamState(m=new_m, v=new_v)
+    m = b1 * moments[0] + (1.0 - b1) * g
+    v = b2 * moments[1] + (1.0 - b2) * g * g
+    # lr * m_hat / (sqrt(v_hat) + eps), updated in place: at hidden 50 the
+    # fresh temporaries of the one-expression form cost twice the arithmetic
+    step = m / (1.0 - b1**t)
+    step *= cfg.learning_rate
+    step /= np.sqrt(v / (1.0 - b2**t)) + cfg.adam_eps
+    return params.with_theta(params.theta - step), (m, v)
 
 
 @dataclass(frozen=True)
@@ -415,6 +386,8 @@ def train_early_stopping(
     split is measured, and once it has failed to improve for ``cfg.patience``
     consecutive epochs training stops and the parameters from the
     best-validation epoch are returned along with the per-epoch history.
+    Raises :class:`FitError` when no epoch reached a finite validation error
+    or the best epoch's parameters are not all finite.
     """
     train_inputs = np.asarray(train_inputs, dtype=float)
     train_targets = np.asarray(train_targets, dtype=float).reshape(-1)
@@ -425,8 +398,7 @@ def train_early_stopping(
     input_dim = 1 if train_inputs.ndim == 2 else train_inputs.shape[2]
 
     params = init.copy() if init is not None else init_params(hidden, input_dim, cfg.seed)
-    params.check_shapes()
-    moments = AdamState.zeros_like(params)
+    moments = (np.zeros_like(params.theta), np.zeros_like(params.theta))
     step = 0
     n = len(train_targets)
 
@@ -443,9 +415,7 @@ def train_early_stopping(
             preds, tape = forward_batch(params, train_inputs[batch_idx])
             grads = backward_bptt(params, train_targets[batch_idx], tape)
             if cfg.clip_norm is not None:
-                norm = grads.global_norm()
-                if norm > cfg.clip_norm:
-                    grads = grads.scaled(cfg.clip_norm / norm)
+                grads = _clipped(grads, cfg.clip_norm)
             step += 1
             params, moments = adam_step(params, grads, moments, step, cfg)
             epoch_sse += float(((preds - train_targets[batch_idx]) ** 2).sum())
@@ -459,6 +429,8 @@ def train_early_stopping(
         history.append(EpochRecord(epoch, epoch_sse / n, val_mae, best_mae))
         if epochs_since_improvement >= cfg.patience:
             break
+    if not (math.isfinite(best_mae) and np.isfinite(best_params.theta).all()):
+        raise FitError("the fit diverged: no epoch left finite parameters and validation error")
     return best_params, history
 
 
@@ -466,7 +438,8 @@ def predict_lstm(params: LstmParams, window: np.ndarray) -> float:
     """Forward pass of one window that keeps no activations.
 
     Runs the same per-step arithmetic as :func:`forward_batch` at batch size
-    one, so the result equals :func:`forward_sequence`'s bit for bit.
+    one, so the result equals ``forward_batch(params, window[None])[0][0]``
+    bit for bit.
     """
     X = _as_batch(params, _as_single(window))
     h = np.zeros((1, params.hidden))

@@ -26,7 +26,6 @@ __all__ = [
     "ReturnSeries",
     "VolatilitySeries",
     "Scaler",
-    "WindowSample",
     "WindowedDataset",
     "SyntheticSpec",
     "load_csv",
@@ -165,15 +164,6 @@ class Scaler:
 
 
 @dataclass(frozen=True)
-class WindowSample:
-    """A length-w input window and the standardized value that follows it."""
-
-    inputs: np.ndarray
-    target: float
-    t_index: int
-
-
-@dataclass(frozen=True)
 class WindowedDataset:
     """Overlapping supervised windows over one firm's standardized values.
 
@@ -201,13 +191,6 @@ class WindowedDataset:
     @property
     def window(self) -> int:
         return self.inputs.shape[1]
-
-    @property
-    def samples(self) -> tuple[WindowSample, ...]:
-        return tuple(
-            WindowSample(self.inputs[k], float(self.targets[k]), int(self.t_index[k]))
-            for k in range(len(self))
-        )
 
     def restrict(self, t_lo: int, t_hi: int) -> "WindowedDataset":
         """Samples whose target index lies in ``[t_lo, t_hi)``."""

@@ -27,14 +27,14 @@ _FORMAT_VERSION = 1
 
 def _lstm_to_entry(params: LstmParams, arrays: list[np.ndarray]) -> dict:
     fields = {}
-    for name in PARAM_FIELDS:
+    for name, arr in params.arrays().items():
         fields[name] = len(arrays)
-        arrays.append(getattr(params, name))
+        arrays.append(arr)
     return fields
 
 
 def _lstm_from_entry(fields: dict, arrays) -> LstmParams:
-    return LstmParams(**{name: np.array(arrays[f"a{fields[name]}"]) for name in PARAM_FIELDS})
+    return LstmParams.from_arrays({name: arrays[f"a{fields[name]}"] for name in PARAM_FIELDS})
 
 
 @dataclass

@@ -13,21 +13,15 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-import numpy as np
-
 from .errors import EvaluationError
-from .linear_expert import LinearParams, predict_linear
-from .lstm_expert import LstmParams, predict_lstm
 from .regime import RegimeLabel
 
 __all__ = [
     "GateWeights",
-    "MoePrediction",
     "DEFAULT_GATE_TABLE",
     "gate_for_regime",
     "combine",
     "blend",
-    "predict_moe",
 ]
 
 # regime -> weight on the recurrent expert; the linear weight is the complement
@@ -57,17 +51,6 @@ class GateWeights:
         if not 0.0 <= w_rnn <= 1.0:
             raise EvaluationError(f"w_rnn must lie in [0, 1], got {w_rnn}")
         return cls(w_rnn, 1.0 - w_rnn)
-
-
-@dataclass(frozen=True)
-class MoePrediction:
-    """Combined prediction plus the per-expert decomposition that produced it."""
-
-    combined: float
-    rnn_component: float
-    lm_component: float
-    weights: GateWeights
-    regime: RegimeLabel
 
 
 def gate_for_regime(
@@ -120,19 +103,3 @@ def blend(weights: GateWeights, rnn, lm):
     """
     return weights.w_rnn * rnn + weights.w_lm * lm
 
-
-def predict_moe(
-    lstm: LstmParams,
-    linear: LinearParams,
-    window: np.ndarray,
-    t: float,
-    sigma: float,
-    regime: RegimeLabel,
-    gate_table: Mapping[RegimeLabel, float] | None = None,
-) -> MoePrediction:
-    """Evaluate both experts on one step and blend them by the regime's gate."""
-    weights = gate_for_regime(regime, gate_table)
-    rnn_component = predict_lstm(lstm, window)
-    lm_component = predict_linear(linear, t, sigma)
-    combined = combine([(weights.w_rnn, rnn_component), (weights.w_lm, lm_component)])
-    return MoePrediction(combined, rnn_component, lm_component, weights, regime)

@@ -23,6 +23,7 @@ __all__ = [
     "RegimeAssignment",
     "classify_threshold",
     "classify_median",
+    "label_for",
     "rank_by_volatility",
 ]
 
@@ -80,10 +81,14 @@ class RegimeAssignment:
     as_of_index: int
 
 
+def label_for(sigma: float, boundary: float) -> RegimeLabel:
+    """Volatile iff ``sigma`` strictly exceeds ``boundary``; a tie is Stable."""
+    return RegimeLabel.VOLATILE if sigma > boundary else RegimeLabel.STABLE
+
+
 def classify_threshold(vol: VolatilitySeries, at: int, tau: float) -> RegimeLabel:
     """Volatile iff the volatility at return index ``at`` strictly exceeds ``tau``."""
-    sigma = vol.at_return_index(at)
-    return RegimeLabel.VOLATILE if sigma > tau else RegimeLabel.STABLE
+    return label_for(vol.at_return_index(at), tau)
 
 
 def classify_median(vols: dict[str, float]) -> dict[str, RegimeLabel]:
@@ -95,10 +100,7 @@ def classify_median(vols: dict[str, float]) -> dict[str, RegimeLabel]:
     if len(vols) < 2:
         raise EvaluationError(f"median classification needs at least 2 firms, got {len(vols)}")
     med = float(np.median(list(vols.values())))
-    return {
-        ticker: RegimeLabel.VOLATILE if sigma > med else RegimeLabel.STABLE
-        for ticker, sigma in vols.items()
-    }
+    return {ticker: label_for(sigma, med) for ticker, sigma in vols.items()}
 
 
 def rank_by_volatility(vols: dict[str, float], k: int) -> tuple[list[str], list[str]]:

@@ -130,6 +130,7 @@ class TestModelStore:
             restored = loaded.fold_models[key]
             window = rng.normal(size=original.window)
             assert predict_lstm(restored.lstm, window) == predict_lstm(original.lstm, window)
+            assert np.array_equal(restored.lstm.theta, original.lstm.theta)
             assert restored.linear == original.linear
             assert restored.scaler == original.scaler
             assert restored.sigma == original.sigma

@@ -1,20 +1,19 @@
 """LSTM cell, BPTT gradients, Adam, and the early-stopping trainer."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from moecast.errors import FitError
 from moecast.lstm_expert import (
-    AdamState,
-    LstmState,
+    LstmParams,
     TrainConfig,
     adam_step,
     backward_bptt,
     cell_step,
     forward_batch,
-    forward_sequence,
     init_params,
     loss_mse,
     predict_lstm,
@@ -130,6 +129,49 @@ class TestInitParams:
             init_params(4, 0, seed=0)
 
 
+class TestLstmParams:
+    def test_fields_are_views_of_theta_in_layout_order(self):
+        p = init_params(3, 2, seed=1)
+        assert p.theta.shape == (4 * 3 * (3 + 2) + 5 * 3 + 1,)
+        flat = np.concatenate([getattr(p, name).reshape(-1) for name in PARAM_FIELDS])
+        assert np.array_equal(flat, p.theta)
+        for name in PARAM_FIELDS:
+            assert np.shares_memory(getattr(p, name), p.theta)
+
+    def test_write_through_a_view_changes_theta(self):
+        p = init_params(3, 1, seed=1)
+        p.W_C[1, 2] = 7.5
+        assert p.theta[2 * 3 * 4 + 1 * 4 + 2] == 7.5
+        p.b_y[...] = -2.0
+        assert p.theta[-1] == -2.0
+        p.theta[:] = 0.0
+        assert not p.W_f.any()
+
+    def test_copy_is_independent(self):
+        p = init_params(3, 1, seed=1)
+        q = p.copy()
+        q.b_i[...] = 5.0
+        assert np.array_equal(p.b_i, np.zeros(3))
+
+    def test_from_arrays_rejects_a_wrongly_shaped_array(self):
+        good = init_params(3, 1, seed=1).arrays()
+        assert np.array_equal(LstmParams.from_arrays(good).theta, init_params(3, 1, seed=1).theta)
+        for name in PARAM_FIELDS:
+            bad = dict(good)
+            bad[name] = np.zeros(good[name].size + 1)
+            with pytest.raises(FitError):
+                LstmParams.from_arrays(bad)
+        with pytest.raises(FitError):
+            LstmParams.from_arrays(dict(good, W_f=np.zeros((3, 3))))
+
+    def test_constructor_rejects_a_theta_of_the_wrong_size(self):
+        theta = init_params(3, 1, seed=1).theta
+        with pytest.raises(FitError):
+            LstmParams(theta[:-1], 3, 1)
+        with pytest.raises(FitError):
+            LstmParams(theta, 3, 2)
+
+
 class TestCellStep:
     def zero_params(self, hidden=3, input_dim=1, forget_bias=0.0):
         p = init_params(hidden, input_dim, seed=0)
@@ -140,34 +182,34 @@ class TestCellStep:
 
     def test_zero_everything_gives_zero_hidden(self):
         p = self.zero_params()
-        state = cell_step(p, np.array([1.7]), LstmState(np.zeros(3), np.zeros(3)))
-        assert np.array_equal(state.h, np.zeros(3))
-        assert np.array_equal(state.C, np.zeros(3))
+        h, C = cell_step(p, np.array([1.7]), np.zeros(3), np.zeros(3))
+        assert np.array_equal(h, np.zeros(3))
+        assert np.array_equal(C, np.zeros(3))
 
     def test_forget_bias_alone_cannot_wake_zero_cell(self):
         p = self.zero_params(forget_bias=1.0)
-        state = cell_step(p, np.array([0.0]), LstmState(np.zeros(3), np.zeros(3)))
-        assert np.array_equal(state.h, np.zeros(3))
+        h, _ = cell_step(p, np.array([0.0]), np.zeros(3), np.zeros(3))
+        assert np.array_equal(h, np.zeros(3))
 
     def test_repeated_calls_bit_identical(self):
         p = init_params(4, 1, seed=9)
-        prev = LstmState(np.full(4, 0.1), np.full(4, -0.2))
-        a = cell_step(p, np.array([0.5]), prev)
-        b = cell_step(p, np.array([0.5]), prev)
-        assert np.array_equal(a.h, b.h) and np.array_equal(a.C, b.C)
+        prev = (np.full(4, 0.1), np.full(4, -0.2))
+        a = cell_step(p, np.array([0.5]), *prev)
+        b = cell_step(p, np.array([0.5]), *prev)
+        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
     def test_gate_ranges_on_random_inputs(self):
         rng = np.random.default_rng(0)
         p = init_params(8, 1, seed=4)
-        state = LstmState(np.zeros(8), np.zeros(8))
+        h, C = np.zeros(8), np.zeros(8)
         for _ in range(50):
-            state = cell_step(p, rng.normal(size=1) * 3.0, state)
-            assert np.all(np.abs(state.h) < 1.0)
+            h, C = cell_step(p, rng.normal(size=1) * 3.0, h, C)
+            assert np.all(np.abs(h) < 1.0)
 
     def test_shape_mismatch(self):
         p = init_params(3, 1, seed=0)
         with pytest.raises(FitError):
-            cell_step(p, np.array([1.0, 2.0]), LstmState(np.zeros(3), np.zeros(3)))
+            cell_step(p, np.array([1.0, 2.0]), np.zeros(3), np.zeros(3))
 
 
 class TestForward:
@@ -175,29 +217,30 @@ class TestForward:
         p = init_params(4, 1, seed=0)
         for name in PARAM_FIELDS:
             getattr(p, name)[...] = 0.0
-        pred, _ = forward_sequence(p, np.linspace(-1, 1, 10))
-        assert pred == 0.0
+        preds, _ = forward_batch(p, np.linspace(-1, 1, 10)[None])
+        assert preds[0] == 0.0
 
     def test_length_one_sequence_matches_manual_cell_step(self):
         p = init_params(4, 1, seed=6)
         x = np.array([0.3])
-        state = cell_step(p, x, LstmState(np.zeros(4), np.zeros(4)))
-        expected = float(p.W_y[0] @ state.h + p.b_y[0])
-        pred, _ = forward_sequence(p, x)
-        assert pred == pytest.approx(expected, abs=1e-15)
+        h, _ = cell_step(p, x, np.zeros(4), np.zeros(4))
+        expected = float(p.W_y[0] @ h + p.b_y[0])
+        preds, _ = forward_batch(p, x[None])
+        assert preds[0] == pytest.approx(expected, abs=1e-15)
 
     def test_tape_replay_reproduces_prediction(self):
         p = init_params(5, 1, seed=12)
         window = np.random.default_rng(1).normal(size=9)
-        pred, tape = forward_sequence(p, window)
-        replayed = float(tape.steps[-1].h[0] @ p.W_y[0] + p.b_y[0])
-        assert replayed == pred
+        preds, tape = forward_batch(p, window[None])
+        last_h = tape.steps[-1][-1]
+        replayed = float(last_h[0] @ p.W_y[0] + p.b_y[0])
+        assert replayed == preds[0]
 
     def test_batch_forward_consistent_with_sequence(self):
         p = init_params(5, 1, seed=12)
         windows = np.random.default_rng(2).normal(size=(6, 7))
         preds, _ = forward_batch(p, windows)
-        singles = [forward_sequence(p, w)[0] for w in windows]
+        singles = [forward_batch(p, w[None])[0][0] for w in windows]
         # batched matmuls may reorder the reduction, so exact bit equality is
         # not guaranteed between batch sizes
         np.testing.assert_allclose(preds, np.array(singles), rtol=1e-12, atol=1e-15)
@@ -205,22 +248,35 @@ class TestForward:
     def test_empty_sequence_rejected(self):
         p = init_params(3, 1, seed=0)
         with pytest.raises(FitError):
-            forward_sequence(p, np.empty(0))
+            forward_batch(p, np.empty((1, 0)))
 
-    def test_predict_lstm_matches_forward_sequence(self):
+    def test_predict_lstm_matches_forward_batch(self):
         p = init_params(4, 1, seed=3)
         window = np.arange(10.0) / 10.0
-        assert predict_lstm(p, window) == forward_sequence(p, window)[0]
+        assert predict_lstm(p, window) == forward_batch(p, window[None])[0][0]
 
     def test_predict_lstm_builds_no_tape(self, monkeypatch):
-        p = init_params(4, 1, seed=3)
-        window = np.random.default_rng(5).normal(size=8)
-        expected = forward_sequence(p, window)[0]
+        # a tape keeps nine small arrays per step, megabytes over this
+        # window; a tape-free pass holds a few steps' worth at a time
+        p = init_params(8, 1, seed=3)
+        window = np.random.default_rng(5).normal(size=3000)
+        expected = forward_batch(p, window[None])[0][0]
+
+        def peak_bytes(fn) -> int:
+            tracemalloc.start()
+            try:
+                fn()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        bound = 200_000
+        assert peak_bytes(lambda: forward_batch(p, window[None])) > bound
+        assert peak_bytes(lambda: predict_lstm(p, window)) < bound
 
         def forbidden(*args, **kwargs):
-            raise AssertionError("predict_lstm must not record activations")
+            raise AssertionError("predict_lstm must not build a tape")
 
-        monkeypatch.setattr(lstm_expert, "_StepCache", forbidden)
         monkeypatch.setattr(lstm_expert, "Tape", forbidden)
         assert predict_lstm(p, window) == expected
 
@@ -280,7 +336,7 @@ class TestAdam:
     def make(self, hidden=3):
         params = init_params(hidden, 1, seed=5)
         cfg = TrainConfig(seed=5)
-        return params, AdamState.zeros_like(params), cfg
+        return params, (np.zeros_like(params.theta), np.zeros_like(params.theta)), cfg
 
     def test_zero_gradient_is_a_noop(self):
         params, moments, cfg = self.make()
@@ -317,9 +373,10 @@ class TestAdam:
         inputs = rng.normal(size=(8, 5)) * 3.0
         preds, tape = forward_batch(params, inputs)
         grads = backward_bptt(params, preds + 5.0, tape)
-        ceiling = grads.global_norm() / 2.0
-        clipped = grads.scaled(ceiling / grads.global_norm())
-        assert clipped.global_norm() == pytest.approx(ceiling, rel=1e-12)
+        norm = float(np.linalg.norm(grads.theta))
+        clipped = lstm_expert._clipped(grads, norm / 2.0)
+        assert float(np.linalg.norm(clipped.theta)) == pytest.approx(norm / 2.0, rel=1e-12)
+        assert lstm_expert._clipped(grads, 2.0 * norm) is grads
         cfg_off = TrainConfig(max_epochs=2, patience=2, seed=3, batch_size=4)
         cfg_on = TrainConfig(max_epochs=2, patience=2, seed=3, batch_size=4, clip_norm=1e-3)
         targets = rng.normal(size=8) * 10.0
@@ -405,6 +462,28 @@ class TestTrainEarlyStopping:
         )
         preds, _ = forward_batch(params, windows[:40])
         assert loss_mse(preds, targets[:40]) < epoch0_mse
+
+    def test_non_finite_init_raises(self):
+        rng = np.random.default_rng(13)
+        inputs = rng.normal(size=(10, 5))
+        targets = rng.normal(size=10)
+        init = init_params(4, 1, seed=0)
+        init.W_i[0, 0] = np.nan
+        cfg = TrainConfig(max_epochs=3, patience=3, seed=2, batch_size=4)
+        with pytest.raises(FitError, match="diverged"):
+            train_early_stopping(
+                inputs[:8], targets[:8], inputs[8:], targets[8:], cfg, hidden=4, init=init
+            )
+
+    def test_no_finite_validation_epoch_raises(self):
+        # every update overflows, so no epoch validates finitely and the
+        # finite initial parameters must not come back as if trained
+        rng = np.random.default_rng(14)
+        inputs = rng.normal(size=(10, 5))
+        targets = rng.normal(size=10) * 1e200
+        cfg = TrainConfig(max_epochs=2, patience=2, seed=1, learning_rate=1e300)
+        with np.errstate(all="ignore"), pytest.raises(FitError, match="diverged"):
+            train_early_stopping(inputs[:8], targets[:8], inputs[8:], targets[8:], cfg, hidden=4)
 
     def test_empty_split_rejected(self):
         with pytest.raises(FitError):

@@ -270,11 +270,9 @@ class TestMakeWindows:
         prices = np.arange(100.0, 120.0)
         ds = make_windows(series_from_prices(prices), 5, WindowMode.PRICE_LEVELS, train_end=10)
         standardized = ds.scaler.apply(prices)
-        for sample in ds.samples:
-            np.testing.assert_array_equal(
-                sample.inputs, standardized[sample.t_index - 5:sample.t_index]
-            )
-            assert sample.target == standardized[sample.t_index]
+        for inputs, target, t in zip(ds.inputs, ds.targets, ds.t_index):
+            np.testing.assert_array_equal(inputs, standardized[t - 5:t])
+            assert target == standardized[t]
 
     def test_scaler_sees_only_pre_train_end_values(self):
         # no look-ahead: recompute the scaler by hand from the training slice

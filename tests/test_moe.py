@@ -6,9 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from moecast.errors import EvaluationError
-from moecast.linear_expert import LinearParams
-from moecast.lstm_expert import init_params
-from moecast.moe import GateWeights, combine, gate_for_regime, predict_moe
+from moecast.linear_expert import LinearParams, predict_linear
+from moecast.lstm_expert import init_params, predict_lstm
+from moecast.moe import GateWeights, blend, combine, gate_for_regime
 from moecast.regime import RegimeLabel
 
 
@@ -75,6 +75,14 @@ class TestCombine:
 
 
 class TestPredictMoe:
+    """One MoE step as the pipeline forms it: both experts, then ``blend``."""
+
+    @staticmethod
+    def predict(lstm, linear, window, t, sigma, regime):
+        weights = gate_for_regime(regime)
+        rnn, lm = predict_lstm(lstm, window), predict_linear(linear, t, sigma)
+        return blend(weights, rnn, lm), rnn, lm, weights
+
     def zero_lstm(self):
         p = init_params(4, 1, seed=0)
         for name in ("W_f", "W_i", "W_C", "W_o", "b_f", "b_i", "b_C", "b_o", "W_y", "b_y"):
@@ -82,11 +90,11 @@ class TestPredictMoe:
         return p
 
     def test_zero_experts_zero_combined(self):
-        pred = predict_moe(
+        combined, *_ = self.predict(
             self.zero_lstm(), LinearParams(0.0, 0.0, 0.0),
             np.linspace(0, 1, 10), t=5.0, sigma=0.02, regime=RegimeLabel.VOLATILE,
         )
-        assert pred.combined == 0.0
+        assert combined == 0.0
 
     def test_combined_between_experts(self):
         lstm = init_params(6, 1, seed=3)
@@ -95,16 +103,13 @@ class TestPredictMoe:
         for _ in range(20):
             window = rng.normal(size=10)
             regime = RegimeLabel.VOLATILE if rng.random() < 0.5 else RegimeLabel.STABLE
-            pred = predict_moe(lstm, linear, window, t=rng.uniform(0, 100),
-                               sigma=rng.uniform(0, 0.05), regime=regime)
-            lo = min(pred.rnn_component, pred.lm_component)
-            hi = max(pred.rnn_component, pred.lm_component)
-            assert lo - 1e-12 <= pred.combined <= hi + 1e-12
+            combined, rnn, lm, _ = self.predict(lstm, linear, window, t=rng.uniform(0, 100),
+                                                sigma=rng.uniform(0, 0.05), regime=regime)
+            assert min(rnn, lm) - 1e-12 <= combined <= max(rnn, lm) + 1e-12
 
     def test_replaying_components_reproduces_combined(self):
         lstm = init_params(5, 1, seed=9)
         linear = LinearParams(1.0, -0.02, 3.0)
-        pred = predict_moe(lstm, linear, np.linspace(-1, 1, 8), t=30.0,
-                           sigma=0.01, regime=RegimeLabel.STABLE)
-        replay = pred.weights.w_rnn * pred.rnn_component + pred.weights.w_lm * pred.lm_component
-        assert replay == pred.combined
+        combined, rnn, lm, weights = self.predict(lstm, linear, np.linspace(-1, 1, 8), t=30.0,
+                                                  sigma=0.01, regime=RegimeLabel.STABLE)
+        assert combine([(weights.w_rnn, rnn), (weights.w_lm, lm)]) == combined
