@@ -15,7 +15,15 @@ class DataError(MoecastError):
 
 
 class FitError(MoecastError):
-    """A model could not be fitted (degenerate design, bad shapes, empty splits)."""
+    """A model could not be fitted (degenerate design, bad shapes, empty splits).
+
+    ``firm`` is the index of the failing firm when a stack of firms was fitted
+    together, else None.
+    """
+
+    def __init__(self, message: str, firm: int | None = None) -> None:
+        super().__init__(message)
+        self.firm = firm
 
 
 class ConfigError(MoecastError):

@@ -8,6 +8,11 @@ horizons.  Nothing fitted ever sees a validation index: scalers, volatility
 reads, classifications, and parameters are all functions of data strictly
 before the validation start, which the tests assert by perturbation.
 
+The firms of a fold share their train and validation ranges, so they are
+fitted and scored as one stack: one stacked LSTM fit, one horizon-1 forward
+pass over every validation window of every firm, and one recursion per step
+for all firms' forecasts.  Each equals the per-firm computation bit for bit.
+
 Recursive horizons share one path per model: a length-``h`` recursion is
 exactly the first ``h`` steps of a longer one, so :func:`forecast_paths` runs
 the LSTM and the mixture once, to the longest horizon that fits, and every
@@ -21,11 +26,11 @@ import enum
 import math
 import zlib
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import EvaluationError
+from .errors import EvaluationError, FitError
 from .linear_expert import LinearParams, fit_ols, predict_linear
 from .lstm_expert import LstmParams, TrainConfig, predict_lstm, train_early_stopping
 from .market_data import (
@@ -257,25 +262,42 @@ def moe_one_step(
 
 def forecast_paths(
     lstm: LstmParams,
-    linear: LinearParams,
-    weights: GateWeights,
+    linear: LinearParams | Sequence[LinearParams],
+    weights: GateWeights | Sequence[GateWeights],
     window: np.ndarray,
     t0: float,
-    sigma: float,
+    sigma: float | Sequence[float],
     h: int,
 ) -> dict[str, np.ndarray]:
-    """Recursive ``h``-step paths of every model, launched from one window.
+    """Recursive ``h``-step paths of every model, launched from one window per firm.
 
-    Equal to :func:`recursive_forecast` with the ``*_one_step`` closures, and
-    any prefix equals the shorter recursion, bit for bit.  The LSTM and the
-    mixture recurse once each; the linear path is closed form over
+    For one firm ``window`` is 1-D and each path has shape ``(h,)``.  For F
+    firms ``window`` is ``(F, width)``; ``linear``, ``weights`` and ``sigma``
+    hold one entry per firm; ``lstm`` is a stack of F firms' parameters or
+    one set that every firm shares; each path has shape ``(F, h)``.
+
+    Every path equals :func:`recursive_forecast` with the ``*_one_step``
+    closures, and any prefix equals the shorter recursion, bit for bit.  The
+    LSTM and mixture recursions of all firms advance together, one
+    :func:`predict_lstm` call per step; the linear path is closed form over
     ``t0, t0 + 1, ...`` since that expert never reads the window.
     """
-    return {
-        "Linear": predict_linear(linear, t0 + np.arange(h), sigma),
-        "LSTM": recursive_forecast(lstm_one_step(lstm), window, t0, sigma, h),
-        "MoE": recursive_forecast(moe_one_step(lstm, linear, weights), window, t0, sigma, h),
-    }
+    windows = np.asarray(window, dtype=float)
+    if windows.ndim == 1:
+        paths = forecast_paths(lstm, [linear], [weights], windows[None], t0, [sigma], h)
+        return {model: path[0] for model, path in paths.items()}
+    n_firms, width = windows.shape
+    lin = np.array([predict_linear(p, t0 + np.arange(h), s) for p, s in zip(linear, sigma)])
+    # per firm, row 0 is the LSTM recursion and row 1 the mixture's
+    path = np.empty((n_firms, 2, width + h))
+    path[:, :, :width] = windows[:, None, :]
+    for j in range(h):
+        preds = predict_lstm(lstm, path[:, :, j:j + width, None])
+        path[:, 0, width + j] = preds[:, 0]
+        path[:, 1, width + j] = [
+            blend(w, rnn, lm) for w, rnn, lm in zip(weights, preds[:, 1], lin[:, j])
+        ]
+    return {"Linear": lin, "LSTM": path[:, 0, width:], "MoE": path[:, 1, width:]}
 
 
 # ---------------------------------------------------------------------------
@@ -477,6 +499,11 @@ class _FoldFirmData:
         return self.dataset.inputs[t_local - self.dataset.window]
 
     @property
+    def val_windows(self) -> np.ndarray:
+        w = self.dataset.window
+        return self.dataset.inputs[self.train_len - w:self.total_len - w]
+
+    @property
     def train_targets(self) -> np.ndarray:
         return self.dataset.targets[:self.train_len - self.dataset.window]
 
@@ -527,30 +554,45 @@ def _early_stopping_split(ds: WindowedDataset, fraction: float) -> tuple[np.ndar
 
 
 def _fit_fold_experts(
-    data: _FoldFirmData,
+    firms: Sequence[_FoldFirmData],
     policy: RegimePolicy,
     settings: BacktestSettings,
-    seed: int,
-) -> tuple[LstmParams, LinearParams]:
-    train_ds = data.dataset.restrict(data.dataset.window, data.train_len)
-    if len(train_ds) < 2:
-        raise EvaluationError(f"{data.ticker}: not enough training samples ({len(train_ds)})")
-    cfg = replace(settings.train, seed=seed)
-    lstm_params, _ = train_early_stopping(
-        *_early_stopping_split(train_ds, settings.es_val_fraction), cfg, hidden=settings.hidden
-    )
+    fold_id: int,
+) -> tuple[LstmParams, list[LinearParams]]:
+    """Every firm's linear expert, and all firms' LSTMs as one stacked fit.
+
+    The firms of a fold share one training range, so their early-stopping
+    splits stack; firm ``k`` trains with its own ``task_seed``.
+    """
     row_start = _linear_row_start(settings, policy)
-    if data.train_len - row_start < 3:
-        raise EvaluationError(
-            f"{data.ticker}: training window too short for the linear design "
-            f"(first usable target {row_start}, train length {data.train_len})"
+    splits, linears = [], []
+    for data in firms:
+        train_ds = data.dataset.restrict(data.dataset.window, data.train_len)
+        if len(train_ds) < 2:
+            raise EvaluationError(f"{data.ticker}: not enough training samples ({len(train_ds)})")
+        splits.append(_early_stopping_split(train_ds, settings.es_val_fraction))
+        if data.train_len - row_start < 3:
+            raise EvaluationError(
+                f"{data.ticker}: training window too short for the linear design "
+                f"(first usable target {row_start}, train length {data.train_len})"
+            )
+        rows = range(row_start, data.train_len)
+        t_vals = [float(data.t_offset + t) for t in rows]
+        sigmas = [data.sigma_for_target(t) for t in rows]
+        targets = [data.target_at(t) for t in rows]
+        linears.append(fit_ols(t_vals, sigmas, targets).params)
+    seeds = tuple(task_seed(settings.seed, data.ticker, fold_id) for data in firms)
+    try:
+        lstm, _ = train_early_stopping(
+            *(np.stack(part) for part in zip(*splits)),
+            replace(settings.train, seed=seeds),
+            hidden=settings.hidden,
         )
-    rows = range(row_start, data.train_len)
-    t_vals = [float(data.t_offset + t) for t in rows]
-    sigmas = [data.sigma_for_target(t) for t in rows]
-    targets = [data.target_at(t) for t in rows]
-    linear_params = fit_ols(t_vals, sigmas, targets).params
-    return lstm_params, linear_params
+    except FitError as exc:
+        if exc.firm is None:
+            raise
+        raise FitError(f"{firms[exc.firm].ticker} fold {fold_id}: {exc}", firm=exc.firm) from exc
+    return lstm, linears
 
 
 def _score(
@@ -594,31 +636,38 @@ def _classify_fold(
 
 
 def _horizon_scores(
-    data: _FoldFirmData,
-    fm: FoldModels,
-    weights: GateWeights,
+    lstm: LstmParams,
+    firms: Sequence[_FoldFirmData],
+    fms: Sequence[FoldModels],
+    weights: Sequence[GateWeights],
     horizons: HorizonSpec,
-) -> list[tuple[int, str, dict[str, float | None]]]:
-    """``(horizon, model, scores)`` for every configured horizon.
+) -> list[list[tuple[int, str, dict[str, float | None]]]]:
+    """``(horizon, model, scores)`` for every configured horizon, per firm.
 
-    The forecasts launch at the first validation target.  Each model runs
-    one recursion to the longest horizon that fits; a horizon is scored on a
-    prefix of that path, truncated to the validation observations left.
+    The forecasts launch at each firm's first validation target, all at the
+    same time index.  ``lstm`` is the firms' stacked LSTM, or the one they
+    share.  Each model runs one recursion for all firms to the longest
+    horizon that fits; a horizon is scored on a prefix of that path,
+    truncated to the firm's validation observations left.
     """
-    actual = data.val_targets
-    longest = min(max(horizons.horizons, default=0), len(actual))
-    if longest < 1:
-        return []
+    if not (firms and horizons.horizons):
+        return [[] for _ in firms]
+    longest = [min(max(horizons.horizons), len(d.val_targets)) for d in firms]
     paths = forecast_paths(
-        fm.lstm, fm.linear, weights, data.window_for_target(data.train_len),
-        float(fm.launch_t), fm.sigma, longest,
+        lstm, [fm.linear for fm in fms], weights,
+        np.stack([d.window_for_target(d.train_len) for d in firms]),
+        float(fms[0].launch_t), [fm.sigma for fm in fms], max(longest),
     )
     out = []
-    for h in horizons.horizons:
-        avail = min(h, longest)
-        for model in MODELS:
-            scores = _score(paths[model][:avail], actual[:avail], fm.scaler, data.train_targets)
-            out.append((h, model, scores))
+    for k, (data, fm) in enumerate(zip(firms, fms)):
+        firm_scores = []
+        for h in horizons.horizons:
+            avail = min(h, longest[k])
+            for model in MODELS:
+                scores = _score(paths[model][k, :avail], data.val_targets[:avail],
+                                fm.scaler, data.train_targets)
+                firm_scores.append((h, model, scores))
+        out.append(firm_scores)
     return out
 
 
@@ -661,32 +710,34 @@ def run_walk_forward(
         assignment = _classify_fold(fold_data, policy, fold)
         assignments.append(assignment)
 
-        for ticker in tickers:
-            data = fold_data[ticker]
-            regime = assignment.labels[ticker]
-            weights = gate_for_regime(regime, settings.gate_table)
-            lstm_params, linear_params = _fit_fold_experts(
-                data, policy, settings, task_seed(settings.seed, ticker, fold.fold_id)
-            )
-            fm = FoldModels(
-                lstm=lstm_params,
-                linear=linear_params,
+        firms = [fold_data[ticker] for ticker in tickers]
+        lstm, linears = _fit_fold_experts(firms, policy, settings, fold.fold_id)
+        fms = [
+            FoldModels(
+                lstm=lstm.firm(k),
+                linear=linears[k],
                 scaler=data.dataset.scaler,
                 sigma=data.sigma_frozen,
-                regime=regime,
+                regime=assignment.labels[data.ticker],
                 launch_t=fold.val_range.start,
                 window=settings.window,
                 mode=settings.mode,
             )
-            models[(ticker, fold.fold_id)] = fm
+            for k, data in enumerate(firms)
+        ]
+        gates = [gate_for_regime(fm.regime, settings.gate_table) for fm in fms]
+        # horizon 1: every validation window of every firm in one call, each
+        # window its own one-row batch (as in a single-window call)
+        lstm_h1 = predict_lstm(lstm, np.stack([data.val_windows for data in firms])[..., None])
+        horizon_scores = _horizon_scores(lstm, firms, fms, gates, settings.horizons)
 
-            # horizon 1: one LSTM call per validation window (a batched call
-            # rounds differently); the linear and mixture columns are arrays
+        for k, (ticker, data, fm, weights) in enumerate(zip(tickers, firms, fms, gates)):
+            regime = fm.regime
+            models[(ticker, fold.fold_id)] = fm
             val = range(data.train_len, data.total_len)
-            lstm_h1 = np.array([predict_lstm(fm.lstm, data.window_for_target(t)) for t in val])
             t_global = np.arange(fm.launch_t, fm.launch_t + len(val), dtype=float)
             lin_h1 = predict_linear(fm.linear, t_global, fm.sigma)
-            h1 = {"Linear": lin_h1, "LSTM": lstm_h1, "MoE": blend(weights, lstm_h1, lin_h1)}
+            h1 = {"Linear": lin_h1, "LSTM": lstm_h1[k], "MoE": blend(weights, lstm_h1[k], lin_h1)}
             actual_arr = data.val_targets
             scaler = fm.scaler
             for model in MODELS:
@@ -707,7 +758,7 @@ def run_walk_forward(
                         )
                     )
 
-            for h, model, scores in _horizon_scores(data, fm, weights, settings.horizons):
+            for h, model, scores in horizon_scores[k]:
                 records.append(
                     MetricRecord(
                         ticker, fold.fold_id, WALK_FORWARD_SPLIT, regime, h, model, **scores
@@ -841,14 +892,18 @@ def run_holdout(
     overlap = set(holdout.tickers) & set(experts.training_tickers)
     if overlap:
         raise EvaluationError(f"holdout firms overlap the training universe: {sorted(overlap)}")
-    records: list[MetricRecord] = []
-    for ticker in sorted(holdout.tickers):
+    tickers = sorted(holdout.tickers)
+    firms, fms = [], []
+    for ticker in tickers:
         if ticker not in universe:
             raise EvaluationError(f"holdout ticker {ticker} missing from the universe")
         data, fm = _holdout_firm(universe[ticker], experts, policy, settings)
-        weights = gate_for_regime(fm.regime, settings.gate_table)
-        for h, model, scores in _horizon_scores(data, fm, weights, settings.horizons):
-            records.append(
-                MetricRecord(ticker, HOLDOUT_FOLD_ID, HOLDOUT_SPLIT, fm.regime, h, model, **scores)
-            )
-    return tuple(records)
+        firms.append(data)
+        fms.append(fm)
+    gates = [gate_for_regime(fm.regime, settings.gate_table) for fm in fms]
+    scores = _horizon_scores(experts.lstm, firms, fms, gates, settings.horizons)
+    return tuple(
+        MetricRecord(ticker, HOLDOUT_FOLD_ID, HOLDOUT_SPLIT, fm.regime, h, model, **cell)
+        for ticker, fm, firm_scores in zip(tickers, fms, scores)
+        for h, model, cell in firm_scores
+    )

@@ -23,13 +23,21 @@ Gradients are exact analytic backpropagation through time of the batch
 mean-squared error; ``tests`` verify them against central finite
 differences.  Everything is plain float64 numpy and deterministic for a
 fixed seed.
+
+``theta`` may carry a leading firm axis: a stack of F firms is one ``(F, P)``
+array whose views are ``(F, H, H + D)`` and so on, and every step of the
+forward pass, BPTT, Adam and the trainer runs all F firms in one numpy call
+(``np.matmul`` over the stack).  The four gates likewise share one matmul
+call.  Each slice of such a call is the same BLAS call as one gate of one
+firm alone, so a stack reproduces F separate fits bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -56,7 +64,7 @@ PARAM_FIELDS = ("W_f", "W_i", "W_C", "W_o", "b_f", "b_i", "b_C", "b_o", "W_y", "
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     # exp only ever sees a non-positive argument, so neither branch overflows
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def _field_shapes(hidden: int, input_dim: int) -> tuple[tuple[int, ...], ...]:
@@ -64,26 +72,55 @@ def _field_shapes(hidden: int, input_dim: int) -> tuple[tuple[int, ...], ...]:
     return (gate,) * 4 + (bias,) * 4 + ((1, hidden), (1,))
 
 
-class LstmParams:
-    """One flat float64 ``theta`` plus the named views into it (module docstring).
+@functools.lru_cache(maxsize=None)
+def _layout(hidden: int, input_dim: int) -> tuple[int, tuple[tuple[str, int, int, tuple], ...]]:
+    """``theta``'s size and each field's ``(name, start, stop, shape)`` in it."""
+    fields, offset = [], 0
+    for name, shape in zip(PARAM_FIELDS, _field_shapes(hidden, input_dim)):
+        fields.append((name, offset, offset + math.prod(shape), shape))
+        offset += math.prod(shape)
+    return offset, tuple(fields)
 
-    A write through a view, such as ``p.b_f[...] = 0``, writes ``theta``.
-    :meth:`from_arrays` builds parameters from named arrays and checks their
-    shapes; the constructor wraps a ``theta`` of the right size.
+
+class LstmParams:
+    """One float64 ``theta`` plus the named views into it (module docstring).
+
+    ``theta`` has shape ``(P,)`` for one firm, or leading firm axes before
+    ``P`` for a stack, which every view then carries too.  A write through a
+    view, such as ``p.b_f[...] = 0``, writes ``theta``.  :meth:`from_arrays`
+    builds one firm's parameters from named arrays and checks their shapes;
+    the constructor wraps a ``theta`` of the right size.
     """
 
     def __init__(self, theta: np.ndarray, hidden: int, input_dim: int) -> None:
         if hidden < 1 or input_dim < 1:
             raise FitError(f"inconsistent shapes: hidden={hidden}, input_dim={input_dim}")
-        shapes = _field_shapes(hidden, input_dim)
-        sizes = [math.prod(shape) for shape in shapes]
-        if theta.dtype != np.float64 or theta.shape != (sum(sizes),):
-            raise FitError(f"theta must be float64 of shape {(sum(sizes),)}, got {theta.shape}")
+        size, fields = _layout(hidden, input_dim)
+        if theta.dtype != np.float64 or theta.ndim < 1 or theta.shape[-1] != size:
+            raise FitError(f"theta must be float64 of shape (..., {size}), got {theta.shape}")
         self.theta, self.hidden, self.input_dim = theta, hidden, input_dim
-        offset = 0
-        for name, shape, size in zip(PARAM_FIELDS, shapes, sizes):
-            setattr(self, name, theta[offset:offset + size].reshape(shape))
-            offset += size
+        lead = theta.shape[:-1]
+        for name, start, stop, shape in fields:
+            setattr(self, name, theta[..., start:stop].reshape(lead + shape))
+        # the four gates' matrices and biases, f, i, C, o, on a leading gate
+        # axis: W_f..W_o, then b_f..b_o, lie back to back in theta
+        n = len(lead)
+        W_end, b_end = fields[3][2], fields[7][2]  # where W_o and b_o stop
+        self.W_gates = theta[..., :W_end].reshape(lead + (4,) + fields[0][3]).transpose(
+            (n,) + tuple(range(n)) + (n + 1, n + 2)
+        )
+        self.b_gates = theta[..., W_end:b_end].reshape(lead + (4, hidden)).transpose(
+            (n,) + tuple(range(n)) + (n + 1,)
+        )
+
+    @classmethod
+    def stack(cls, firms: Sequence["LstmParams"]) -> "LstmParams":
+        """The firms' parameters as one stack, in order, along a new leading axis."""
+        return cls(np.stack([p.theta for p in firms]), firms[0].hidden, firms[0].input_dim)
+
+    def firm(self, k: int) -> "LstmParams":
+        """Firm ``k`` of a stack, as a view."""
+        return self.with_theta(self.theta[k])
 
     @classmethod
     def from_arrays(cls, arrays: Mapping[str, np.ndarray]) -> "LstmParams":
@@ -101,7 +138,7 @@ class LstmParams:
         return cls(np.concatenate(parts), hidden, input_dim)
 
     def with_theta(self, theta: np.ndarray) -> "LstmParams":
-        """Parameters of the same shapes over another flat vector."""
+        """Parameters of the same shapes over another ``theta``, firm axes and all."""
         return LstmParams(theta, self.hidden, self.input_dim)
 
     def arrays(self) -> dict[str, np.ndarray]:
@@ -120,7 +157,7 @@ class TrainConfig:
     adam_beta1: float = 0.9
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8
-    seed: int = 0
+    seed: int | tuple[int, ...] = 0  # a tuple of seeds, one per firm, trains a stack
     clip_norm: float | None = None
 
     def __post_init__(self) -> None:
@@ -130,6 +167,8 @@ class TrainConfig:
             raise FitError(f"patience must lie in [1, max_epochs], got {self.patience}")
         if not (0 < self.adam_beta1 < 1 and 0 < self.adam_beta2 < 1 and self.adam_eps > 0):
             raise FitError("invalid Adam coefficients")
+        if isinstance(self.seed, tuple) and not self.seed:
+            raise FitError("a stacked fit needs at least one seed")
         if self.clip_norm is not None and self.clip_norm <= 0:
             raise FitError(f"clip_norm must be positive when set, got {self.clip_norm}")
 
@@ -146,15 +185,18 @@ class Tape:
     predictions: np.ndarray
 
 
-def init_params(hidden: int, input_dim: int, seed: int) -> LstmParams:
+def init_params(hidden: int, input_dim: int, seed: int | tuple[int, ...]) -> LstmParams:
     """Uniform fan-scaled weights, zero biases except a forget bias of one.
 
     Each matrix draws from ``U(-b, b)`` with ``b = sqrt(6 / (fan_in +
     fan_out))``; the forget bias starts at one so early training does not
-    erase the cell state.  Deterministic for a fixed seed.
+    erase the cell state.  Deterministic for a fixed seed; a tuple of seeds
+    gives the stack of each seed's parameters.
     """
     if hidden < 1 or input_dim < 1:
         raise FitError(f"hidden and input_dim must be positive, got {hidden}, {input_dim}")
+    if isinstance(seed, tuple):
+        return LstmParams.stack([init_params(hidden, input_dim, s) for s in seed])
     rng = np.random.default_rng(seed)
 
     def draw(rows: int, cols: int) -> np.ndarray:
@@ -179,42 +221,43 @@ def init_params(hidden: int, input_dim: int, seed: int) -> LstmParams:
 
 
 def _as_batch(params: LstmParams, inputs: np.ndarray) -> np.ndarray:
+    """``inputs`` as ``(batch, steps, input_dim)`` after the firm axes of ``params``."""
+    lead = params.theta.shape[:-1]
     X = np.asarray(inputs, dtype=float)
-    if X.ndim == 2:
-        X = X[:, :, None]
-    if X.ndim != 3 or X.shape[1] < 1:
-        raise FitError(f"inputs must be (batch, steps[, dim]) with steps >= 1, got {X.shape}")
-    if X.shape[2] != params.input_dim:
-        raise FitError(f"input dim {X.shape[2]} does not match parameters ({params.input_dim})")
+    if X.ndim == len(lead) + 2:
+        X = X[..., None]
+    if X.ndim != len(lead) + 3 or X.shape[:len(lead)] != lead or X.shape[-2] < 1:
+        raise FitError(
+            f"inputs must be {lead} + (batch, steps[, dim]) with steps >= 1, got {X.shape}"
+        )
+    if X.shape[-1] != params.input_dim:
+        raise FitError(f"input dim {X.shape[-1]} does not match parameters ({params.input_dim})")
     return X
 
 
-def _as_single(inputs: np.ndarray) -> np.ndarray:
-    arr = np.asarray(inputs, dtype=float)
-    if arr.ndim not in (1, 2):
-        raise FitError(f"a single sequence must be 1- or 2-dimensional, got shape {arr.shape}")
-    return arr[None]
-
-
-def _cell(params: LstmParams, z: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, ...]:
+def _cell(
+    weights: tuple[np.ndarray, np.ndarray], z: np.ndarray, C: np.ndarray
+) -> tuple[np.ndarray, ...]:
     """One step on the ``[h, x]`` rows ``z``: ``(f, i, cbar, o, C', tanh C', h')``.
 
-    The four gate matmuls stay separate (a fused one rounds differently); the
-    three sigmoid gates share one elementwise call.
+    ``weights`` are the gate matrices transposed and the gate biases as rows,
+    so that both broadcast over the rows of every firm.  One matmul call forms the four gates, but each gate (and each firm) is
+    its own slice of it, the same BLAS call as a lone ``z @ W_f.T``: one fused
+    ``(4H, H + D)`` matrix would round differently.  The three sigmoid gates
+    share one elementwise call.
     """
-    f, i, o = _sigmoid(
-        np.stack(
-            [
-                z @ params.W_f.T + params.b_f,
-                z @ params.W_i.T + params.b_i,
-                z @ params.W_o.T + params.b_o,
-            ]
-        )
-    )
-    cbar = np.tanh(z @ params.W_C.T + params.b_C)
+    W_T, b = weights
+    pre = z @ W_T + b
+    f, i, o = _sigmoid(pre[[0, 1, 3]])
+    cbar = np.tanh(pre[2])
     C_new = f * C + i * cbar
     tanh_C = np.tanh(C_new)
     return f, i, cbar, o, C_new, tanh_C, o * tanh_C
+
+
+def _head(params: LstmParams, h: np.ndarray) -> np.ndarray:
+    """``W_y h + b_y`` for every row of ``h``."""
+    return (h @ params.W_y.swapaxes(-1, -2))[..., 0] + params.b_y
 
 
 def cell_step(
@@ -243,21 +286,34 @@ def forward_batch(params: LstmParams, inputs: np.ndarray) -> tuple[np.ndarray, T
     """Run a batch of sequences from a zero state and apply the output head.
 
     ``inputs`` has shape (batch, steps) for scalar steps or (batch, steps,
-    input_dim).  Returns the per-sequence predictions and the activation tape
-    needed by :func:`backward_bptt`.
+    input_dim), after the firm axes of stacked ``params``.  Returns the
+    per-sequence predictions, ``firm axes + (batch,)``, and the activation
+    tape needed by :func:`backward_bptt`.
     """
-    X = _as_batch(params, inputs)
-    batch, steps, _ = X.shape
-    h = np.zeros((batch, params.hidden))
-    C = np.zeros((batch, params.hidden))
-    caches = []
-    for t in range(steps):
-        z = np.concatenate([h, X[:, t, :]], axis=1)
-        out = _cell(params, z, C)
-        caches.append((z, C) + out)
-        *_, C, _, h = out
-    predictions = h @ params.W_y[0] + params.b_y[0]
+    caches: list[tuple[np.ndarray, ...]] = []
+    predictions = _run(params, _as_batch(params, inputs), caches)
     return predictions, Tape(steps=tuple(caches), predictions=predictions)
+
+
+def _run(
+    params: LstmParams, X: np.ndarray, caches: list[tuple[np.ndarray, ...]] | None = None
+) -> np.ndarray:
+    """The predictions for the batch ``X`` (:func:`_as_batch`'s layout).
+
+    Each step's ``[h, x]`` rows, incoming cell state and :func:`_cell`
+    outputs are appended to ``caches`` when it is given; otherwise no step's
+    activations outlive the next step.
+    """
+    weights = (params.W_gates.swapaxes(-1, -2), params.b_gates[..., None, :])
+    h = np.zeros(X.shape[:-2] + (params.hidden,))
+    C = np.zeros_like(h)
+    for t in range(X.shape[-2]):
+        z = np.concatenate([h, X[..., t, :]], axis=-1)
+        out = _cell(weights, z, C)
+        if caches is not None:
+            caches.append((z, C) + out)
+        *_, C, _, h = out
+    return _head(params, h)
 
 
 def loss_mse(predictions, targets) -> float:
@@ -275,57 +331,54 @@ def loss_mse(predictions, targets) -> float:
 def backward_bptt(params: LstmParams, targets: np.ndarray, tape: Tape) -> LstmParams:
     """Exact gradient of the batch MSE with respect to every parameter.
 
-    The gradient comes back as an :class:`LstmParams` of the same layout.  The
-    tape must come from :func:`forward_batch` on the batch the targets belong
-    to.
+    The gradient comes back as an :class:`LstmParams` of the same layout, one
+    per firm for a stack.  The tape must come from :func:`forward_batch` on
+    the batch the targets belong to.
     """
-    targets = np.asarray(targets, dtype=float).reshape(-1)
-    if targets.shape[0] != tape.predictions.shape[0]:
-        raise FitError(
-            f"tape batch size {tape.predictions.shape[0]} does not match "
-            f"{targets.shape[0]} targets"
-        )
-    batch = targets.shape[0]
+    preds = tape.predictions
+    targets = np.asarray(targets, dtype=float)
+    if targets.size != preds.size:
+        raise FitError(f"tape batch shape {preds.shape} does not match {targets.shape} targets")
+    targets = targets.reshape(preds.shape)
     hidden = params.hidden
     grads = params.with_theta(np.zeros_like(params.theta))
 
-    dpred = 2.0 * (tape.predictions - targets) / batch
-    grads.W_y[0] = dpred @ tape.steps[-1][-1]
-    grads.b_y[0] = dpred.sum()
-    dh = dpred[:, None] * params.W_y
-    dC = np.zeros((batch, hidden))
+    dpred = 2.0 * (preds - targets) / preds.shape[-1]
+    grads.W_y[...] = dpred[..., None, :] @ tape.steps[-1][-1]
+    grads.b_y[...] = dpred.sum(axis=-1, keepdims=True)
+    dh = dpred[..., None] * params.W_y
+    dC = np.zeros_like(dh)
     for z, C_prev, f, i, cbar, o, _, tanh_C, _ in reversed(tape.steps):
         do = dh * tanh_C
         dC = dC + dh * o * (1.0 - tanh_C**2)
         df = dC * C_prev
         di = dC * cbar
         dcbar = dC * i
-        da_f = df * f * (1.0 - f)
-        da_i = di * i * (1.0 - i)
-        da_c = dcbar * (1.0 - cbar**2)
-        da_o = do * o * (1.0 - o)
-        grads.W_f += da_f.T @ z
-        grads.W_i += da_i.T @ z
-        grads.W_C += da_c.T @ z
-        grads.W_o += da_o.T @ z
-        grads.b_f += da_f.sum(axis=0)
-        grads.b_i += da_i.sum(axis=0)
-        grads.b_C += da_c.sum(axis=0)
-        grads.b_o += da_o.sum(axis=0)
-        dz = da_f @ params.W_f + da_i @ params.W_i + da_c @ params.W_C + da_o @ params.W_o
-        dh = dz[:, :hidden]
+        # the gates' pre-activation gradients, f, i, C, o, on a leading axis
+        da = np.empty((4,) + dC.shape)
+        np.multiply(df * f, 1.0 - f, out=da[0])
+        np.multiply(di * i, 1.0 - i, out=da[1])
+        np.multiply(dcbar, 1.0 - cbar**2, out=da[2])
+        np.multiply(do * o, 1.0 - o, out=da[3])
+        grads.W_gates += da.swapaxes(-1, -2) @ z
+        grads.b_gates += da.sum(axis=-2)
+        dz = da @ params.W_gates
+        dh = dz[0, ..., :hidden] + dz[1, ..., :hidden] + dz[2, ..., :hidden] + dz[3, ..., :hidden]
         dC = dC * f
     return grads
 
 
 def _clipped(grads: LstmParams, clip_norm: float) -> LstmParams:
-    """``grads`` scaled down to global norm ``clip_norm`` when it is longer."""
+    """Each firm's gradient scaled down to global norm ``clip_norm`` when it is longer."""
     # summed per field, in field order, not as one sum over theta: the two
     # round differently, and clipped runs are pinned to this order's bits
-    norm = math.sqrt(sum(float((g * g).sum()) for g in grads.arrays().values()))
-    if norm <= clip_norm:
+    lead = grads.theta.shape[:-1]
+    fields = grads.arrays().values()
+    norm = np.sqrt(sum((g * g).reshape(lead + (-1,)).sum(axis=-1) for g in fields))
+    if (norm <= clip_norm).all():
         return grads
-    return grads.with_theta(grads.theta * (clip_norm / norm))
+    scale = np.where(norm <= clip_norm, 1.0, clip_norm / norm)
+    return grads.with_theta(grads.theta * scale[..., None])
 
 
 def adam_step(
@@ -337,8 +390,8 @@ def adam_step(
 ) -> tuple[LstmParams, tuple[np.ndarray, np.ndarray]]:
     """One bias-corrected Adam update of ``theta``; returns fresh params and moments.
 
-    ``moments`` is the pair of first/second moment vectors, zeros before the
-    first step.
+    ``moments`` is the pair of first/second moment arrays, shaped like
+    ``theta`` and zeros before the first step.
     """
     if t < 1:
         raise FitError(f"Adam step counter must be >= 1, got {t}")
@@ -364,9 +417,14 @@ class EpochRecord:
     best_val_mae: float
 
 
-def _validation_mae(params: LstmParams, val_inputs: np.ndarray, val_targets: np.ndarray) -> float:
-    preds, _ = forward_batch(params, val_inputs)
-    return float(np.abs(preds - np.asarray(val_targets, dtype=float)).mean())
+def _validation_mae(params: LstmParams, val_inputs: np.ndarray, val_targets: np.ndarray):
+    """Mean absolute validation error of each firm (a scalar for unstacked params).
+
+    The validation split runs as one batch, as :func:`forward_batch` would,
+    but keeps no tape.
+    """
+    preds = _run(params, _as_batch(params, val_inputs))
+    return np.abs(preds - val_targets).mean(axis=-1)
 
 
 def train_early_stopping(
@@ -377,73 +435,124 @@ def train_early_stopping(
     cfg: TrainConfig,
     hidden: int = 50,
     init: LstmParams | None = None,
-) -> tuple[LstmParams, list[EpochRecord]]:
+) -> tuple[LstmParams, list]:
     """Mini-batch Adam training with patience-based early stopping.
 
-    Each epoch visits the training samples in a shuffled order keyed by
-    ``(cfg.seed, epoch)``; the trailing partial batch is trained on rather
-    than dropped.  After each epoch the mean absolute error on the validation
-    split is measured, and once it has failed to improve for ``cfg.patience``
-    consecutive epochs training stops and the parameters from the
-    best-validation epoch are returned along with the per-epoch history.
-    Raises :class:`FitError` when no epoch reached a finite validation error
-    or the best epoch's parameters are not all finite.
-    """
-    train_inputs = np.asarray(train_inputs, dtype=float)
-    train_targets = np.asarray(train_targets, dtype=float).reshape(-1)
-    val_inputs = np.asarray(val_inputs, dtype=float)
-    val_targets = np.asarray(val_targets, dtype=float).reshape(-1)
-    if len(train_targets) == 0 or len(val_targets) == 0:
-        raise FitError("both the training and validation splits must be non-empty")
-    input_dim = 1 if train_inputs.ndim == 2 else train_inputs.shape[2]
+    One firm trains on inputs ``(n, steps[, dim])`` and targets ``(n,)``.
+    When ``cfg.seed`` is a tuple of F seeds, F firms train as one stack:
+    every input and target array, and ``init``, has a leading firm axis, and
+    the result equals F separate fits, one per seed, bit for bit.
 
-    params = init.copy() if init is not None else init_params(hidden, input_dim, cfg.seed)
+    Each epoch visits every firm's training samples in its own shuffled
+    order, keyed by ``(seed, epoch)``, cut into one mini-batch partition
+    shared by the stack; the trailing partial batch is trained on rather than
+    dropped.  After each epoch the mean absolute error on each firm's
+    validation split is measured.  Once a firm's error has failed to improve for
+    ``cfg.patience`` consecutive epochs that firm stops training, and its
+    parameters from its best-validation epoch are the ones returned.  The
+    history is a list of :class:`EpochRecord`, or one such list per firm for
+    a stack.  Raises :class:`FitError`, naming the firm of a stack, when no
+    epoch reached a finite validation error or the best epoch's parameters
+    are not all finite.
+    """
+    stacked = isinstance(cfg.seed, tuple)
+    seeds = list(cfg.seed) if stacked else [cfg.seed]
+    lead = (len(seeds),) if stacked else ()
+    if np.shape(train_targets)[:len(lead)] != lead or np.shape(val_targets)[:len(lead)] != lead:
+        raise FitError(f"{len(seeds)} seeds, but targets of shape {np.shape(train_targets)}")
+    train_y = np.asarray(train_targets, dtype=float).reshape(lead + (-1,))
+    val_y = np.asarray(val_targets, dtype=float).reshape(lead + (-1,))
+    if train_y.shape[-1] == 0 or val_y.shape[-1] == 0:
+        raise FitError("both the training and validation splits must be non-empty")
+    train_x = np.asarray(train_inputs, dtype=float)
+    val_x = np.asarray(val_inputs, dtype=float)
+    if train_x.ndim == len(lead) + 2:
+        train_x, val_x = train_x[..., None], val_x[..., None]
+    if train_x.shape[:len(lead) + 1] != train_y.shape:
+        raise FitError(f"inputs {train_x.shape} do not match targets {train_y.shape}")
+
+    params = init.copy() if init is not None else init_params(hidden, train_x.shape[-1], cfg.seed)
+    if params.theta.shape[:-1] != lead:
+        raise FitError(f"init has firm axes {params.theta.shape[:-1]}, the seeds give {lead}")
     moments = (np.zeros_like(params.theta), np.zeros_like(params.theta))
     step = 0
-    n = len(train_targets)
+    n = train_y.shape[-1]
 
-    best_params = params.copy()
-    best_mae = math.inf
-    epochs_since_improvement = 0
-    history: list[EpochRecord] = []
+    firms = np.arange(len(seeds))  # the firms still training, in stack order
+    best = params.theta.reshape(len(seeds), -1).copy()
+    best_mae = np.full(len(seeds), math.inf)
+    since_improvement = np.zeros(len(seeds), dtype=int)
+    histories: list[list[EpochRecord]] = [[] for _ in seeds]
 
     for epoch in range(1, cfg.max_epochs + 1):
-        order = np.random.default_rng([cfg.seed, epoch]).permutation(n)
+        order = np.array(
+            [np.random.default_rng([seeds[f], epoch]).permutation(n) for f in firms]
+        ).reshape(params.theta.shape[:-1] + (n,))
+        epoch_x = np.take_along_axis(train_x, order[..., None, None], axis=-3)
+        epoch_y = np.take_along_axis(train_y, order, axis=-1)
         epoch_sse = 0.0
         for start in range(0, n, cfg.batch_size):
-            batch_idx = order[start:start + cfg.batch_size]
-            preds, tape = forward_batch(params, train_inputs[batch_idx])
-            grads = backward_bptt(params, train_targets[batch_idx], tape)
+            batch_y = epoch_y[..., start:start + cfg.batch_size]
+            preds, tape = forward_batch(params, epoch_x[..., start:start + cfg.batch_size, :, :])
+            grads = backward_bptt(params, batch_y, tape)
+            del tape  # freed now, so the next batch's tape reuses its memory
             if cfg.clip_norm is not None:
                 grads = _clipped(grads, cfg.clip_norm)
             step += 1
             params, moments = adam_step(params, grads, moments, step, cfg)
-            epoch_sse += float(((preds - train_targets[batch_idx]) ** 2).sum())
-        val_mae = _validation_mae(params, val_inputs, val_targets)
-        if val_mae < best_mae:
-            best_mae = val_mae
-            best_params = params.copy()
-            epochs_since_improvement = 0
-        else:
-            epochs_since_improvement += 1
-        history.append(EpochRecord(epoch, epoch_sse / n, val_mae, best_mae))
-        if epochs_since_improvement >= cfg.patience:
+            epoch_sse = epoch_sse + ((preds - batch_y) ** 2).sum(axis=-1)
+        val_mae = np.reshape(_validation_mae(params, val_x, val_y), -1)
+        train_mse = np.reshape(epoch_sse / n, -1)
+        improved = val_mae < best_mae[firms]
+        best_mae[firms[improved]] = val_mae[improved]
+        best[firms[improved]] = params.theta.reshape(len(firms), -1)[improved]
+        since_improvement[firms] = np.where(improved, 0, since_improvement[firms] + 1)
+        for k, f in enumerate(firms):
+            histories[f].append(
+                EpochRecord(epoch, float(train_mse[k]), float(val_mae[k]), float(best_mae[f]))
+            )
+        live = since_improvement[firms] < cfg.patience
+        if not live.any():
             break
-    if not (math.isfinite(best_mae) and np.isfinite(best_params.theta).all()):
-        raise FitError("the fit diverged: no epoch left finite parameters and validation error")
-    return best_params, history
+        if not live.all():  # only a stack loses some of its firms
+            firms = firms[live]
+            params = params.with_theta(params.theta[live])
+            moments = (moments[0][live], moments[1][live])
+            train_x, train_y, val_x, val_y = (a[live] for a in (train_x, train_y, val_x, val_y))
+    for f in range(len(seeds)):
+        if not (math.isfinite(best_mae[f]) and np.isfinite(best[f]).all()):
+            where = f"firm {f}: " if stacked else ""
+            raise FitError(
+                f"{where}the fit diverged: no epoch left finite parameters and validation error",
+                firm=f if stacked else None,
+            )
+    best_params = LstmParams(best.reshape(lead + (-1,)), params.hidden, params.input_dim)
+    return best_params, histories if stacked else histories[0]
 
 
-def predict_lstm(params: LstmParams, window: np.ndarray) -> float:
-    """Forward pass of one window that keeps no activations.
+def predict_lstm(params: LstmParams, windows: np.ndarray) -> float | np.ndarray:
+    """Forward pass of one window, or of many, that keeps no activations.
 
-    Runs the same per-step arithmetic as :func:`forward_batch` at batch size
-    one, so the result equals ``forward_batch(params, window[None])[0][0]``
-    bit for bit.
+    One window, ``(steps,)`` or ``(steps, input_dim)``, gives a float and
+    equals ``forward_batch(params, window[None])[0][0]`` bit for bit.
+    Otherwise ``windows`` is the firm axes of ``params`` (none for unstacked
+    ones), then any batch axes, then ``(steps, input_dim)``, and the result
+    has the shape of those leading axes.  Every window runs as its own
+    one-row batch, so each prediction equals its single-window call bit for
+    bit (a 2-D batch of windows would round differently).
     """
-    X = _as_batch(params, _as_single(window))
-    h = np.zeros((1, params.hidden))
-    C = np.zeros((1, params.hidden))
-    for t in range(X.shape[1]):
-        *_, C, _, h = _cell(params, np.concatenate([h, X[:, t, :]], axis=1), C)
-    return float((h @ params.W_y[0] + params.b_y[0])[0])
+    lead = params.theta.shape[:-1]
+    X = np.asarray(windows, dtype=float)
+    if X.ndim == 1 and not lead:
+        X = X[:, None]
+    if X.ndim < len(lead) + 2 or X.shape[:len(lead)] != lead or X.shape[-2] < 1:
+        raise FitError(
+            f"windows must be {lead} + (..., steps, dim) with steps >= 1, got {X.shape}"
+        )
+    if X.shape[-1] != params.input_dim:
+        raise FitError(f"input dim {X.shape[-1]} does not match parameters ({params.input_dim})")
+    extra = (1,) * (X.ndim - len(lead) - 2)
+    if extra:  # one singleton axis per batch axis, so the weights broadcast over them
+        params = params.with_theta(params.theta.reshape(lead + extra + params.theta.shape[-1:]))
+    out = _run(params, X[..., None, :, :])[..., 0]
+    return float(out) if out.ndim == 0 else out

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moecast.errors import EvaluationError
+from moecast.errors import EvaluationError, FitError
 from moecast.evaluation import (
     BacktestSettings,
     HoldoutSpec,
@@ -15,6 +15,7 @@ from moecast.evaluation import (
     aggregate_stratified,
     fit_pooled_experts,
     forecast_paths,
+    holdout_models,
     improvement_pct,
     linear_one_step,
     lstm_one_step,
@@ -28,9 +29,9 @@ from moecast.evaluation import (
     run_holdout,
     run_walk_forward,
 )
-from moecast.linear_expert import LinearParams
-from moecast.lstm_expert import PARAM_FIELDS, TrainConfig, init_params
-from moecast.moe import GateWeights, gate_for_regime
+from moecast.linear_expert import LinearParams, predict_linear
+from moecast.lstm_expert import PARAM_FIELDS, TrainConfig, init_params, predict_lstm
+from moecast.moe import GateWeights, blend, gate_for_regime
 from moecast.market_data import (
     PricePoint,
     PriceSeries,
@@ -265,6 +266,53 @@ class TestForecastPaths:
             checked += 1
         assert checked == 4 * 2 * 3 * len(horizons)
 
+    @pytest.mark.parametrize("shared", [False, True], ids=["stacked", "shared"])
+    def test_firms_paths_equal_each_firms_one_step_recursion(self, shared):
+        # three firms with their own LSTM (or the one they share, as holdout
+        # firms do), linear expert, gate weights, volatility and window
+        lstm = init_params(hidden=6, input_dim=1, seed=(3, 4, 5))
+        linears = [LinearParams(0.25, -0.0125, 3.5), LinearParams(-0.1, 0.002, 1.0),
+                   LinearParams(0.0, 0.01, -2.0)]
+        gates = [GateWeights(0.7, 0.3), GateWeights(0.3, 0.7), GateWeights(0.7, 0.3)]
+        sigmas = [0.031, 0.012, 0.05]
+        windows = np.random.default_rng(8).normal(size=(3, 5))
+        t0, longest = 41.0, 12
+        paths = forecast_paths(
+            lstm.firm(1) if shared else lstm, linears, gates, windows, t0, sigmas, longest
+        )
+        for k in range(3):
+            firm_lstm = lstm.firm(1) if shared else lstm.firm(k)
+            fns = {
+                "Linear": linear_one_step(linears[k]),
+                "LSTM": lstm_one_step(firm_lstm),
+                "MoE": moe_one_step(firm_lstm, linears[k], gates[k]),
+            }
+            for model, fn in fns.items():
+                expected = recursive_forecast(fn, windows[k], t0, sigmas[k], longest)
+                assert np.array_equal(paths[model][k], expected), (k, model)
+
+    @pytest.mark.parametrize(
+        "horizons", [(3, 25), (3, 5, 10)], ids=["val_len<max_h", "val_len>=max_h"]
+    )
+    def test_walk_forward_horizon_one_equals_single_window_calls(self, tiny_universe, horizons):
+        plan = plan_walk_forward(60, 40, 10, 10)
+        settings = fast_settings(horizons=HorizonSpec(horizons))
+        result = run_walk_forward(tiny_universe, plan, small_policy(), settings)
+        h1 = {(p.ticker, p.fold_id, p.t_index, p.model): p.predicted for p in result.predictions}
+        for (ticker, fold_id), fm in result.models.items():
+            standardized = fm.scaler.apply(tiny_universe[ticker].prices)
+            weights = gate_for_regime(fm.regime, settings.gate_table)
+            for t in range(fm.launch_t, fm.launch_t + 10):
+                lstm = predict_lstm(fm.lstm, standardized[t - fm.window:t])
+                lin = predict_linear(fm.linear, float(t), fm.sigma)
+                assert h1[(ticker, fold_id, t, "LSTM")] == lstm
+                assert h1[(ticker, fold_id, t, "Linear")] == lin
+                assert h1[(ticker, fold_id, t, "MoE")] == blend(weights, lstm, lin)
+        # the stacked firms differ in regime, hence in gate weights
+        for fold in plan.folds:
+            regimes = {fm.regime for (_, k), fm in result.models.items() if k == fold.fold_id}
+            assert regimes == set(RegimeLabel)
+
     def test_empty_horizons_score_horizon_one_only(self, tiny_universe):
         plan = plan_walk_forward(60, 40, 10, 10)
         result = run_walk_forward(tiny_universe, plan, small_policy(), fast_settings())
@@ -282,6 +330,13 @@ class TestRunWalkForward:
         assert {r.model for r in result.records} == {"Linear", "LSTM", "MoE"}
         assert all(r.horizon == 1 for r in result.records)
         assert len(result.predictions) == 3 * 10
+
+    def test_a_diverged_fit_names_its_ticker_and_fold(self, tiny_universe):
+        plan = plan_walk_forward(50, 40, 10, 10)
+        train = TrainConfig(batch_size=8, max_epochs=2, patience=2, learning_rate=1e300)
+        first = sorted(tiny_universe)[0]
+        with np.errstate(all="ignore"), pytest.raises(FitError, match=f"^{first} fold 0: firm 0:"):
+            run_walk_forward(tiny_universe, plan, small_policy(), fast_settings(train=train))
 
     def test_rerun_is_bit_identical(self, tiny_universe):
         plan = plan_walk_forward(60, 40, 10, 10)
@@ -395,6 +450,23 @@ class TestHoldout:
         # 2 firms x 3 models x 2 horizons
         assert len(records) == 12
         assert all(r.split == "holdout" for r in records)
+
+    def test_records_replay_each_firms_one_step_recursion(self, pooled_setup):
+        universe, holdout, experts, policy, settings = pooled_setup
+        records = run_holdout(universe, holdout, experts, policy, settings)
+        for record in records:
+            fm = holdout_models(universe[record.ticker], experts, policy, settings)
+            standardized = fm.scaler.apply(universe[record.ticker].prices)
+            window = standardized[fm.launch_t - fm.window:fm.launch_t]
+            fn = {
+                "Linear": linear_one_step(fm.linear),
+                "LSTM": lstm_one_step(fm.lstm),
+                "MoE": moe_one_step(
+                    fm.lstm, fm.linear, gate_for_regime(fm.regime, settings.gate_table)
+                ),
+            }[record.model]
+            preds = recursive_forecast(fn, window, float(fm.launch_t), fm.sigma, record.horizon)
+            assert record.mse == mse(preds, standardized[fm.launch_t:][:record.horizon])
 
     def test_empty_holdout_empty_records(self, pooled_setup):
         universe, _, experts, policy, settings = pooled_setup

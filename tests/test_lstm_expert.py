@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -491,3 +492,126 @@ class TestTrainEarlyStopping:
                 np.zeros((0, 5)), np.zeros(0), np.zeros((2, 5)), np.zeros(2),
                 TrainConfig(seed=0), hidden=3,
             )
+
+
+def stacked_problem():
+    """Three firms' windows of phase-shifted sine waves: 18 training samples
+    (two full batches of 8 and a trailing batch of 2) and 5 validation ones."""
+    noise = np.random.default_rng(1)
+    base = np.sin(np.arange(80) / 4.0)
+    x = np.stack(
+        [np.stack([base[k + o:k + o + 6] for k in range(23)]) for o in (0, 7, 19)]
+    ) + noise.normal(0.0, 0.05, size=(3, 23, 6))
+    y = 0.9 * x[:, :, -1]
+    return x[:, :18], y[:, :18], x[:, 18:], y[:, 18:]
+
+
+STACK_SEEDS = (3, 17, 99)
+
+
+class TestStackedFirms:
+    def test_params_stack_and_firm_views(self):
+        stack = init_params(3, 2, STACK_SEEDS)
+        assert stack.theta.shape == (3, 4 * 3 * 5 + 5 * 3 + 1)
+        assert stack.W_f.shape == (3, 3, 5) and stack.b_y.shape == (3, 1)
+        for k, seed in enumerate(STACK_SEEDS):
+            firm = stack.firm(k)
+            assert np.array_equal(firm.theta, init_params(3, 2, seed).theta)
+            assert np.shares_memory(firm.W_o, stack.theta)
+        again = LstmParams.stack([stack.firm(k) for k in range(3)])
+        assert np.array_equal(again.theta, stack.theta)
+
+    def test_forward_backward_adam_equal_separate_calls(self):
+        stack = init_params(5, 1, STACK_SEEDS)
+        rng = np.random.default_rng(2)
+        inputs, targets = rng.normal(size=(3, 7, 6)), rng.normal(size=(3, 7))
+        preds, tape = forward_batch(stack, inputs)
+        grads = backward_bptt(stack, targets, tape)
+        zeros = (np.zeros_like(stack.theta), np.zeros_like(stack.theta))
+        stepped, _ = adam_step(stack, grads, zeros, 1, TrainConfig())
+        for k in range(3):
+            firm = stack.firm(k)
+            p, t = forward_batch(firm, inputs[k])
+            g = backward_bptt(firm, targets[k], t)
+            s, _ = adam_step(firm, g, (np.zeros_like(firm.theta),) * 2, 1, TrainConfig())
+            assert np.array_equal(preds[k], p)
+            assert np.array_equal(grads.theta[k], g.theta)
+            assert np.array_equal(stepped.theta[k], s.theta)
+
+    @pytest.mark.parametrize("clip_norm", [None, 0.05], ids=["unclipped", "clipped"])
+    def test_stack_equals_separate_fits(self, clip_norm):
+        train_x, train_y, val_x, val_y = stacked_problem()
+        cfg = TrainConfig(learning_rate=0.05, batch_size=8, max_epochs=30, patience=2,
+                          clip_norm=clip_norm)
+        stack, histories = train_early_stopping(
+            train_x, train_y, val_x, val_y, replace(cfg, seed=STACK_SEEDS), hidden=5
+        )
+        assert stack.theta.shape[0] == 3 and len(histories) == 3
+        for k, seed in enumerate(STACK_SEEDS):
+            alone, history = train_early_stopping(
+                train_x[k], train_y[k], val_x[k], val_y[k], replace(cfg, seed=seed), hidden=5
+            )
+            assert np.array_equal(stack.theta[k], alone.theta)
+            assert histories[k] == history
+        # patience runs out at a different epoch for every firm
+        assert len({len(h) for h in histories}) == 3
+
+    def test_scripted_validation_stops_each_firm_after_its_patience(self, monkeypatch):
+        # firm 0 never improves after epoch 1; firm 1 improves until epoch 3;
+        # firm 2 improves every epoch and runs to max_epochs
+        scripted = {0: [1.0] + [2.0] * 9, 1: [3.0, 2.0, 1.0] + [5.0] * 7,
+                    2: [float(10 - e) for e in range(10)]}
+        last_epoch = {0: 3, 1: 5, 2: 10}
+        snapshots = []
+
+        def fake_val_mae(params, val_inputs, val_targets):
+            snapshots.append(params.copy())
+            epoch = len(snapshots)
+            live = [f for f in range(3) if epoch <= last_epoch[f]]
+            assert params.theta.shape[0] == val_targets.shape[0] == len(live)
+            return np.array([scripted[f][epoch - 1] for f in live])
+
+        monkeypatch.setattr(lstm_expert, "_validation_mae", fake_val_mae)
+        train_x, train_y, val_x, val_y = stacked_problem()
+        cfg = TrainConfig(max_epochs=10, patience=2, batch_size=8, seed=STACK_SEEDS)
+        best, histories = train_early_stopping(train_x, train_y, val_x, val_y, cfg, hidden=4)
+        assert [len(h) for h in histories] == [3, 5, 10]
+        assert [s.theta.shape[0] for s in snapshots] == [3] * 3 + [2] * 2 + [1] * 5
+        assert np.array_equal(best.theta[0], snapshots[0].theta[0])
+        assert np.array_equal(best.theta[1], snapshots[2].theta[1])
+        assert np.array_equal(best.theta[2], snapshots[9].theta[0])
+        assert [h.best_val_mae for h in histories[1]] == [3.0, 2.0, 1.0, 1.0, 1.0]
+
+    def test_non_finite_init_names_the_firm(self):
+        train_x, train_y, val_x, val_y = stacked_problem()
+        init = init_params(4, 1, STACK_SEEDS)
+        init.W_i[1, 0, 0] = np.nan
+        cfg = TrainConfig(max_epochs=3, patience=3, batch_size=8, seed=STACK_SEEDS)
+        with pytest.raises(FitError, match="firm 1: the fit diverged") as caught:
+            train_early_stopping(train_x, train_y, val_x, val_y, cfg, hidden=4, init=init)
+        assert caught.value.firm == 1
+
+    def test_seed_count_must_match_the_stack(self):
+        train_x, train_y, val_x, val_y = stacked_problem()
+        cfg = TrainConfig(max_epochs=1, patience=1, seed=(1, 2))
+        with pytest.raises(FitError):
+            train_early_stopping(train_x, train_y, val_x, val_y, cfg, hidden=4)
+        with pytest.raises(FitError):
+            TrainConfig(seed=())
+
+    def test_predict_lstm_stacked_windows_equal_single_window_calls(self):
+        stack = init_params(6, 1, STACK_SEEDS)
+        windows = np.random.default_rng(3).normal(size=(3, 4, 2, 7, 1))
+        preds = predict_lstm(stack, windows)
+        assert preds.shape == (3, 4, 2)
+        for k in range(3):
+            for index in np.ndindex(4, 2):
+                assert preds[k][index] == predict_lstm(stack.firm(k), windows[k][index])
+        # unstacked params broadcast over any leading window axes
+        shared = stack.firm(1)
+        assert np.array_equal(
+            predict_lstm(shared, windows[:, :, 0]),
+            np.array([[predict_lstm(shared, w) for w in firm] for firm in windows[:, :, 0]]),
+        )
+        with pytest.raises(FitError):
+            predict_lstm(stack, windows[:2])
