@@ -72,6 +72,7 @@ from .evaluation import (
     plan_walk_forward,
     recursive_forecast,
     rmse,
+    run_backtest,
     run_holdout,
     run_walk_forward,
 )

@@ -17,13 +17,11 @@ from pathlib import Path
 from .config import RunConfig, parse_config, parse_config_text
 from .errors import ConfigError, DataError, MoecastError
 from .evaluation import (
-    fit_pooled_experts,
     forecast_paths,
     holdout_models,
     plan_walk_forward,
     returns_for_policy,
-    run_holdout,
-    run_walk_forward,
+    run_backtest,
     HoldoutSpec,
     n_values,
 )
@@ -140,14 +138,8 @@ def cmd_backtest(config: RunConfig) -> int:
         n, config["wf.init_train"], config["wf.val_len"], config["wf.step"],
         config.train_mode(),
     )
-    result = run_walk_forward(train_universe, plan, policy, settings)
-    records = list(result.records)
-    pooled = None
-    if holdout is not None:
-        pooled = fit_pooled_experts(
-            train_universe, policy, settings, plan.folds[-1].val_range.start
-        )
-        records.extend(run_holdout(universe, holdout, pooled, policy, settings))
+    result, pooled, holdout_records = run_backtest(universe, plan, policy, settings, holdout)
+    records = list(result.records) + list(holdout_records)
 
     fingerprint, seed = config.fingerprint, config["seed"]
     config_path = _write_config_echo(config)

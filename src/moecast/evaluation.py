@@ -13,6 +13,13 @@ fitted and scored as one stack: one stacked LSTM fit, one horizon-1 forward
 pass over every validation window of every firm, and one recursion per step
 for all firms' forecasts.  Each equals the per-firm computation bit for bit.
 
+Folds share nothing else: each reads only its own slices and its firms'
+seeds, and the pooled holdout fit reads no fold.  :func:`run_backtest` runs
+each as a task on up to one forked process per core this process may use,
+and gathers the results in task order, so they are the same bits for any
+number of workers; on one core (``taskset -c 0``) the same tasks run
+in-process.
+
 Recursive horizons share one path per model: a length-``h`` recursion is
 exactly the first ``h`` steps of a longer one, so :func:`forecast_paths` runs
 the LSTM and the mixture once, to the longest horizon that fits, and every
@@ -23,7 +30,9 @@ reads its window, so its path is closed form over the time index.
 from __future__ import annotations
 
 import enum
+import functools
 import math
+import os
 import zlib
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Mapping, Sequence
@@ -83,6 +92,7 @@ __all__ = [
     "linear_one_step",
     "moe_one_step",
     "forecast_paths",
+    "run_backtest",
     "run_walk_forward",
     "fit_pooled_experts",
     "holdout_models",
@@ -671,6 +681,180 @@ def _horizon_scores(
     return out
 
 
+def _run_fold(
+    universe: Mapping[str, PriceSeries],
+    fold: FoldSpec,
+    policy: RegimePolicy,
+    settings: BacktestSettings,
+) -> tuple[list[MetricRecord], dict[tuple[str, int], FoldModels], list[PredictionPoint],
+           RegimeAssignment]:
+    """One fold of the walk-forward: its records, models, predictions and regime split."""
+    tickers = sorted(universe)
+    fold_data = {
+        ticker: _prepare_fold_firm(universe[ticker], fold, policy, settings)
+        for ticker in tickers
+    }
+    assignment = _classify_fold(fold_data, policy, fold)
+
+    firms = [fold_data[ticker] for ticker in tickers]
+    lstm, linears = _fit_fold_experts(firms, policy, settings, fold.fold_id)
+    fms = [
+        FoldModels(
+            lstm=lstm.firm(k),
+            linear=linears[k],
+            scaler=data.dataset.scaler,
+            sigma=data.sigma_frozen,
+            regime=assignment.labels[data.ticker],
+            launch_t=fold.val_range.start,
+            window=settings.window,
+            mode=settings.mode,
+        )
+        for k, data in enumerate(firms)
+    ]
+    gates = [gate_for_regime(fm.regime, settings.gate_table) for fm in fms]
+    # horizon 1: every validation window of every firm in one call, each
+    # window its own one-row batch (as in a single-window call)
+    lstm_h1 = predict_lstm(lstm, np.stack([data.val_windows for data in firms])[..., None])
+    horizon_scores = _horizon_scores(lstm, firms, fms, gates, settings.horizons)
+
+    records: list[MetricRecord] = []
+    models: dict[tuple[str, int], FoldModels] = {}
+    predictions: list[PredictionPoint] = []
+    for k, (ticker, data, fm, weights) in enumerate(zip(tickers, firms, fms, gates)):
+        regime = fm.regime
+        models[(ticker, fold.fold_id)] = fm
+        val = range(data.train_len, data.total_len)
+        t_global = np.arange(fm.launch_t, fm.launch_t + len(val), dtype=float)
+        lin_h1 = predict_linear(fm.linear, t_global, fm.sigma)
+        h1 = {"Linear": lin_h1, "LSTM": lstm_h1[k], "MoE": blend(weights, lstm_h1[k], lin_h1)}
+        actual_arr = data.val_targets
+        scaler = fm.scaler
+        for model in MODELS:
+            preds = h1[model]
+            scores = _score(preds, actual_arr, scaler, data.train_targets)
+            records.append(
+                MetricRecord(
+                    ticker, fold.fold_id, WALK_FORWARD_SPLIT, regime, 1, model, **scores
+                )
+            )
+            for j, t_local in enumerate(val):
+                predictions.append(
+                    PredictionPoint(
+                        ticker, fold.fold_id, data.t_offset + t_local, model,
+                        float(actual_arr[j]), float(preds[j]),
+                        float(scaler.invert(actual_arr[j])),
+                        float(scaler.invert(preds[j])),
+                    )
+                )
+
+        for h, model, scores in horizon_scores[k]:
+            records.append(
+                MetricRecord(
+                    ticker, fold.fold_id, WALK_FORWARD_SPLIT, regime, h, model, **scores
+                )
+            )
+    return records, models, predictions, assignment
+
+
+_TASKS: Sequence[Callable[[], object]] = ()  # what forked workers of _in_parallel run
+
+
+def _run_task(index: int) -> object:
+    return _TASKS[index]()
+
+
+def _in_parallel(tasks: Sequence[Callable[[], object]]) -> list:
+    """Every task's result, in task order, from up to one forked worker per usable core.
+
+    The workers are forked, so they inherit the tasks, closures and the
+    data they read included, from ``_TASKS``; only a task's index and its
+    result cross the process boundary.  With fewer than two workers (one
+    task, or one usable core, as under ``taskset -c 0``), or without
+    ``fork``, the same tasks run here, in order.  The first task to raise,
+    in task order, cancels the ones not started, and its exception is
+    re-raised.
+    """
+    global _TASKS
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(len(tasks), cores)
+    if workers >= 2:
+        # imported here: at module level they would add to every ``import moecast``
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        # "fork" explicitly: the default start method is not fork everywhere,
+        # and spawned workers would re-import everything and need pickled
+        # tasks.  Forking is safe here: the pool forks every worker before it
+        # starts a thread, and OpenBLAS stops its own threads at a fork.
+        if "fork" in multiprocessing.get_all_start_methods():
+            _TASKS = tasks
+            try:
+                with ProcessPoolExecutor(
+                    workers, mp_context=multiprocessing.get_context("fork")
+                ) as pool:
+                    futures = [pool.submit(_run_task, k) for k in range(len(tasks))]
+                    try:
+                        return [future.result() for future in futures]
+                    except BaseException:
+                        pool.shutdown(cancel_futures=True)
+                        raise
+            finally:
+                _TASKS = ()
+    return [task() for task in tasks]
+
+
+def run_backtest(
+    universe: Mapping[str, PriceSeries],
+    plan: WalkForwardPlan,
+    policy: RegimePolicy,
+    settings: BacktestSettings,
+    holdout: HoldoutSpec | None = None,
+) -> tuple[WalkForwardResult, PooledExperts | None, tuple[MetricRecord, ...]]:
+    """The walk-forward result, the pooled experts, and the holdout records.
+
+    The folds cover every firm of ``universe`` that ``holdout`` does not
+    name.  With a holdout, :func:`fit_pooled_experts` fits those same firms
+    up to the last fold's validation start and :func:`run_holdout` scores
+    the held-out firms; without one the pooled experts are None and there
+    are no holdout records.
+
+    Every fold, and the pooled fit with its holdout scoring, reads only its
+    own inputs, so each is one task of :func:`_in_parallel`: they run on up
+    to one forked process per usable core and are gathered in task order.
+    The results are the same bits for any number of workers.
+    """
+    excluded = set(holdout.tickers) if holdout is not None else set()
+    train = {t: s for t, s in universe.items() if t not in excluded}
+    if not train:
+        raise EvaluationError("universe is empty")
+    horizon_end = plan.folds[-1].val_range.stop
+    for ticker in sorted(train):
+        have = n_values(train[ticker], settings.mode)
+        if have < horizon_end:
+            raise EvaluationError(
+                f"{ticker}: series provides {have} observations, plan needs {horizon_end}"
+            )
+
+    tasks = [functools.partial(_run_fold, train, fold, policy, settings) for fold in plan.folds]
+    if holdout is not None:
+        def pooled_phase() -> tuple[PooledExperts, tuple[MetricRecord, ...]]:
+            pooled = fit_pooled_experts(train, policy, settings, plan.folds[-1].val_range.start)
+            return pooled, run_holdout(universe, holdout, pooled, policy, settings)
+
+        tasks.insert(0, pooled_phase)  # first, because it is the longest task
+    results = _in_parallel(tasks)
+    pooled, holdout_records = results.pop(0) if holdout is not None else (None, ())
+
+    records, models, predictions, assignments = zip(*results)
+    result = WalkForwardResult(
+        records=tuple(r for fold_records in records for r in fold_records),
+        models={key: fm for fold_models in models for key, fm in fold_models.items()},
+        predictions=tuple(p for fold_predictions in predictions for p in fold_predictions),
+        assignments=assignments,
+    )
+    return result, pooled, holdout_records
+
+
 def run_walk_forward(
     universe: Mapping[str, PriceSeries],
     plan: WalkForwardPlan,
@@ -685,92 +869,9 @@ def run_walk_forward(
     ``h`` validation observations (truncated when fewer remain).  Every firm
     and fold trains from freshly initialized parameters with a seed derived
     from ``(settings.seed, ticker, fold)``, so reruns are bit-identical.
+    This is :func:`run_backtest` with no holdout.
     """
-    if not universe:
-        raise EvaluationError("universe is empty")
-    tickers = sorted(universe)
-    horizon_end = plan.folds[-1].val_range.stop
-    for ticker in tickers:
-        have = n_values(universe[ticker], settings.mode)
-        if have < horizon_end:
-            raise EvaluationError(
-                f"{ticker}: series provides {have} observations, plan needs {horizon_end}"
-            )
-
-    records: list[MetricRecord] = []
-    models: dict[tuple[str, int], FoldModels] = {}
-    predictions: list[PredictionPoint] = []
-    assignments: list[RegimeAssignment] = []
-
-    for fold in plan.folds:
-        fold_data = {
-            ticker: _prepare_fold_firm(universe[ticker], fold, policy, settings)
-            for ticker in tickers
-        }
-        assignment = _classify_fold(fold_data, policy, fold)
-        assignments.append(assignment)
-
-        firms = [fold_data[ticker] for ticker in tickers]
-        lstm, linears = _fit_fold_experts(firms, policy, settings, fold.fold_id)
-        fms = [
-            FoldModels(
-                lstm=lstm.firm(k),
-                linear=linears[k],
-                scaler=data.dataset.scaler,
-                sigma=data.sigma_frozen,
-                regime=assignment.labels[data.ticker],
-                launch_t=fold.val_range.start,
-                window=settings.window,
-                mode=settings.mode,
-            )
-            for k, data in enumerate(firms)
-        ]
-        gates = [gate_for_regime(fm.regime, settings.gate_table) for fm in fms]
-        # horizon 1: every validation window of every firm in one call, each
-        # window its own one-row batch (as in a single-window call)
-        lstm_h1 = predict_lstm(lstm, np.stack([data.val_windows for data in firms])[..., None])
-        horizon_scores = _horizon_scores(lstm, firms, fms, gates, settings.horizons)
-
-        for k, (ticker, data, fm, weights) in enumerate(zip(tickers, firms, fms, gates)):
-            regime = fm.regime
-            models[(ticker, fold.fold_id)] = fm
-            val = range(data.train_len, data.total_len)
-            t_global = np.arange(fm.launch_t, fm.launch_t + len(val), dtype=float)
-            lin_h1 = predict_linear(fm.linear, t_global, fm.sigma)
-            h1 = {"Linear": lin_h1, "LSTM": lstm_h1[k], "MoE": blend(weights, lstm_h1[k], lin_h1)}
-            actual_arr = data.val_targets
-            scaler = fm.scaler
-            for model in MODELS:
-                preds = h1[model]
-                scores = _score(preds, actual_arr, scaler, data.train_targets)
-                records.append(
-                    MetricRecord(
-                        ticker, fold.fold_id, WALK_FORWARD_SPLIT, regime, 1, model, **scores
-                    )
-                )
-                for j, t_local in enumerate(val):
-                    predictions.append(
-                        PredictionPoint(
-                            ticker, fold.fold_id, data.t_offset + t_local, model,
-                            float(actual_arr[j]), float(preds[j]),
-                            float(scaler.invert(actual_arr[j])),
-                            float(scaler.invert(preds[j])),
-                        )
-                    )
-
-            for h, model, scores in horizon_scores[k]:
-                records.append(
-                    MetricRecord(
-                        ticker, fold.fold_id, WALK_FORWARD_SPLIT, regime, h, model, **scores
-                    )
-                )
-
-    return WalkForwardResult(
-        records=tuple(records),
-        models=models,
-        predictions=tuple(predictions),
-        assignments=tuple(assignments),
-    )
+    return run_backtest(universe, plan, policy, settings)[0]
 
 
 # ---------------------------------------------------------------------------

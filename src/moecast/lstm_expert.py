@@ -113,6 +113,11 @@ class LstmParams:
             (n,) + tuple(range(n)) + (n + 1,)
         )
 
+    def __reduce__(self):
+        # pickle theta alone: the views are rebuilt over it, so they still
+        # share its memory after a round trip
+        return LstmParams, (self.theta, self.hidden, self.input_dim)
+
     @classmethod
     def stack(cls, firms: Sequence["LstmParams"]) -> "LstmParams":
         """The firms' parameters as one stack, in order, along a new leading axis."""

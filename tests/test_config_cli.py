@@ -1,5 +1,7 @@
 """Configuration parsing, model persistence, report rendering, and the CLI."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -275,6 +277,24 @@ class TestCli:
                 assert f"regime {record.regime.value})" in out
                 expected = float(np.abs(paths[:, col] - actual).mean())
                 assert record.raw_mae == pytest.approx(expected, rel=1e-9)
+
+    def test_backtest_writes_the_same_bytes_forked_and_in_process(
+        self, cli_workspace, capsys, monkeypatch
+    ):
+        cfg, _, reports = cli_workspace
+        main(["--config", str(cfg), "synth"])
+        capsys.readouterr()
+
+        def backtest():
+            assert main(["--config", str(cfg), "backtest"]) == 0
+            return capsys.readouterr().out, {p.name: p.read_bytes() for p in reports.iterdir()}
+
+        forked = backtest()
+        # one usable core: the folds and the pooled fit run in this process
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert backtest() == forked
+        fp = parse_config(cfg).short_fingerprint
+        assert {f"models_{fp}.npz", f"records_{fp}.csv", f"predictions_{fp}.csv"} <= set(forked[1])
 
     def test_forecast_without_store_fails(self, cli_workspace, capsys):
         cfg, _, _ = cli_workspace

@@ -1,10 +1,15 @@
 """Metrics, fold geometry, recursion, the walk-forward engine, and holdouts."""
 
+import multiprocessing
+import os
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from moecast import evaluation
 from moecast.errors import EvaluationError, FitError
 from moecast.evaluation import (
     BacktestSettings,
@@ -26,8 +31,10 @@ from moecast.evaluation import (
     plan_walk_forward,
     recursive_forecast,
     rmse,
+    run_backtest,
     run_holdout,
     run_walk_forward,
+    task_seed,
 )
 from moecast.linear_expert import LinearParams, predict_linear
 from moecast.lstm_expert import PARAM_FIELDS, TrainConfig, init_params, predict_lstm
@@ -582,3 +589,86 @@ class TestAggregateStratified:
 
     def test_empty_input_empty_report(self):
         assert aggregate_stratified([]).cells == {}
+
+
+def one_core(monkeypatch):
+    """Make every later backtest in the test run its tasks in this process."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+
+
+def assert_same_models(a, b):
+    assert a.keys() == b.keys()
+    for key in a:
+        assert np.array_equal(a[key].lstm.theta, b[key].lstm.theta), key
+        assert replace(a[key], lstm=None) == replace(b[key], lstm=None)
+
+
+class TestParallelBacktest:
+    """Folds and the pooled fit run as forked tasks; one usable core runs them here."""
+
+    def test_walk_forward_is_the_same_forked_and_in_process(self, tiny_universe, monkeypatch):
+        plan = plan_walk_forward(60, 40, 10, 10)
+        settings = fast_settings(horizons=HorizonSpec((3, 8)))
+        forked = run_walk_forward(tiny_universe, plan, small_policy(), settings)
+        one_core(monkeypatch)
+        here = run_walk_forward(tiny_universe, plan, small_policy(), settings)
+        assert len(plan.folds) == 2
+        assert forked.records == here.records
+        assert forked.predictions == here.predictions
+        assert forked.assignments == here.assignments
+        assert_same_models(forked.models, here.models)
+
+    def test_run_backtest_equals_its_three_parts(self, pooled_setup, monkeypatch):
+        universe, holdout, experts, policy, settings = pooled_setup
+        plan = plan_walk_forward(60, 40, 10, 10)  # the last fold launches at 50
+        result, pooled, records = run_backtest(universe, plan, policy, settings, holdout)
+        train = {t: s for t, s in universe.items() if t not in holdout.tickers}
+        one_core(monkeypatch)
+        alone = run_walk_forward(train, plan, policy, settings)
+        assert result.records == alone.records
+        assert result.predictions == alone.predictions
+        assert_same_models(result.models, alone.models)
+        assert np.array_equal(pooled.lstm.theta, experts.lstm.theta)
+        assert replace(pooled, lstm=None) == replace(experts, lstm=None)
+        assert records == run_holdout(universe, holdout, experts, policy, settings)
+        no_holdout = run_backtest(train, plan, policy, settings)
+        assert no_holdout[1:] == (None, ())
+        assert no_holdout[0].records == alone.records
+
+    def test_a_diverged_fit_in_a_later_fold_raises_from_the_pool(
+        self, tiny_universe, monkeypatch
+    ):
+        plan = plan_walk_forward(60, 40, 10, 10)
+        settings = fast_settings()
+        tickers = sorted(tiny_universe)
+        fold_1 = tuple(task_seed(settings.seed, t, 1) for t in tickers)
+        train = evaluation.train_early_stopping
+
+        def nan_in_fold_1(*args, **kwargs):
+            cfg = args[4]
+            if cfg.seed == fold_1:  # firm 1 of fold 1 starts from a NaN weight
+                kwargs["init"] = init_params(kwargs["hidden"], 1, cfg.seed)
+                kwargs["init"].W_i[1, 0, 0] = np.nan
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "train_early_stopping", nan_in_fold_1)
+        with pytest.raises(FitError, match=f"^{tickers[1]} fold 1: firm 1:") as raised:
+            run_walk_forward(tiny_universe, plan, small_policy(), settings)
+        assert raised.value.firm == 1
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity")
+    def test_tasks_use_at_most_one_worker_per_usable_core(self):
+        tasks = [lambda k=k: (k, os.getpid()) for k in range(6)]
+        results = evaluation._in_parallel(tasks)
+        assert [k for k, _ in results] == list(range(6))
+        pids = {pid for _, pid in results}
+        assert len(pids) <= len(os.sched_getaffinity(0))
+        if len(os.sched_getaffinity(0)) >= 2:
+            assert os.getpid() not in pids
+        assert multiprocessing.active_children() == []
+
+    def test_one_task_or_one_core_runs_in_this_process(self, monkeypatch):
+        assert evaluation._in_parallel([os.getpid]) == [os.getpid()]
+        one_core(monkeypatch)
+        assert evaluation._in_parallel([os.getpid] * 3) == [os.getpid()] * 3

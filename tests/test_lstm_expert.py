@@ -1,6 +1,7 @@
 """LSTM cell, BPTT gradients, Adam, and the early-stopping trainer."""
 
 import math
+import pickle
 import tracemalloc
 from dataclasses import replace
 
@@ -164,6 +165,22 @@ class TestLstmParams:
                 LstmParams.from_arrays(bad)
         with pytest.raises(FitError):
             LstmParams.from_arrays(dict(good, W_f=np.zeros((3, 3))))
+
+    @pytest.mark.parametrize("seed", [1, (1, 2, 3)], ids=["one firm", "stack"])
+    def test_pickle_round_trip_keeps_the_views_on_theta(self, seed):
+        p = init_params(4, 1, seed=seed)
+        data = pickle.dumps(p)
+        q = pickle.loads(data)
+        assert np.array_equal(q.theta, p.theta)
+        assert (q.hidden, q.input_dim) == (p.hidden, p.input_dim)
+        for name in PARAM_FIELDS:
+            assert np.shares_memory(getattr(q, name), q.theta)
+            assert np.array_equal(getattr(q, name), getattr(p, name))
+        assert np.shares_memory(q.W_gates, q.theta)
+        q.W_f[...] = 0.0  # W_f is theta's first H * (H + D) entries
+        assert not q.theta[..., :4 * 5].any()
+        assert p.W_f.all()
+        assert len(data) < 2 * p.theta.nbytes
 
     def test_constructor_rejects_a_theta_of_the_wrong_size(self):
         theta = init_params(3, 1, seed=1).theta
