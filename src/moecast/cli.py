@@ -265,11 +265,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.config:
             config = parse_config(args.config, seed_override=args.seed)
         else:
-            config = parse_config_text("")
-            if args.seed is not None:
-                values = dict(config.values)
-                values["seed"] = args.seed
-                config = RunConfig(values=values, explicit=config.explicit | {"seed"})
+            config = parse_config_text("", seed_override=args.seed)
         if args.command == "synth":
             return cmd_synth(config, args.out)
         if args.command == "classify":

@@ -224,8 +224,13 @@ class RunConfig:
         return self.fingerprint[:12]
 
 
-def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
-    """Parse ``key = value`` lines; blank lines and ``#`` comments are ignored."""
+def parse_config_text(
+    text: str, source: str = "<config>", seed_override: int | None = None
+) -> RunConfig:
+    """Parse ``key = value`` lines; blank lines and ``#`` comments are ignored.
+
+    ``seed_override`` replaces the seed when given, and counts as set explicitly.
+    """
     raw: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -255,7 +260,10 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
             values[key.name] = value
         else:
             values[key.name] = key.default
-    return RunConfig(values=values, explicit=frozenset(raw))
+    explicit = frozenset(raw)
+    if seed_override is not None:
+        values["seed"], explicit = seed_override, explicit | {"seed"}
+    return RunConfig(values=values, explicit=explicit)
 
 
 def parse_config(path, seed_override: int | None = None) -> RunConfig:
@@ -265,9 +273,4 @@ def parse_config(path, seed_override: int | None = None) -> RunConfig:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
-    config = parse_config_text(text, source=str(path))
-    if seed_override is not None:
-        values = dict(config.values)
-        values["seed"] = seed_override
-        config = RunConfig(values=values, explicit=config.explicit | {"seed"})
-    return config
+    return parse_config_text(text, source=str(path), seed_override=seed_override)

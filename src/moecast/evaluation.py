@@ -8,6 +8,10 @@ horizons.  Nothing fitted ever sees a validation index: scalers, volatility
 reads, classifications, and parameters are all functions of data strictly
 before the validation start, which the tests assert by perturbation.
 
+Each target is paired with its volatility σ in one statement, in
+``_prepare_fold_firm``; the linear design, the regime labels and the σ every
+forecast freezes all read that per-row array, in fold, pooled and holdout fits.
+
 The firms of a fold share their train and validation ranges, so they are
 fitted and scored as one stack: one stacked LSTM fit, one horizon-1 forward
 pass over every validation window of every firm, and one recursion per step
@@ -39,16 +43,14 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import EvaluationError, FitError
+from .errors import DataError, EvaluationError, FitError
 from .linear_expert import LinearParams, fit_ols, predict_linear
 from .lstm_expert import LstmParams, TrainConfig, predict_lstm, train_early_stopping
 from .market_data import (
     PriceSeries,
     ReturnSeries,
     Scaler,
-    VolatilitySeries,
     WindowMode,
-    WindowedDataset,
     log_returns,
     make_windows,
     rolling_volatility,
@@ -61,7 +63,6 @@ from .regime import (
     RegimeLabel,
     RegimePolicy,
     classify_median,
-    classify_threshold,
     label_for,
 )
 
@@ -135,12 +136,17 @@ def rmse(predictions, targets) -> float:
     return math.sqrt(mse(predictions, targets))
 
 
+def _naive_mae(train_targets: np.ndarray) -> float:
+    """In-sample MAE of the one-step naive forecast, ``mean(|diff(train)|)``."""
+    return float(np.abs(np.diff(train_targets)).mean())
+
+
 def mase(predictions, targets, train_targets) -> float:
     """MAE scaled by the in-sample one-step naive MAE of the training targets."""
     train = np.asarray(train_targets, dtype=float).reshape(-1)
     if train.size < 2:
         raise EvaluationError(f"mase needs at least 2 training targets, got {train.size}")
-    denom = float(np.abs(np.diff(train)).mean())
+    denom = _naive_mae(train)
     if denom == 0.0:
         raise EvaluationError("mase undefined: training targets are constant")
     return mae(predictions, targets) / denom
@@ -484,43 +490,27 @@ def n_values(series: PriceSeries, mode: WindowMode) -> int:
 
 @dataclass(frozen=True)
 class _FoldFirmData:
-    """One firm's view of a single fold, everything indexed locally."""
+    """One firm's view of a single fold, as plain arrays.
+
+    Row ``k`` is the target at local index ``window + k``, i.e. at time
+    index ``t_offset + window + k``: ``inputs[k]`` holds the ``window``
+    standardized values before it, ``targets[k]`` the standardized target,
+    and ``sigma[k]`` the volatility paired with it (NaN until the volatility
+    window is full).  The first ``train_rows`` rows train; the rest validate.
+    """
 
     ticker: str
-    dataset: WindowedDataset
-    vol: VolatilitySeries
-    train_len: int
-    total_len: int
+    inputs: np.ndarray
+    targets: np.ndarray
+    sigma: np.ndarray
+    scaler: Scaler
+    train_rows: int
     t_offset: int
-    mode: WindowMode
-
-    def sigma_for_target(self, t_local: int) -> float:
-        at = t_local - 1 if self.mode is WindowMode.PRICE_LEVELS else t_local
-        return self.vol.at_return_index(at)
 
     @property
     def sigma_frozen(self) -> float:
-        return self.sigma_for_target(self.train_len - 1)
-
-    def target_at(self, t_local: int) -> float:
-        return float(self.dataset.targets[t_local - self.dataset.window])
-
-    def window_for_target(self, t_local: int) -> np.ndarray:
-        return self.dataset.inputs[t_local - self.dataset.window]
-
-    @property
-    def val_windows(self) -> np.ndarray:
-        w = self.dataset.window
-        return self.dataset.inputs[self.train_len - w:self.total_len - w]
-
-    @property
-    def train_targets(self) -> np.ndarray:
-        return self.dataset.targets[:self.train_len - self.dataset.window]
-
-    @property
-    def val_targets(self) -> np.ndarray:
-        w = self.dataset.window
-        return self.dataset.targets[self.train_len - w:self.total_len - w]
+        """The last training target's σ, which labels the firm and every forecast reads."""
+        return float(self.sigma[self.train_rows - 1])
 
 
 def _prepare_fold_firm(
@@ -530,42 +520,52 @@ def _prepare_fold_firm(
     settings: BacktestSettings,
 ) -> _FoldFirmData:
     ts, te = fold.train_range.start, fold.train_range.stop
-    ve = fold.val_range.stop
-    if settings.mode is WindowMode.PRICE_LEVELS:
-        points = series.points[ts:ve]
-    else:
-        points = series.points[ts:ve + 1]
-    slice_series = PriceSeries(series.ticker, points)
+    # the values [ts, val end) in this mode; a return also needs the price after it
+    end = fold.val_range.stop + len(series) - n_values(series, settings.mode)
+    slice_series = PriceSeries(series.ticker, series.points[ts:end])
     dataset = make_windows(slice_series, settings.window, settings.mode, train_end=te - ts)
     vol = rolling_volatility(returns_for_policy(slice_series, policy), policy.vol_window)
-    return _FoldFirmData(
-        ticker=series.ticker,
-        dataset=dataset,
-        vol=vol,
-        train_len=te - ts,
-        total_len=ve - ts,
-        t_offset=ts,
-        mode=settings.mode,
+    # The one place a target meets its σ: the target at local index t reads
+    # the volatility window ending with return t - 1 (the return into price
+    # t) for a price level, or with return t (the target itself) for a log
+    # return.  ``vol.values[j]`` ends with return ``vol_window - 1 + j``.
+    sigma = np.concatenate([np.full(vol.first_return_index, np.nan), vol.values])[
+        dataset.t_index - (1 if settings.mode is WindowMode.PRICE_LEVELS else 0)
+    ]
+    data = _FoldFirmData(
+        series.ticker, dataset.inputs, dataset.targets, sigma, dataset.scaler,
+        train_rows=te - ts - settings.window, t_offset=ts,
     )
+    if math.isnan(data.sigma_frozen):
+        raise DataError(f"{series.ticker}: volatility window {policy.vol_window} does not "
+                        f"fit the training range of {te - ts} observations")
+    return data
 
 
-def _linear_row_start(settings: BacktestSettings, policy: RegimePolicy) -> int:
-    if settings.mode is WindowMode.PRICE_LEVELS:
-        return max(settings.window, policy.vol_window)
-    return max(settings.window, policy.vol_window - 1)
-
-
-def _early_stopping_split(ds: WindowedDataset, fraction: float) -> tuple[np.ndarray, ...]:
-    """``(train_x, train_y, val_x, val_y)``: the last ``round(fraction * n)``
-    samples, at least one and never all of them, drive early stopping."""
-    n = len(ds)
+def _early_stopping_split(data: _FoldFirmData, fraction: float) -> tuple[np.ndarray, ...]:
+    """``(train_x, train_y, val_x, val_y)`` of the training rows: the last
+    ``round(fraction * n)``, at least one and never all, drive early stopping."""
+    n = data.train_rows
+    if n < 2:
+        raise EvaluationError(f"{data.ticker}: not enough training samples ({n})")
     cut = n - min(max(1, int(round(fraction * n))), n - 1)
-    return ds.inputs[:cut], ds.targets[:cut], ds.inputs[cut:], ds.targets[cut:]
+    return data.inputs[:cut], data.targets[:cut], data.inputs[cut:n], data.targets[cut:n]
+
+
+def _linear_design(data: _FoldFirmData) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(t, σ, y)`` of the linear expert over the training rows whose σ is defined."""
+    rows = np.flatnonzero(~np.isnan(data.sigma[:data.train_rows]))
+    if len(rows) < 3:
+        raise EvaluationError(
+            f"{data.ticker}: training window too short for the linear design "
+            f"({len(rows)} targets with a defined volatility)"
+        )
+    t = (data.t_offset + data.inputs.shape[1] + rows).astype(float)
+    return t, data.sigma[rows], data.targets[rows]
 
 
 def _fit_fold_experts(
     firms: Sequence[_FoldFirmData],
-    policy: RegimePolicy,
     settings: BacktestSettings,
     fold_id: int,
 ) -> tuple[LstmParams, list[LinearParams]]:
@@ -574,23 +574,8 @@ def _fit_fold_experts(
     The firms of a fold share one training range, so their early-stopping
     splits stack; firm ``k`` trains with its own ``task_seed``.
     """
-    row_start = _linear_row_start(settings, policy)
-    splits, linears = [], []
-    for data in firms:
-        train_ds = data.dataset.restrict(data.dataset.window, data.train_len)
-        if len(train_ds) < 2:
-            raise EvaluationError(f"{data.ticker}: not enough training samples ({len(train_ds)})")
-        splits.append(_early_stopping_split(train_ds, settings.es_val_fraction))
-        if data.train_len - row_start < 3:
-            raise EvaluationError(
-                f"{data.ticker}: training window too short for the linear design "
-                f"(first usable target {row_start}, train length {data.train_len})"
-            )
-        rows = range(row_start, data.train_len)
-        t_vals = [float(data.t_offset + t) for t in rows]
-        sigmas = [data.sigma_for_target(t) for t in rows]
-        targets = [data.target_at(t) for t in rows]
-        linears.append(fit_ols(t_vals, sigmas, targets).params)
+    splits = [_early_stopping_split(data, settings.es_val_fraction) for data in firms]
+    linears = [fit_ols(*_linear_design(data)).params for data in firms]
     seeds = tuple(task_seed(settings.seed, data.ticker, fold_id) for data in firms)
     try:
         lstm, _ = train_early_stopping(
@@ -605,54 +590,41 @@ def _fit_fold_experts(
     return lstm, linears
 
 
-def _score(
-    preds_std: np.ndarray,
-    actual_std: np.ndarray,
-    scaler: Scaler,
-    train_targets_std: np.ndarray,
-) -> dict[str, float | None]:
-    preds_raw = scaler.invert(preds_std)
-    actual_raw = scaler.invert(actual_std)
-    naive_denom = float(np.abs(np.diff(train_targets_std)).mean())
-    return {
-        "mse": mse(preds_std, actual_std),
-        "mae": mae(preds_std, actual_std),
-        "rmse": rmse(preds_std, actual_std),
-        "raw_mse": mse(preds_raw, actual_raw),
-        "raw_mae": mae(preds_raw, actual_raw),
-        "raw_rmse": rmse(preds_raw, actual_raw),
-        "mase": (mae(preds_std, actual_std) / naive_denom) if naive_denom > 0 else None,
-    }
+def _model_records(
+    data: _FoldFirmData,
+    fm: FoldModels,
+    fold_id: int,
+    split: str,
+    horizon: int,
+    preds: Mapping[str, np.ndarray],
+) -> list[MetricRecord]:
+    """One record per model, scoring ``preds[model]`` against as many of the
+    firm's validation targets, on the standardized scale and the raw one."""
+    naive_denom = _naive_mae(data.targets[:data.train_rows])
+    records = []
+    for model in MODELS:
+        p = preds[model]
+        a = data.targets[data.train_rows:][:len(p)]
+        p_raw, a_raw = fm.scaler.invert(p), fm.scaler.invert(a)
+        records.append(MetricRecord(
+            data.ticker, fold_id, split, fm.regime, horizon, model,
+            mse=mse(p, a), mae=mae(p, a), rmse=rmse(p, a),
+            raw_mse=mse(p_raw, a_raw), raw_mae=mae(p_raw, a_raw), raw_rmse=rmse(p_raw, a_raw),
+            mase=(mae(p, a) / naive_denom) if naive_denom > 0 else None,
+        ))
+    return records
 
 
-def _classify_fold(
-    fold_data: dict[str, _FoldFirmData],
-    policy: RegimePolicy,
-    fold: FoldSpec,
-) -> RegimeAssignment:
-    if policy.kind is PolicyKind.THRESHOLD:
-        labels = {}
-        for ticker, data in fold_data.items():
-            at = data.train_len - 2 if data.mode is WindowMode.PRICE_LEVELS else data.train_len - 1
-            labels[ticker] = classify_threshold(data.vol, at, policy.tau)
-    else:
-        labels = classify_median({t: d.sigma_frozen for t, d in fold_data.items()})
-    return RegimeAssignment(
-        fold_id=fold.fold_id,
-        labels=labels,
-        policy=policy,
-        as_of_index=fold.train_range.stop - 1,
-    )
-
-
-def _horizon_scores(
+def _horizon_records(
     lstm: LstmParams,
     firms: Sequence[_FoldFirmData],
     fms: Sequence[FoldModels],
     weights: Sequence[GateWeights],
     horizons: HorizonSpec,
-) -> list[list[tuple[int, str, dict[str, float | None]]]]:
-    """``(horizon, model, scores)`` for every configured horizon, per firm.
+    fold_id: int,
+    split: str,
+) -> list[list[MetricRecord]]:
+    """Each firm's records of every configured horizon, in horizon then model order.
 
     The forecasts launch at each firm's first validation target, all at the
     same time index.  ``lstm`` is the firms' stacked LSTM, or the one they
@@ -662,23 +634,22 @@ def _horizon_scores(
     """
     if not (firms and horizons.horizons):
         return [[] for _ in firms]
-    longest = [min(max(horizons.horizons), len(d.val_targets)) for d in firms]
+    longest = [min(max(horizons.horizons), len(d.targets) - d.train_rows) for d in firms]
     paths = forecast_paths(
         lstm, [fm.linear for fm in fms], weights,
-        np.stack([d.window_for_target(d.train_len) for d in firms]),
+        np.stack([d.inputs[d.train_rows] for d in firms]),
         float(fms[0].launch_t), [fm.sigma for fm in fms], max(longest),
     )
-    out = []
-    for k, (data, fm) in enumerate(zip(firms, fms)):
-        firm_scores = []
-        for h in horizons.horizons:
-            avail = min(h, longest[k])
-            for model in MODELS:
-                scores = _score(paths[model][k, :avail], data.val_targets[:avail],
-                                fm.scaler, data.train_targets)
-                firm_scores.append((h, model, scores))
-        out.append(firm_scores)
-    return out
+    return [
+        [
+            record
+            for h in horizons.horizons
+            for record in _model_records(data, fm, fold_id, split, h, {
+                model: path[k, :min(h, longest[k])] for model, path in paths.items()
+            })
+        ]
+        for k, (data, fm) in enumerate(zip(firms, fms))
+    ]
 
 
 def _run_fold(
@@ -689,22 +660,22 @@ def _run_fold(
 ) -> tuple[list[MetricRecord], dict[tuple[str, int], FoldModels], list[PredictionPoint],
            RegimeAssignment]:
     """One fold of the walk-forward: its records, models, predictions and regime split."""
-    tickers = sorted(universe)
-    fold_data = {
-        ticker: _prepare_fold_firm(universe[ticker], fold, policy, settings)
-        for ticker in tickers
-    }
-    assignment = _classify_fold(fold_data, policy, fold)
+    firms = [_prepare_fold_firm(universe[t], fold, policy, settings) for t in sorted(universe)]
+    sigmas = {data.ticker: data.sigma_frozen for data in firms}
+    if policy.kind is PolicyKind.THRESHOLD:
+        labels = {ticker: label_for(sigma, policy.tau) for ticker, sigma in sigmas.items()}
+    else:
+        labels = classify_median(sigmas)
+    assignment = RegimeAssignment(fold.fold_id, labels, policy, fold.train_range.stop - 1)
 
-    firms = [fold_data[ticker] for ticker in tickers]
-    lstm, linears = _fit_fold_experts(firms, policy, settings, fold.fold_id)
+    lstm, linears = _fit_fold_experts(firms, settings, fold.fold_id)
     fms = [
         FoldModels(
             lstm=lstm.firm(k),
             linear=linears[k],
-            scaler=data.dataset.scaler,
+            scaler=data.scaler,
             sigma=data.sigma_frozen,
-            regime=assignment.labels[data.ticker],
+            regime=labels[data.ticker],
             launch_t=fold.val_range.start,
             window=settings.window,
             mode=settings.mode,
@@ -714,45 +685,30 @@ def _run_fold(
     gates = [gate_for_regime(fm.regime, settings.gate_table) for fm in fms]
     # horizon 1: every validation window of every firm in one call, each
     # window its own one-row batch (as in a single-window call)
-    lstm_h1 = predict_lstm(lstm, np.stack([data.val_windows for data in firms])[..., None])
-    horizon_scores = _horizon_scores(lstm, firms, fms, gates, settings.horizons)
+    lstm_h1 = predict_lstm(lstm, np.stack([d.inputs[d.train_rows:] for d in firms])[..., None])
+    horizon_records = _horizon_records(
+        lstm, firms, fms, gates, settings.horizons, fold.fold_id, WALK_FORWARD_SPLIT
+    )
 
     records: list[MetricRecord] = []
-    models: dict[tuple[str, int], FoldModels] = {}
     predictions: list[PredictionPoint] = []
-    for k, (ticker, data, fm, weights) in enumerate(zip(tickers, firms, fms, gates)):
-        regime = fm.regime
-        models[(ticker, fold.fold_id)] = fm
-        val = range(data.train_len, data.total_len)
-        t_global = np.arange(fm.launch_t, fm.launch_t + len(val), dtype=float)
+    for k, (data, fm, weights) in enumerate(zip(firms, fms, gates)):
+        actual = data.targets[data.train_rows:]
+        t_global = np.arange(fm.launch_t, fm.launch_t + len(actual), dtype=float)
         lin_h1 = predict_linear(fm.linear, t_global, fm.sigma)
         h1 = {"Linear": lin_h1, "LSTM": lstm_h1[k], "MoE": blend(weights, lstm_h1[k], lin_h1)}
-        actual_arr = data.val_targets
-        scaler = fm.scaler
-        for model in MODELS:
-            preds = h1[model]
-            scores = _score(preds, actual_arr, scaler, data.train_targets)
-            records.append(
-                MetricRecord(
-                    ticker, fold.fold_id, WALK_FORWARD_SPLIT, regime, 1, model, **scores
-                )
+        records += _model_records(data, fm, fold.fold_id, WALK_FORWARD_SPLIT, 1, h1)
+        records += horizon_records[k]
+        predictions += [
+            PredictionPoint(
+                data.ticker, fold.fold_id, fm.launch_t + j, model,
+                float(actual[j]), float(preds[j]),
+                float(fm.scaler.invert(actual[j])), float(fm.scaler.invert(preds[j])),
             )
-            for j, t_local in enumerate(val):
-                predictions.append(
-                    PredictionPoint(
-                        ticker, fold.fold_id, data.t_offset + t_local, model,
-                        float(actual_arr[j]), float(preds[j]),
-                        float(scaler.invert(actual_arr[j])),
-                        float(scaler.invert(preds[j])),
-                    )
-                )
-
-        for h, model, scores in horizon_scores[k]:
-            records.append(
-                MetricRecord(
-                    ticker, fold.fold_id, WALK_FORWARD_SPLIT, regime, h, model, **scores
-                )
-            )
+            for model, preds in h1.items()
+            for j in range(len(actual))
+        ]
+    models = {(data.ticker, fold.fold_id): fm for data, fm in zip(firms, fms)}
     return records, models, predictions, assignment
 
 
@@ -905,33 +861,21 @@ def fit_pooled_experts(
     if not train_universe:
         raise EvaluationError("pooled training universe is empty")
     tickers = sorted(train_universe)
-    splits = []
-    lin_t, lin_sigma, lin_y = [], [], []
-    sigmas: dict[str, float] = {}
-    row_start = _linear_row_start(settings, policy)
     for ticker in tickers:
-        series = train_universe[ticker]
-        if n_values(series, settings.mode) < launch_t + 1:
+        if n_values(train_universe[ticker], settings.mode) < launch_t + 1:
             raise EvaluationError(f"{ticker}: too short for launch index {launch_t}")
-        fold = FoldSpec(0, range(0, launch_t), range(launch_t, launch_t + 1))
-        data = _prepare_fold_firm(series, fold, policy, settings)
-        ds = data.dataset.restrict(data.dataset.window, launch_t)
-        splits.append(_early_stopping_split(ds, settings.es_val_fraction))
-        for t_local in range(row_start, launch_t):
-            lin_t.append(float(t_local))
-            lin_sigma.append(data.sigma_for_target(t_local))
-            lin_y.append(data.target_at(t_local))
-        sigmas[ticker] = data.sigma_frozen
+    fold = FoldSpec(0, range(0, launch_t), range(launch_t, launch_t + 1))
+    firms = [_prepare_fold_firm(train_universe[t], fold, policy, settings) for t in tickers]
+    splits = [_early_stopping_split(data, settings.es_val_fraction) for data in firms]
     cfg = replace(settings.train, seed=task_seed(settings.seed, "__pooled__", HOLDOUT_FOLD_ID))
     lstm_params, _ = train_early_stopping(
         *(np.concatenate(part) for part in zip(*splits)), cfg, hidden=settings.hidden
     )
-    linear_params = fit_ols(lin_t, lin_sigma, lin_y).params
-    decision = (
-        float(np.median(list(sigmas.values())))
-        if policy.kind is PolicyKind.CROSS_SECTIONAL_MEDIAN
-        else None
-    )
+    design = (np.concatenate(part) for part in zip(*map(_linear_design, firms)))
+    linear_params = fit_ols(*design).params
+    decision = None
+    if policy.kind is PolicyKind.CROSS_SECTIONAL_MEDIAN:
+        decision = float(np.median([data.sigma_frozen for data in firms]))
     return PooledExperts(lstm_params, linear_params, launch_t, tuple(tickers), decision)
 
 
@@ -949,17 +893,16 @@ def _holdout_firm(
     data = _prepare_fold_firm(series, fold, policy, settings)
     sigma = data.sigma_frozen
     boundary = policy.tau if policy.kind is PolicyKind.THRESHOLD else experts.decision_sigma
-    fm = FoldModels(
+    return data, FoldModels(
         lstm=experts.lstm,
         linear=experts.linear,
-        scaler=data.dataset.scaler,
+        scaler=data.scaler,
         sigma=sigma,
         regime=label_for(sigma, boundary),
         launch_t=launch,
         window=settings.window,
         mode=settings.mode,
     )
-    return data, fm
 
 
 def holdout_models(
@@ -994,17 +937,13 @@ def run_holdout(
     if overlap:
         raise EvaluationError(f"holdout firms overlap the training universe: {sorted(overlap)}")
     tickers = sorted(holdout.tickers)
-    firms, fms = [], []
     for ticker in tickers:
         if ticker not in universe:
             raise EvaluationError(f"holdout ticker {ticker} missing from the universe")
-        data, fm = _holdout_firm(universe[ticker], experts, policy, settings)
-        firms.append(data)
-        fms.append(fm)
+    pairs = [_holdout_firm(universe[t], experts, policy, settings) for t in tickers]
+    firms, fms = [data for data, _ in pairs], [fm for _, fm in pairs]
     gates = [gate_for_regime(fm.regime, settings.gate_table) for fm in fms]
-    scores = _horizon_scores(experts.lstm, firms, fms, gates, settings.horizons)
-    return tuple(
-        MetricRecord(ticker, HOLDOUT_FOLD_ID, HOLDOUT_SPLIT, fm.regime, h, model, **cell)
-        for ticker, fm, firm_scores in zip(tickers, fms, scores)
-        for h, model, cell in firm_scores
+    records = _horizon_records(
+        experts.lstm, firms, fms, gates, settings.horizons, HOLDOUT_FOLD_ID, HOLDOUT_SPLIT
     )
+    return tuple(record for firm_records in records for record in firm_records)

@@ -208,7 +208,8 @@ def load_csv(path) -> dict[str, PriceSeries]:
     series is sorted by date.  Every malformed row is reported with its
     1-based line number.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    # utf-8-sig drops the byte-order mark that Excel writes before the header
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from moecast import cli
 from moecast.cli import main
 from moecast.config import parse_config, parse_config_text
 from moecast.errors import ConfigError
@@ -322,3 +323,14 @@ class TestCli:
         out = capsys.readouterr().out
         config = parse_config(cfg, seed_override=123)
         assert config.short_fingerprint in out
+
+
+def test_seed_flag_without_config_is_an_explicit_seed(monkeypatch):
+    resolved = []
+    monkeypatch.setattr(cli, "cmd_classify", lambda config: resolved.append(config) or 0)
+    assert main(["--seed", "5", "classify"]) == 0
+    (config,) = resolved
+    assert config["seed"] == 5
+    assert "seed" in config.explicit
+    assert config.fingerprint == parse_config_text("seed = 5").fingerprint
+    assert config == parse_config_text("", seed_override=5)

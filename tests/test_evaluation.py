@@ -46,7 +46,7 @@ from moecast.market_data import (
     WindowMode,
     generate_synthetic,
 )
-from moecast.regime import RegimeLabel, RegimePolicy
+from moecast.regime import PolicyKind, RegimeLabel, RegimePolicy
 
 FAST_TRAIN = TrainConfig(batch_size=8, max_epochs=3, patience=3, seed=0)
 
@@ -672,3 +672,68 @@ class TestParallelBacktest:
         assert evaluation._in_parallel([os.getpid]) == [os.getpid()]
         one_core(monkeypatch)
         assert evaluation._in_parallel([os.getpid] * 3) == [os.getpid()] * 3
+
+
+def sample_std(x) -> float:
+    x = np.asarray(x, dtype=float)
+    return float(np.sqrt(((x - x.mean()) ** 2).sum() / (len(x) - 1)))
+
+
+@pytest.mark.parametrize(
+    "mode, policy",
+    [
+        (WindowMode.PRICE_LEVELS, RegimePolicy.median(vol_window=10)),
+        (WindowMode.LOG_RETURNS, RegimePolicy.threshold(vol_window=10, tau=0.02)),
+    ],
+    ids=["price_levels-median", "log_returns-threshold"],
+)
+def test_fold_models_match_own_sigma_regime_and_least_squares(tiny_universe, mode, policy):
+    """Every fold model's σ, regime and linear expert, recomputed in plain numpy.
+
+    A target's σ is the sample deviation of the ``vol_window`` returns of the
+    fold's own prices that end with the price move into that target: the
+    return into price g for a price level, and return g itself for log
+    return g.  The linear expert is least squares of the standardized
+    training targets on ``[1, t, σ]`` over the targets whose σ is defined.
+    """
+    log_mode = mode is WindowMode.LOG_RETURNS
+    # two sliding folds, the second starting at 10, in either mode
+    plan = plan_walk_forward(59 if log_mode else 60, 40, 9, 10)
+    settings = fast_settings(mode=mode)
+    result = run_walk_forward(tiny_universe, plan, policy, settings)
+    assert [f.train_range.start for f in plan.folds] == [0, 10]
+    vw = policy.vol_window
+    for fold in plan.folds:
+        ts, te = fold.train_range.start, fold.train_range.stop
+        sigmas = {}
+        for ticker, series in tiny_universe.items():
+            prices = series.prices[ts:]
+            if policy.kind is PolicyKind.THRESHOLD:
+                returns = np.diff(prices) / prices[:-1]
+            else:
+                returns = np.diff(np.log(prices))
+            values = np.diff(np.log(series.prices)) if log_mode else series.prices
+
+            def sigma_at(g):
+                last = g - ts - (0 if log_mode else 1)  # the move into target g
+                return sample_std(returns[last - vw + 1:last + 1]) if last >= vw - 1 else None
+
+            fm = result.models[(ticker, fold.fold_id)]
+            sigmas[ticker] = sigma_at(te - 1)
+            assert fm.sigma == pytest.approx(sigmas[ticker], rel=1e-12)
+
+            train = values[ts:te]
+            rows = [g for g in range(ts + settings.window, te) if sigma_at(g) is not None]
+            design = np.column_stack([np.ones(len(rows)), rows, [sigma_at(g) for g in rows]])
+            y = (values[rows] - train.mean()) / train.std(ddof=1)
+            beta = np.linalg.lstsq(design, y, rcond=None)[0]
+            np.testing.assert_allclose(fm.linear.as_array(), beta, rtol=1e-6, atol=1e-9)
+
+        if policy.kind is PolicyKind.THRESHOLD:
+            boundary = policy.tau
+        else:
+            boundary = float(np.median(list(sigmas.values())))
+        for ticker, sigma in sigmas.items():
+            expected = RegimeLabel.VOLATILE if sigma > boundary else RegimeLabel.STABLE
+            assert result.models[(ticker, fold.fold_id)].regime is expected
+            assert result.assignments[fold.fold_id].labels[ticker] is expected

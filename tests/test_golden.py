@@ -63,3 +63,57 @@ def test_criterion_8_records_match_golden_digest(tmp_path, monkeypatch):
 
     assert digest("records") == GOLDEN_RECORDS_SHA256
     assert digest("predictions") == GOLDEN_PREDICTIONS_SHA256
+
+
+GOLDEN_MODELS_SHA256 = "ad897bde4414896820a51b23dd7b743e97762f5000ad77bc3794adc3d632ccc7"
+
+# The golden configuration on the σ branches its digests above do not reach:
+# log returns, where a target's σ ends with the target's own return, and the
+# threshold rule, under which every firm is labelled against a fixed tau;
+# expanding folds all train from index 0.  (extra lines, fingerprint,
+# records sha256, predictions sha256)
+SIGMA_BRANCH_CASES = [
+    (
+        "data.mode = log_returns\nvol.policy = threshold\n",
+        "0c742df2ad13",
+        "f51d0013b33c27a47892ade7e8165fcdc6820d3fad932541fb066033249da71c",
+        "e97202f7ceca6bac5e4b481f9c44b4382b4fa417352fd929dbbc1b8a94fc3285",
+    ),
+    (
+        "vol.policy = threshold\nwf.mode = expanding\n",
+        "e2e8d88a5111",
+        "6539282399d3cb4dc5e72dc971790f2edd26697ee63c55c311775d85833290a0",
+        "150dbbbbe6483425d33e0fee187b14bd74125fbdd0e0b3c0a88f2c68f361adde",
+    ),
+]
+
+
+def run_backtest_in(tmp_path, monkeypatch, config_text: str):
+    """Synthesize and backtest ``config_text`` in ``tmp_path``; return the reports dir."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text(config_text, encoding="utf-8")
+    assert main(["--config", "run.cfg", "synth"]) == 0
+    assert main(["--config", "run.cfg", "backtest"]) == 0
+    return tmp_path / "reports"
+
+
+def sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_criterion_8_models_match_golden_digest(tmp_path, monkeypatch):
+    reports = run_backtest_in(tmp_path, monkeypatch, GOLDEN_CONFIG)
+    assert sha256(reports / f"models_{GOLDEN_FINGERPRINT}.npz") == GOLDEN_MODELS_SHA256
+
+
+@pytest.mark.parametrize(
+    "extra, fingerprint, records_sha256, predictions_sha256",
+    SIGMA_BRANCH_CASES,
+    ids=["log_returns-threshold", "threshold-expanding"],
+)
+def test_sigma_branches_match_golden_digests(
+    tmp_path, monkeypatch, extra, fingerprint, records_sha256, predictions_sha256
+):
+    reports = run_backtest_in(tmp_path, monkeypatch, GOLDEN_CONFIG + extra)
+    assert sha256(reports / f"records_{fingerprint}.csv") == records_sha256
+    assert sha256(reports / f"predictions_{fingerprint}.csv") == predictions_sha256

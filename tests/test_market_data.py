@@ -110,6 +110,14 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="header"):
             load_csv(path)
 
+    def test_byte_order_mark_before_header_accepted(self, tmp_path):
+        # Excel writes a UTF-8 byte-order mark before the header
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbfticker,date,adj_close\nAAA,2020-01-01,10\nAAA,2020-01-02,11\n")
+        out = load_csv(path)
+        assert list(out) == ["AAA"]
+        np.testing.assert_array_equal(out["AAA"].prices, [10.0, 11.0])
+
     def test_write_then_load_round_trip(self, tmp_path):
         universe = generate_synthetic(SyntheticSpec(n_stable=2, n_volatile=1, length=40), seed=5)
         path = tmp_path / "u.csv"
