@@ -35,13 +35,12 @@ def main():
           f"std {dataset.scaler.std:.2f}")
 
     # LSTM expert: last fifth of the training samples drives early stopping
-    train = dataset.restrict(w, train_end)
-    split = len(train) - len(train) // 5
+    train = dataset.t_index < train_end
+    inputs, targets = dataset.inputs[train], dataset.targets[train]
+    split = len(targets) - len(targets) // 5
     cfg = TrainConfig(max_epochs=25, patience=5, seed=1)
     lstm, history = train_early_stopping(
-        train.inputs[:split], train.targets[:split],
-        train.inputs[split:], train.targets[split:],
-        cfg, hidden=20,
+        inputs[:split], targets[:split], inputs[split:], targets[split:], cfg, hidden=20,
     )
     print(f"LSTM trained for {len(history)} epochs, "
           f"best validation MAE {history[-1].best_val_mae:.4f}")

@@ -4,7 +4,6 @@ from .errors import ConfigError, DataError, EvaluationError, FitError, MoecastEr
 from .market_data import (
     PricePoint,
     PriceSeries,
-    ReturnKind,
     ReturnSeries,
     Scaler,
     SyntheticSpec,
@@ -36,10 +35,8 @@ from .lstm_expert import (
     TrainConfig,
     adam_step,
     backward_bptt,
-    cell_step,
     forward_batch,
     init_params,
-    loss_mse,
     predict_lstm,
     train_early_stopping,
 )

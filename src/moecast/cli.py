@@ -20,23 +20,13 @@ from .evaluation import (
     forecast_paths,
     holdout_models,
     plan_walk_forward,
-    returns_for_policy,
     run_backtest,
     HoldoutSpec,
-    n_values,
 )
-from .market_data import (
-    PriceSeries,
-    WindowMode,
-    generate_synthetic,
-    load_csv,
-    log_returns,
-    rolling_volatility,
-    write_csv,
-)
+from .market_data import PriceSeries, generate_synthetic, load_csv, write_csv
 from .model_store import ModelStore
 from .moe import gate_for_regime
-from .regime import PolicyKind, classify_median, label_for, rank_by_volatility
+from .regime import rank_by_volatility
 from .reporting import (
     predictions_to_csv,
     records_from_csv,
@@ -88,17 +78,9 @@ def cmd_synth(config: RunConfig, out_path: str | None) -> int:
 def cmd_classify(config: RunConfig) -> int:
     universe = _load_universe(config)
     policy = config.policy_for_classify()
-    sigmas = {}
-    for ticker in sorted(universe):
-        vol = rolling_volatility(returns_for_policy(universe[ticker], policy), policy.vol_window)
-        sigmas[ticker] = float(vol.values[-1])
-    if policy.kind is PolicyKind.THRESHOLD:
-        labels = {t: label_for(s, policy.tau) for t, s in sigmas.items()}
-        rule = f"threshold (window {policy.vol_window}, tau {policy.tau})"
-    else:
-        labels = classify_median(sigmas)
-        rule = f"cross-sectional median (window {policy.vol_window})"
-    print(f"regime classification by {rule}")
+    sigmas = {t: float(policy.volatility(universe[t]).values[-1]) for t in sorted(universe)}
+    labels = policy.labels(sigmas)
+    print(f"regime classification by {policy.describe()}")
     print(f"{'ticker':<10}{'sigma':>12}  regime")
     for ticker in sorted(universe):
         print(f"{ticker:<10}{sigmas[ticker]:>12.6f}  {labels[ticker].value}")
@@ -113,11 +95,7 @@ def _select_holdout(
         return dict(universe), None
     policy = config.policy_for_backtest()
     mean_sigma = {
-        ticker: float(
-            rolling_volatility(
-                returns_for_policy(series, policy), policy.vol_window
-            ).values.mean()
-        )
+        ticker: float(policy.volatility(series).values.mean())
         for ticker, series in universe.items()
     }
     top, bottom = rank_by_volatility(mean_sigma, k)
@@ -133,7 +111,7 @@ def cmd_backtest(config: RunConfig) -> int:
     settings = config.backtest_settings()
     policy = config.policy_for_backtest()
     train_universe, holdout = _select_holdout(universe, config)
-    n = min(n_values(s, settings.mode) for s in train_universe.values())
+    n = min(len(s) - settings.mode.offset for s in train_universe.values())
     plan = plan_walk_forward(
         n, config["wf.init_train"], config["wf.val_len"], config["wf.step"],
         config.train_mode(),
@@ -192,9 +170,7 @@ def cmd_forecast(config: RunConfig, ticker: str, horizon: int) -> int:
             series, store.pooled, config.policy_for_backtest(), config.backtest_settings()
         )
         source = "pooled experts"
-    values = (
-        series.prices if fm.mode is WindowMode.PRICE_LEVELS else log_returns(series).values
-    )
+    values = fm.mode.values(series)
     if len(values) < fm.launch_t:
         raise DataError(f"{ticker}: series shorter than the stored launch index")
     standardized = fm.scaler.apply(values)
@@ -207,13 +183,12 @@ def cmd_forecast(config: RunConfig, ticker: str, horizon: int) -> int:
         ).items()
     }
     dates = series.dates
-    date_offset = 0 if fm.mode is WindowMode.PRICE_LEVELS else 1
     print(stamp(config.fingerprint, config["seed"]).rstrip("\n"))
     print(f"# {ticker}: recursive {horizon}-step forecast from index {fm.launch_t} "
           f"({source}, regime {fm.regime.value})")
     print("step,date,linear,lstm,moe")
     for j in range(horizon):
-        idx = fm.launch_t + j + date_offset
+        idx = fm.launch_t + j + fm.mode.offset
         if idx < len(dates):
             date = dates[idx].isoformat()
         else:

@@ -9,8 +9,12 @@ reads, classifications, and parameters are all functions of data strictly
 before the validation start, which the tests assert by perturbation.
 
 Each target is paired with its volatility σ in one statement, in
-``_prepare_fold_firm``; the linear design, the regime labels and the σ every
-forecast freezes all read that per-row array, in fold, pooled and holdout fits.
+``_prepare_fold_firm``: the window of the policy's returns
+(:meth:`RegimePolicy.volatility`) that ends at return ``t + mode.offset - 1``,
+the return into the target's price.  The linear design, the regime labels and
+the σ every forecast freezes all read that per-row array, in fold, pooled and
+holdout fits.  Which values a window holds belongs to :class:`WindowMode`, and
+how σs become labels to :class:`RegimePolicy`; nothing here branches on either.
 
 The firms of a fold share their train and validation ranges, so they are
 fitted and scored as one stack: one stacked LSTM fit, one horizon-1 forward
@@ -46,25 +50,9 @@ import numpy as np
 from .errors import DataError, EvaluationError, FitError
 from .linear_expert import LinearParams, fit_ols, predict_linear
 from .lstm_expert import LstmParams, TrainConfig, predict_lstm, train_early_stopping
-from .market_data import (
-    PriceSeries,
-    ReturnSeries,
-    Scaler,
-    WindowMode,
-    log_returns,
-    make_windows,
-    rolling_volatility,
-    simple_returns,
-)
+from .market_data import PriceSeries, Scaler, WindowMode, make_windows
 from .moe import DEFAULT_GATE_TABLE, GateWeights, blend, gate_for_regime
-from .regime import (
-    PolicyKind,
-    RegimeAssignment,
-    RegimeLabel,
-    RegimePolicy,
-    classify_median,
-    label_for,
-)
+from .regime import RegimeAssignment, RegimeLabel, RegimePolicy
 
 __all__ = [
     "MODELS",
@@ -86,7 +74,6 @@ __all__ = [
     "rmse",
     "mase",
     "improvement_pct",
-    "n_values",
     "plan_walk_forward",
     "recursive_forecast",
     "lstm_one_step",
@@ -106,6 +93,9 @@ MODELS = ("Linear", "LSTM", "MoE")
 WALK_FORWARD_SPLIT = "walk_forward"
 HOLDOUT_SPLIT = "holdout"
 HOLDOUT_FOLD_ID = -1
+
+# the share of a fit's training rows, at its end, that drives early stopping
+ES_VAL_FRACTION = 0.2
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +422,6 @@ class BacktestSettings:
     )
     horizons: HorizonSpec = HorizonSpec()
     seed: int = 42
-    es_val_fraction: float = 0.2
 
 
 @dataclass(frozen=True)
@@ -477,17 +466,6 @@ def task_seed(global_seed: int, ticker: str, fold_id: int) -> int:
     return int(seq.generate_state(1, dtype=np.uint32)[0])
 
 
-def returns_for_policy(series: PriceSeries, policy: RegimePolicy) -> ReturnSeries:
-    """Simple returns feed the threshold rule; log returns feed the median rule."""
-    if policy.kind is PolicyKind.THRESHOLD:
-        return simple_returns(series)
-    return log_returns(series)
-
-
-def n_values(series: PriceSeries, mode: WindowMode) -> int:
-    return len(series) if mode is WindowMode.PRICE_LEVELS else len(series) - 1
-
-
 @dataclass(frozen=True)
 class _FoldFirmData:
     """One firm's view of a single fold, as plain arrays.
@@ -520,17 +498,17 @@ def _prepare_fold_firm(
     settings: BacktestSettings,
 ) -> _FoldFirmData:
     ts, te = fold.train_range.start, fold.train_range.stop
-    # the values [ts, val end) in this mode; a return also needs the price after it
-    end = fold.val_range.stop + len(series) - n_values(series, settings.mode)
+    # the prices behind the values [ts, val end); a log return also needs the price after it
+    end = fold.val_range.stop + settings.mode.offset
     slice_series = PriceSeries(series.ticker, series.points[ts:end])
     dataset = make_windows(slice_series, settings.window, settings.mode, train_end=te - ts)
-    vol = rolling_volatility(returns_for_policy(slice_series, policy), policy.vol_window)
-    # The one place a target meets its σ: the target at local index t reads
-    # the volatility window ending with return t - 1 (the return into price
-    # t) for a price level, or with return t (the target itself) for a log
-    # return.  ``vol.values[j]`` ends with return ``vol_window - 1 + j``.
+    vol = policy.volatility(slice_series)
+    # The one place a target meets its σ: the target at local index t sits at
+    # price t + offset and reads the volatility window ending with return
+    # t + offset - 1, the return into that price (for a log return, the
+    # target itself).  ``vol.values[j]`` ends with return ``vol_window - 1 + j``.
     sigma = np.concatenate([np.full(vol.first_return_index, np.nan), vol.values])[
-        dataset.t_index - (1 if settings.mode is WindowMode.PRICE_LEVELS else 0)
+        dataset.t_index + settings.mode.offset - 1
     ]
     data = _FoldFirmData(
         series.ticker, dataset.inputs, dataset.targets, sigma, dataset.scaler,
@@ -574,7 +552,7 @@ def _fit_fold_experts(
     The firms of a fold share one training range, so their early-stopping
     splits stack; firm ``k`` trains with its own ``task_seed``.
     """
-    splits = [_early_stopping_split(data, settings.es_val_fraction) for data in firms]
+    splits = [_early_stopping_split(data, ES_VAL_FRACTION) for data in firms]
     linears = [fit_ols(*_linear_design(data)).params for data in firms]
     seeds = tuple(task_seed(settings.seed, data.ticker, fold_id) for data in firms)
     try:
@@ -661,11 +639,7 @@ def _run_fold(
            RegimeAssignment]:
     """One fold of the walk-forward: its records, models, predictions and regime split."""
     firms = [_prepare_fold_firm(universe[t], fold, policy, settings) for t in sorted(universe)]
-    sigmas = {data.ticker: data.sigma_frozen for data in firms}
-    if policy.kind is PolicyKind.THRESHOLD:
-        labels = {ticker: label_for(sigma, policy.tau) for ticker, sigma in sigmas.items()}
-    else:
-        labels = classify_median(sigmas)
+    labels = policy.labels({data.ticker: data.sigma_frozen for data in firms})
     assignment = RegimeAssignment(fold.fold_id, labels, policy, fold.train_range.stop - 1)
 
     lstm, linears = _fit_fold_experts(firms, settings, fold.fold_id)
@@ -785,7 +759,7 @@ def run_backtest(
         raise EvaluationError("universe is empty")
     horizon_end = plan.folds[-1].val_range.stop
     for ticker in sorted(train):
-        have = n_values(train[ticker], settings.mode)
+        have = len(train[ticker]) - settings.mode.offset
         if have < horizon_end:
             raise EvaluationError(
                 f"{ticker}: series provides {have} observations, plan needs {horizon_end}"
@@ -842,7 +816,7 @@ class PooledExperts:
     linear: LinearParams
     launch_t: int
     training_tickers: tuple[str, ...]
-    decision_sigma: float | None  # frozen median boundary (median policy only)
+    decision_sigma: float | None  # RegimePolicy.frozen_boundary of the firms' σs
 
 
 def fit_pooled_experts(
@@ -862,20 +836,18 @@ def fit_pooled_experts(
         raise EvaluationError("pooled training universe is empty")
     tickers = sorted(train_universe)
     for ticker in tickers:
-        if n_values(train_universe[ticker], settings.mode) < launch_t + 1:
+        if len(train_universe[ticker]) - settings.mode.offset < launch_t + 1:
             raise EvaluationError(f"{ticker}: too short for launch index {launch_t}")
     fold = FoldSpec(0, range(0, launch_t), range(launch_t, launch_t + 1))
     firms = [_prepare_fold_firm(train_universe[t], fold, policy, settings) for t in tickers]
-    splits = [_early_stopping_split(data, settings.es_val_fraction) for data in firms]
+    splits = [_early_stopping_split(data, ES_VAL_FRACTION) for data in firms]
     cfg = replace(settings.train, seed=task_seed(settings.seed, "__pooled__", HOLDOUT_FOLD_ID))
     lstm_params, _ = train_early_stopping(
         *(np.concatenate(part) for part in zip(*splits)), cfg, hidden=settings.hidden
     )
     design = (np.concatenate(part) for part in zip(*map(_linear_design, firms)))
     linear_params = fit_ols(*design).params
-    decision = None
-    if policy.kind is PolicyKind.CROSS_SECTIONAL_MEDIAN:
-        decision = float(np.median([data.sigma_frozen for data in firms]))
+    decision = policy.frozen_boundary([data.sigma_frozen for data in firms])
     return PooledExperts(lstm_params, linear_params, launch_t, tuple(tickers), decision)
 
 
@@ -886,19 +858,17 @@ def _holdout_firm(
     settings: BacktestSettings,
 ) -> tuple[_FoldFirmData, FoldModels]:
     launch = experts.launch_t
-    n_vals = n_values(series, settings.mode)
+    n_vals = len(series) - settings.mode.offset
     if n_vals < launch + 1:
         raise EvaluationError(f"{series.ticker}: too short to evaluate at launch index {launch}")
     fold = FoldSpec(HOLDOUT_FOLD_ID, range(0, launch), range(launch, n_vals))
     data = _prepare_fold_firm(series, fold, policy, settings)
-    sigma = data.sigma_frozen
-    boundary = policy.tau if policy.kind is PolicyKind.THRESHOLD else experts.decision_sigma
     return data, FoldModels(
         lstm=experts.lstm,
         linear=experts.linear,
         scaler=data.scaler,
-        sigma=sigma,
-        regime=label_for(sigma, boundary),
+        sigma=data.sigma_frozen,
+        regime=policy.label_unseen(data.sigma_frozen, experts.decision_sigma),
         launch_t=launch,
         window=settings.window,
         mode=settings.mode,

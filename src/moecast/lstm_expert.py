@@ -49,9 +49,7 @@ __all__ = [
     "Tape",
     "EpochRecord",
     "init_params",
-    "cell_step",
     "forward_batch",
-    "loss_mse",
     "backward_bptt",
     "adam_step",
     "train_early_stopping",
@@ -265,28 +263,6 @@ def _head(params: LstmParams, h: np.ndarray) -> np.ndarray:
     return (h @ params.W_y.swapaxes(-1, -2))[..., 0] + params.b_y
 
 
-def cell_step(
-    params: LstmParams, x_t: np.ndarray, h: np.ndarray, C: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """One LSTM cell update ``(h', C')`` for a single (unbatched) input vector.
-
-    Written gate by gate, apart from :func:`_cell`, as the reference the
-    batched forward pass is tested against.
-    """
-    x_t = np.asarray(x_t, dtype=float).reshape(-1)
-    if x_t.shape[0] != params.input_dim:
-        raise FitError(f"input has dim {x_t.shape[0]}, parameters expect {params.input_dim}")
-    if h.shape != (params.hidden,) or C.shape != (params.hidden,):
-        raise FitError("state vectors do not match the hidden size")
-    z = np.concatenate([h, x_t])
-    f = _sigmoid(params.W_f @ z + params.b_f)
-    i = _sigmoid(params.W_i @ z + params.b_i)
-    cbar = np.tanh(params.W_C @ z + params.b_C)
-    C_new = f * C + i * cbar
-    o = _sigmoid(params.W_o @ z + params.b_o)
-    return o * np.tanh(C_new), C_new
-
-
 def forward_batch(params: LstmParams, inputs: np.ndarray) -> tuple[np.ndarray, Tape]:
     """Run a batch of sequences from a zero state and apply the output head.
 
@@ -319,18 +295,6 @@ def _run(
             caches.append((z, C) + out)
         *_, C, _, h = out
     return _head(params, h)
-
-
-def loss_mse(predictions, targets) -> float:
-    predictions = np.asarray(predictions, dtype=float)
-    targets = np.asarray(targets, dtype=float)
-    if predictions.shape != targets.shape or predictions.size == 0:
-        raise FitError(
-            f"predictions and targets must share a non-empty shape, "
-            f"got {predictions.shape} and {targets.shape}"
-        )
-    diff = predictions - targets
-    return float((diff * diff).mean())
 
 
 def backward_bptt(params: LstmParams, targets: np.ndarray, tape: Tape) -> LstmParams:

@@ -19,7 +19,6 @@ import numpy as np
 from .errors import DataError
 
 __all__ = [
-    "ReturnKind",
     "WindowMode",
     "PricePoint",
     "PriceSeries",
@@ -41,14 +40,23 @@ __all__ = [
 CSV_HEADER = ("ticker", "date", "adj_close")
 
 
-class ReturnKind(enum.Enum):
-    SIMPLE = "simple"
-    LOG = "log"
-
-
 class WindowMode(enum.Enum):
+    """Which values a firm's windows range over: its prices or its log returns.
+
+    Value ``t`` sits at price and date index ``t + offset``: a price level is
+    its own price, and log return ``t`` is the move into price ``t + 1``.
+    """
+
     PRICE_LEVELS = "price_levels"
     LOG_RETURNS = "log_returns"
+
+    @property
+    def offset(self) -> int:
+        return 0 if self is WindowMode.PRICE_LEVELS else 1
+
+    def values(self, series: PriceSeries) -> np.ndarray:
+        """The firm's values in this mode, ``len(series) - offset`` of them."""
+        return series.prices if self is WindowMode.PRICE_LEVELS else log_returns(series).values
 
 
 def _frozen(values) -> np.ndarray:
@@ -103,7 +111,6 @@ class ReturnSeries:
 
     ticker: str
     values: np.ndarray
-    kind: ReturnKind
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", _frozen(self.values))
@@ -176,7 +183,6 @@ class WindowedDataset:
     targets: np.ndarray
     t_index: np.ndarray
     scaler: Scaler
-    mode: WindowMode
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "inputs", _frozen(self.inputs))
@@ -187,18 +193,6 @@ class WindowedDataset:
 
     def __len__(self) -> int:
         return len(self.targets)
-
-    @property
-    def window(self) -> int:
-        return self.inputs.shape[1]
-
-    def restrict(self, t_lo: int, t_hi: int) -> "WindowedDataset":
-        """Samples whose target index lies in ``[t_lo, t_hi)``."""
-        keep = (self.t_index >= t_lo) & (self.t_index < t_hi)
-        return WindowedDataset(
-            self.ticker, self.inputs[keep], self.targets[keep],
-            self.t_index[keep], self.scaler, self.mode,
-        )
 
 
 def load_csv(path) -> dict[str, PriceSeries]:
@@ -265,7 +259,7 @@ def simple_returns(series: PriceSeries) -> ReturnSeries:
     prices = series.prices
     if len(prices) < 2:
         raise DataError(f"{series.ticker}: need at least 2 prices for returns, got {len(prices)}")
-    return ReturnSeries(series.ticker, np.diff(prices) / prices[:-1], ReturnKind.SIMPLE)
+    return ReturnSeries(series.ticker, np.diff(prices) / prices[:-1])
 
 
 def log_returns(series: PriceSeries) -> ReturnSeries:
@@ -273,7 +267,7 @@ def log_returns(series: PriceSeries) -> ReturnSeries:
     prices = series.prices
     if len(prices) < 2:
         raise DataError(f"{series.ticker}: need at least 2 prices for returns, got {len(prices)}")
-    return ReturnSeries(series.ticker, np.diff(np.log(prices)), ReturnKind.LOG)
+    return ReturnSeries(series.ticker, np.diff(np.log(prices)))
 
 
 def rolling_volatility(returns: ReturnSeries, window: int) -> VolatilitySeries:
@@ -307,39 +301,27 @@ def fit_scaler(values) -> Scaler:
 
 
 def make_windows(
-    series: PriceSeries | ReturnSeries,
+    series: PriceSeries,
     w: int,
     mode: WindowMode,
     train_end: int,
 ) -> WindowedDataset:
-    """Build every overlapping ``(w inputs, next value)`` pair over a series.
+    """Build every overlapping ``(w inputs, next value)`` pair over a firm's values.
 
     Parameters
     ----------
     series:
-        A :class:`PriceSeries` in ``PRICE_LEVELS`` mode; a log
-        :class:`ReturnSeries` (or a price series, converted internally) in
-        ``LOG_RETURNS`` mode.
+        The firm's prices.
     w:
         Input window length.
     mode:
-        Which value sequence the windows range over.
+        Which values the windows range over (:meth:`WindowMode.values`).
     train_end:
         Exclusive index bounding the values the scaler may see.  Samples are
         still produced over the whole series; only standardization statistics
         are restricted.
     """
-    if mode is WindowMode.PRICE_LEVELS:
-        if not isinstance(series, PriceSeries):
-            raise DataError("price-level windows require a PriceSeries")
-        values = series.prices
-    else:
-        if isinstance(series, PriceSeries):
-            values = log_returns(series).values
-        elif series.kind is ReturnKind.LOG:
-            values = series.values
-        else:
-            raise DataError("log-return windows require log returns, got simple returns")
+    values = mode.values(series)
     n = len(values)
     if w < 1:
         raise DataError(f"window length must be positive, got {w}")
@@ -353,7 +335,7 @@ def make_windows(
     standardized = scaler.apply(values)
     inputs = np.lib.stride_tricks.sliding_window_view(standardized, w)[:-1]
     targets = standardized[w:]
-    return WindowedDataset(series.ticker, inputs, targets, np.arange(w, n), scaler, mode)
+    return WindowedDataset(series.ticker, inputs, targets, np.arange(w, n), scaler)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EvaluationError
-from .market_data import VolatilitySeries
+from .market_data import (
+    PriceSeries,
+    VolatilitySeries,
+    log_returns,
+    rolling_volatility,
+    simple_returns,
+)
 
 __all__ = [
     "RegimeLabel",
@@ -48,7 +54,10 @@ class RegimePolicy:
 
     Threshold policies read 30-day volatility of simple returns against a
     fixed cutoff; median policies read 21-day volatility of log returns
-    against the cross-section at each fold.
+    against the cross-section at each fold.  The policy is the one place
+    that knows which rule is active: callers ask it for a firm's volatility,
+    a fold's labels, the boundary a pooled fit freezes and an unseen firm's
+    label.
     """
 
     kind: PolicyKind
@@ -69,6 +78,40 @@ class RegimePolicy:
     @classmethod
     def median(cls, vol_window: int = DEFAULT_MEDIAN_WINDOW):
         return cls(PolicyKind.CROSS_SECTIONAL_MEDIAN, vol_window, None)
+
+    def describe(self) -> str:
+        """The rule and its parameters in words, as ``moecast classify`` prints them."""
+        if self.kind is PolicyKind.THRESHOLD:
+            return f"threshold (window {self.vol_window}, tau {self.tau})"
+        return f"cross-sectional median (window {self.vol_window})"
+
+    def volatility(self, series: PriceSeries) -> VolatilitySeries:
+        """Rolling volatility of the returns this rule reads: simple returns
+        under the threshold rule, log returns under the median rule."""
+        if self.kind is PolicyKind.THRESHOLD:
+            returns = simple_returns(series)
+        else:
+            returns = log_returns(series)
+        return rolling_volatility(returns, self.vol_window)
+
+    def labels(self, sigmas: dict[str, float]) -> dict[str, RegimeLabel]:
+        """Each firm's label from one fold's σs: against tau, or their median."""
+        if self.kind is PolicyKind.THRESHOLD:
+            return {ticker: label_for(sigma, self.tau) for ticker, sigma in sigmas.items()}
+        return classify_median(sigmas)
+
+    def frozen_boundary(self, sigmas: list[float]) -> float | None:
+        """What a pooled fit keeps to label unseen firms: the median of its
+        firms' σs under the median rule, nothing under the threshold rule."""
+        if self.kind is PolicyKind.THRESHOLD:
+            return None
+        return float(np.median(sigmas))
+
+    def label_unseen(self, sigma: float, frozen_boundary: float | None) -> RegimeLabel:
+        """An unseen firm's label: against tau, or the pooled fit's frozen median."""
+        if self.kind is PolicyKind.THRESHOLD:
+            return label_for(sigma, self.tau)
+        return label_for(sigma, frozen_boundary)
 
 
 @dataclass(frozen=True)

@@ -118,10 +118,8 @@ def predictions_to_csv(
     ordered = sorted(predictions, key=lambda p: (p.ticker, p.t_index, p.model, p.fold_id))
     dates_of = {ticker: universe[ticker].dates for ticker in {p.ticker for p in ordered}}
     for p in ordered:
-        dates = dates_of[p.ticker]
-        date_idx = p.t_index if mode is WindowMode.PRICE_LEVELS else p.t_index + 1
         writer.writerow(
-            [p.ticker, dates[date_idx].isoformat(), p.model,
+            [p.ticker, dates_of[p.ticker][p.t_index + mode.offset].isoformat(), p.model,
              repr(p.actual_raw), repr(p.predicted_raw)]
         )
     return out.getvalue()

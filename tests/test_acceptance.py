@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import record_criterion
+from reference import loss_mse
 
 from moecast.cli import main
 from moecast.evaluation import (
@@ -30,7 +31,6 @@ from moecast.lstm_expert import (
     backward_bptt,
     forward_batch,
     init_params,
-    loss_mse,
     train_early_stopping,
 )
 from moecast import lstm_expert

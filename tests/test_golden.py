@@ -117,3 +117,48 @@ def test_sigma_branches_match_golden_digests(
     reports = run_backtest_in(tmp_path, monkeypatch, GOLDEN_CONFIG + extra)
     assert sha256(reports / f"records_{fingerprint}.csv") == records_sha256
     assert sha256(reports / f"predictions_{fingerprint}.csv") == predictions_sha256
+
+
+GOLDEN_TICKERS = ("STB01", "STB02", "STB03", "VOL01", "VOL02", "VOL03")
+
+# The stdout of ``classify`` (each firm's σ, its label and the rule) and of
+# ``forecast --horizon 7`` for every ticker, the holdout firms included
+# (values, launch window and dates), on the golden configuration, on its log
+# returns with the threshold rule, and with the median rule for classify.
+# (extra lines, classify stdout sha256, forecast stdout sha256)
+STDOUT_CASES = [
+    (
+        "",
+        "b47e65b9ea030edd51023b0bd9efd0e176191170aed3877fc4794e3d97cc7fe3",
+        "3976a7e0412ff58d6e89970c997497586bfe589e7d613410c4bce3266cb2a082",
+    ),
+    (
+        "data.mode = log_returns\nvol.policy = threshold\n",
+        "b47e65b9ea030edd51023b0bd9efd0e176191170aed3877fc4794e3d97cc7fe3",
+        "0b8ce1231b2f11f9f9a4b10988125f68df0ba1df451f9a815e32f51cf839883d",
+    ),
+    (
+        "vol.policy = median\n",
+        "cce8e865eb062a68439afed72cc328029ca7a006fae5f027327db581b9bb975d",
+        "a8ecb34b2c7e2f697f313ea037908792c985a6f0ff3bdffd61e9421cd3f9fef2",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "extra, classify_sha256, forecast_sha256",
+    STDOUT_CASES,
+    ids=["golden", "log_returns-threshold", "median"],
+)
+def test_classify_and_forecast_stdout_match_golden_digests(
+    tmp_path, monkeypatch, capsys, extra, classify_sha256, forecast_sha256
+):
+    run_backtest_in(tmp_path, monkeypatch, GOLDEN_CONFIG + extra)
+    capsys.readouterr()
+    assert main(["--config", "run.cfg", "classify"]) == 0
+    classify_out = capsys.readouterr().out
+    for ticker in GOLDEN_TICKERS:
+        assert main(["--config", "run.cfg", "forecast", "--ticker", ticker, "--horizon", "7"]) == 0
+    forecast_out = capsys.readouterr().out
+    assert hashlib.sha256(classify_out.encode("utf-8")).hexdigest() == classify_sha256
+    assert hashlib.sha256(forecast_out.encode("utf-8")).hexdigest() == forecast_sha256

@@ -14,14 +14,13 @@ from moecast.lstm_expert import (
     TrainConfig,
     adam_step,
     backward_bptt,
-    cell_step,
     forward_batch,
     init_params,
-    loss_mse,
     predict_lstm,
     train_early_stopping,
 )
 from moecast import lstm_expert
+from reference import cell_step, loss_mse
 
 PARAM_FIELDS = lstm_expert.PARAM_FIELDS
 

@@ -12,7 +12,6 @@ from moecast.errors import DataError
 from moecast.market_data import (
     PricePoint,
     PriceSeries,
-    ReturnKind,
     ReturnSeries,
     SyntheticSpec,
     WindowMode,
@@ -180,7 +179,7 @@ class TestReturns:
 
 class TestRollingVolatility:
     def returns(self, values):
-        return ReturnSeries("TST", np.asarray(values, dtype=float), ReturnKind.SIMPLE)
+        return ReturnSeries("TST", np.asarray(values, dtype=float))
 
     def test_constant_returns_zero_volatility(self):
         vol = rolling_volatility(self.returns([0.01] * 10), window=4)

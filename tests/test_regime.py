@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from moecast.errors import EvaluationError
-from moecast.market_data import ReturnKind, ReturnSeries, rolling_volatility
+from moecast.market_data import ReturnSeries, rolling_volatility
 from moecast.regime import (
     PolicyKind,
     RegimeLabel,
@@ -19,7 +19,7 @@ from moecast.regime import (
 
 def make_vol(returns, window):
     return rolling_volatility(
-        ReturnSeries("TST", np.asarray(returns, dtype=float), ReturnKind.SIMPLE), window
+        ReturnSeries("TST", np.asarray(returns, dtype=float)), window
     )
 
 
