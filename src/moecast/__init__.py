@@ -2,7 +2,6 @@
 
 from .errors import ConfigError, DataError, EvaluationError, FitError, MoecastError
 from .market_data import (
-    PricePoint,
     PriceSeries,
     ReturnSeries,
     Scaler,

@@ -10,7 +10,6 @@ byte for byte.
 from __future__ import annotations
 
 import argparse
-import datetime as dt
 import sys
 from pathlib import Path
 
@@ -182,17 +181,12 @@ def cmd_forecast(config: RunConfig, ticker: str, horizon: int) -> int:
             fm.lstm, fm.linear, weights, window, float(fm.launch_t), fm.sigma, horizon
         ).items()
     }
-    dates = series.dates
     print(stamp(config.fingerprint, config["seed"]).rstrip("\n"))
     print(f"# {ticker}: recursive {horizon}-step forecast from index {fm.launch_t} "
           f"({source}, regime {fm.regime.value})")
     print("step,date,linear,lstm,moe")
     for j in range(horizon):
-        idx = fm.launch_t + j + fm.mode.offset
-        if idx < len(dates):
-            date = dates[idx].isoformat()
-        else:
-            date = (dates[-1] + dt.timedelta(days=idx - len(dates) + 1)).isoformat()
+        date = series.date_at(fm.launch_t + j + fm.mode.offset)
         row = ",".join(repr(float(paths[m][j])) for m in ("Linear", "LSTM", "MoE"))
         print(f"{j + 1},{date},{row}")
     return 0

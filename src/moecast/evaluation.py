@@ -500,7 +500,7 @@ def _prepare_fold_firm(
     ts, te = fold.train_range.start, fold.train_range.stop
     # the prices behind the values [ts, val end); a log return also needs the price after it
     end = fold.val_range.stop + settings.mode.offset
-    slice_series = PriceSeries(series.ticker, series.points[ts:end])
+    slice_series = PriceSeries(series.ticker, series.dates[ts:end], series.prices[ts:end])
     dataset = make_windows(slice_series, settings.window, settings.mode, train_end=te - ts)
     vol = policy.volatility(slice_series)
     # The one place a target meets its σ: the target at local index t sits at
@@ -746,7 +746,9 @@ def run_backtest(
     name.  With a holdout, :func:`fit_pooled_experts` fits those same firms
     up to the last fold's validation start and :func:`run_holdout` scores
     the held-out firms; without one the pooled experts are None and there
-    are no holdout records.
+    are no holdout records.  Every firm, held out or not, must carry the
+    first walk-forward firm's dates up to the plan's end (or its own), else
+    :class:`DataError`; firms are never re-aligned.
 
     Every fold, and the pooled fit with its holdout scoring, reads only its
     own inputs, so each is one task of :func:`_in_parallel`: they run on up
@@ -764,6 +766,17 @@ def run_backtest(
             raise EvaluationError(
                 f"{ticker}: series provides {have} observations, plan needs {horizon_end}"
             )
+    # a fold compares its firms on one day, so every firm, holdout firms
+    # included, must share the first walk-forward firm's dates up to the plan's end
+    first = min(train)
+    calendar = train[first].dates[:horizon_end + settings.mode.offset]
+    for ticker in sorted(universe):
+        dates = universe[ticker].dates[:len(calendar)]
+        bad = np.flatnonzero(dates != calendar[:len(dates)])
+        if bad.size:
+            k = bad[0]
+            raise DataError(f"{ticker}: date {dates[k]} at index {k} differs from "
+                            f"{first}'s {calendar[k]}; the firms must share one calendar")
 
     tasks = [functools.partial(_run_fold, train, fold, policy, settings) for fold in plan.folds]
     if holdout is not None:

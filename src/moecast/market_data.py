@@ -20,7 +20,6 @@ from .errors import DataError
 
 __all__ = [
     "WindowMode",
-    "PricePoint",
     "PriceSeries",
     "ReturnSeries",
     "VolatilitySeries",
@@ -59,50 +58,60 @@ class WindowMode(enum.Enum):
         return series.prices if self is WindowMode.PRICE_LEVELS else log_returns(series).values
 
 
-def _frozen(values) -> np.ndarray:
-    arr = np.array(values, dtype=float)
+def _frozen(values, dtype=float) -> np.ndarray:
+    arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
     return arr
 
 
-@dataclass(frozen=True)
-class PricePoint:
-    """One dated adjusted-close observation."""
-
-    date: dt.date
-    adj_close: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.adj_close) and self.adj_close > 0):
-            raise DataError(f"adj_close must be positive and finite, got {self.adj_close!r}")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PriceSeries:
-    """One firm's adjusted-close sequence, dates strictly increasing."""
+    """One firm's adjusted closes: ``dates`` (``datetime64[D]``, strictly
+    increasing) and ``prices`` (float64, positive and finite), two read-only
+    arrays of one length."""
 
     ticker: str
-    points: tuple[PricePoint, ...]
+    dates: np.ndarray
+    prices: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "points", tuple(self.points))
-        for prev, cur in zip(self.points, self.points[1:]):
-            if cur.date <= prev.date:
-                raise DataError(
-                    f"{self.ticker}: dates must be strictly increasing "
-                    f"({prev.date} followed by {cur.date})"
-                )
+        dates, prices = _frozen(self.dates, "datetime64[D]"), _frozen(self.prices)
+        if dates.ndim != 1 or dates.shape != prices.shape:
+            raise DataError(f"{self.ticker}: {dates.shape} dates but {prices.shape} prices")
+        bad = np.flatnonzero(~(np.isfinite(prices) & (prices > 0)))
+        if bad.size:
+            k = bad[0]
+            raise DataError(f"{self.ticker}: adj_close must be positive and finite, "
+                            f"got {float(prices[k])!r} on {dates[k]}")
+        # negated, so that a NaT date, which compares false, fails too
+        bad = np.flatnonzero(~(dates[1:] > dates[:-1]))
+        if bad.size:
+            k = bad[0]
+            raise DataError(f"{self.ticker}: dates must be strictly increasing "
+                            f"({dates[k]} followed by {dates[k + 1]})")
+        object.__setattr__(self, "dates", dates)
+        object.__setattr__(self, "prices", prices)
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.prices)
 
     @property
-    def prices(self) -> np.ndarray:
-        return _frozen([p.adj_close for p in self.points])
+    def points(self) -> np.recarray:
+        """The series as ``(date, adj_close)`` records; read ``dates`` and ``prices`` instead."""
+        return np.rec.fromarrays((self.dates, self.prices), names="date,adj_close")
 
-    @property
-    def dates(self) -> tuple[dt.date, ...]:
-        return tuple(p.date for p in self.points)
+    def date_at(self, index: int) -> np.datetime64:
+        """The date of observation ``index``, counting on past the last one.
+
+        Past the end, a series dated on weekdays only (trading days) steps by
+        business day, skipping weekends; any other series steps by calendar day.
+        """
+        past = index - (len(self) - 1)
+        if past <= 0:
+            return self.dates[index]
+        if np.is_busday(self.dates).all():
+            return np.busday_offset(self.dates[-1], past, roll="forward")
+        return self.dates[-1] + past
 
 
 @dataclass(frozen=True)
@@ -239,8 +248,8 @@ def load_csv(path) -> dict[str, PriceSeries]:
             rows.setdefault(ticker, []).append((date, price))
     out: dict[str, PriceSeries] = {}
     for ticker in sorted(rows):
-        pts = tuple(PricePoint(d, p) for d, p in sorted(rows[ticker]))
-        out[ticker] = PriceSeries(ticker, pts)
+        dates, prices = zip(*sorted(rows[ticker]))
+        out[ticker] = PriceSeries(ticker, dates, prices)
     return out
 
 
@@ -250,8 +259,10 @@ def write_csv(universe: dict[str, PriceSeries], path) -> None:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
         for ticker in sorted(universe):
-            for point in universe[ticker].points:
-                writer.writerow([ticker, point.date.isoformat(), repr(point.adj_close)])
+            series = universe[ticker]
+            # .tolist() gives dt.date and float; repr of a numpy float64 reads np.float64(...)
+            for date, price in zip(series.dates.tolist(), series.prices.tolist()):
+                writer.writerow([ticker, date.isoformat(), repr(price)])
 
 
 def simple_returns(series: PriceSeries) -> ReturnSeries:
@@ -408,7 +419,7 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> dict[str, PriceSeries]
     firm index)``, so regenerating with the same seed is bit-identical and
     adding firms never reshuffles existing ones.
     """
-    dates = [spec.start_date + dt.timedelta(days=k) for k in range(spec.length)]
+    dates = np.datetime64(spec.start_date, "D") + np.arange(spec.length)
     universe: dict[str, PriceSeries] = {}
     for group, count, maker in (
         (0, spec.n_stable, _stable_prices),
@@ -417,8 +428,6 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> dict[str, PriceSeries]
         prefix = "STB" if group == 0 else "VOL"
         for idx in range(count):
             rng = np.random.default_rng(np.random.SeedSequence([seed, group, idx]))
-            prices = maker(spec, rng)
             ticker = f"{prefix}{idx + 1:02d}"
-            points = tuple(PricePoint(d, float(p)) for d, p in zip(dates, prices))
-            universe[ticker] = PriceSeries(ticker, points)
+            universe[ticker] = PriceSeries(ticker, dates, maker(spec, rng))
     return universe

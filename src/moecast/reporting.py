@@ -116,10 +116,9 @@ def predictions_to_csv(
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["ticker", "date", "model", "actual", "predicted"])
     ordered = sorted(predictions, key=lambda p: (p.ticker, p.t_index, p.model, p.fold_id))
-    dates_of = {ticker: universe[ticker].dates for ticker in {p.ticker for p in ordered}}
     for p in ordered:
         writer.writerow(
-            [p.ticker, dates_of[p.ticker][p.t_index + mode.offset].isoformat(), p.model,
+            [p.ticker, str(universe[p.ticker].dates[p.t_index + mode.offset]), p.model,
              repr(p.actual_raw), repr(p.predicted_raw)]
         )
     return out.getvalue()

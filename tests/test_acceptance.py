@@ -35,7 +35,6 @@ from moecast.lstm_expert import (
 )
 from moecast import lstm_expert
 from moecast.market_data import (
-    PricePoint,
     PriceSeries,
     SyntheticSpec,
     generate_synthetic,
@@ -208,11 +207,9 @@ def test_criterion_6_no_leakage_probe():
         )
         perturbed = {}
         for ticker, series in universe.items():
-            points = list(series.points)
-            for k in range(80, 100):
-                p = points[k]
-                points[k] = PricePoint(p.date, p.adj_close * 1.31 + 2.0)
-            perturbed[ticker] = PriceSeries(ticker, tuple(points))
+            prices = series.prices.copy()
+            prices[80:100] = prices[80:100] * 1.31 + 2.0
+            perturbed[ticker] = PriceSeries(ticker, series.dates, prices)
         plan = plan_walk_forward(100, 80, 20, 20)
         settings = BacktestSettings(
             window=10, train=TrainConfig(), hidden=50, horizons=HorizonSpec(()), seed=42

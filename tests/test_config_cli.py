@@ -11,11 +11,12 @@ from moecast.config import parse_config, parse_config_text
 from moecast.errors import ConfigError
 from moecast.evaluation import HorizonSpec, plan_walk_forward, run_walk_forward
 from moecast.lstm_expert import predict_lstm
-from moecast.market_data import SyntheticSpec, generate_synthetic, load_csv
+from moecast.market_data import PriceSeries, SyntheticSpec, generate_synthetic, load_csv, write_csv
 from moecast.model_store import ModelStore
 from moecast.regime import PolicyKind, RegimeLabel
 from moecast.reporting import records_from_csv, records_to_csv, render_tables_text
 from test_evaluation import fast_settings, small_policy
+from test_golden import GOLDEN_CONFIG
 
 
 class TestParseConfig:
@@ -323,6 +324,35 @@ class TestCli:
         out = capsys.readouterr().out
         config = parse_config(cfg, seed_override=123)
         assert config.short_fingerprint in out
+
+
+def test_forecast_past_trading_days_skips_weekends(tmp_path, monkeypatch, capsys):
+    # the golden universe with its dates remapped to business days: the last
+    # close is on Thu 2015-07-16, so the steps past it skip the weekend
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text(GOLDEN_CONFIG, encoding="utf-8")
+    assert main(["--config", "run.cfg", "synth"]) == 0
+    universe = load_csv("prices.csv")
+    write_csv(
+        {
+            t: PriceSeries(t, np.busday_offset(s.dates[0], np.arange(len(s))), s.prices)
+            for t, s in universe.items()
+        },
+        "prices.csv",
+    )
+    assert main(["--config", "run.cfg", "backtest"]) == 0
+    capsys.readouterr()
+    assert main(["--config", "run.cfg", "forecast", "--ticker", "STB01", "--horizon", "26"]) == 0
+    dates = [
+        np.datetime64(line.split(",")[1])
+        for line in capsys.readouterr().out.splitlines() if line[:1].isdigit()
+    ]
+    assert len(dates) == 26
+    assert np.is_busday(dates).all()
+    assert np.all(np.diff(dates) >= np.timedelta64(1, "D"))
+    past = [str(d) for d in dates if d > np.datetime64("2015-07-16")]
+    assert past[:4] == ["2015-07-17", "2015-07-20", "2015-07-21", "2015-07-22"]
+    assert len(past) == len(set(past))
 
 
 def test_seed_flag_without_config_is_an_explicit_seed(monkeypatch):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moecast import evaluation
-from moecast.errors import EvaluationError, FitError
+from moecast.errors import DataError, EvaluationError, FitError
 from moecast.evaluation import (
     BacktestSettings,
     HoldoutSpec,
@@ -40,7 +40,6 @@ from moecast.linear_expert import LinearParams, predict_linear
 from moecast.lstm_expert import PARAM_FIELDS, TrainConfig, init_params, predict_lstm
 from moecast.moe import GateWeights, blend, gate_for_regime
 from moecast.market_data import (
-    PricePoint,
     PriceSeries,
     SyntheticSpec,
     WindowMode,
@@ -362,12 +361,12 @@ class TestRunWalkForward:
         plan = plan_walk_forward(50, 40, 10, 10)
         perturbed = {}
         for ticker, series in tiny_universe.items():
-            points = list(series.points)
-            for k in range(40, 50):
-                p = points[k]
-                points[k] = PricePoint(p.date, p.adj_close * 1.25 + 1.0)
-            perturbed[ticker] = PriceSeries(ticker, tuple(points[:50]))
-        baseline = {t: PriceSeries(t, s.points[:50]) for t, s in tiny_universe.items()}
+            prices = series.prices[:50].copy()
+            prices[40:50] = prices[40:50] * 1.25 + 1.0
+            perturbed[ticker] = PriceSeries(ticker, series.dates[:50], prices)
+        baseline = {
+            t: PriceSeries(t, s.dates[:50], s.prices[:50]) for t, s in tiny_universe.items()
+        }
         a = run_walk_forward(baseline, plan, small_policy(), fast_settings())
         b = run_walk_forward(perturbed, plan, small_policy(), fast_settings())
         for key in a.models:
@@ -435,6 +434,41 @@ class TestRunWalkForward:
             w_rnn = 0.7 if group["MoE"].regime is RegimeLabel.VOLATILE else 0.3
             bound = w_rnn * group["LSTM"].mse + (1 - w_rnn) * group["Linear"].mse
             assert group["MoE"].mse <= bound + 1e-12
+
+
+class TestCalendarAlignment:
+    """A fold compares its firms on one day, so a universe must share one calendar."""
+
+    def test_a_firm_shifted_by_one_day_is_rejected(self, tiny_universe):
+        plan = plan_walk_forward(50, 40, 10, 10)
+        first, shifted = sorted(tiny_universe)[:2]
+        series = tiny_universe[shifted]
+        universe = dict(tiny_universe)
+        universe[shifted] = PriceSeries(shifted, series.dates + 1, series.prices)
+        want = f"{shifted}: date 2015-01-03 at index 0 differs from {first}'s 2015-01-02"
+        with pytest.raises(DataError, match=want):
+            run_backtest(universe, plan, small_policy(), fast_settings())
+
+    def test_a_misaligned_holdout_firm_is_rejected(self, pooled_setup):
+        universe, holdout, _, policy, settings = pooled_setup
+        plan = plan_walk_forward(60, 40, 10, 10)
+        ticker = holdout.tickers[0]
+        series = universe[ticker]
+        dates = series.dates.copy()
+        dates[30:] += 1
+        universe = {**universe, ticker: PriceSeries(ticker, dates, series.prices)}
+        with pytest.raises(DataError, match=f"{ticker}: date .* at index 30 differs"):
+            run_backtest(universe, plan, policy, settings, holdout)
+
+    def test_a_longer_firm_sharing_the_prefix_passes(self, tiny_universe):
+        plan = plan_walk_forward(50, 40, 10, 10)
+        longer = sorted(tiny_universe)[-1]
+        universe = {
+            t: PriceSeries(t, s.dates[:50], s.prices[:50]) for t, s in tiny_universe.items()
+        }
+        universe[longer] = tiny_universe[longer]
+        result, _, _ = run_backtest(universe, plan, small_policy(), fast_settings())
+        assert {t for t, _ in result.models} == set(tiny_universe)
 
 
 @pytest.fixture(scope="module")

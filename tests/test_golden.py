@@ -50,6 +50,18 @@ GOLDEN_RECORDS_SHA256 = "51d5f6173755ece343c271508c01616f7f269d7001c83b2eafb30fa
 GOLDEN_PREDICTIONS_SHA256 = "2c65d9f832c20f68a09832d5b59521d1514db93fbe0c1915d6dd408b96b7d72d"
 
 
+GOLDEN_PRICES_SHA256 = "436bde889e3dc5f33d05da7ee9629afa5b0acfb5597dab97118f8d7d031d9572"
+
+
+def test_synth_prices_match_golden_digest(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text(GOLDEN_CONFIG, encoding="utf-8")
+    assert main(["--config", "run.cfg", "synth"]) == 0
+    assert hashlib.sha256((tmp_path / "prices.csv").read_bytes()).hexdigest() == (
+        GOLDEN_PRICES_SHA256
+    )
+
+
 def test_criterion_8_records_match_golden_digest(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "run.cfg").write_text(GOLDEN_CONFIG, encoding="utf-8")

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from moecast.errors import DataError
 from moecast.market_data import (
-    PricePoint,
     PriceSeries,
     ReturnSeries,
     SyntheticSpec,
@@ -27,10 +26,7 @@ from moecast.market_data import (
 
 
 def series_from_prices(prices, ticker="TST", start=dt.date(2020, 1, 1)):
-    points = tuple(
-        PricePoint(start + dt.timedelta(days=k), float(p)) for k, p in enumerate(prices)
-    )
-    return PriceSeries(ticker, points)
+    return PriceSeries(ticker, np.datetime64(start, "D") + np.arange(len(prices)), prices)
 
 
 positive_prices = st.lists(
@@ -42,15 +38,71 @@ positive_prices = st.lists(
 
 class TestPriceTypes:
     def test_rejects_nonpositive_price(self):
+        d = dt.date(2020, 1, 1)
         with pytest.raises(DataError):
-            PricePoint(dt.date(2020, 1, 1), 0.0)
+            PriceSeries("X", [d], [0.0])
         with pytest.raises(DataError):
-            PricePoint(dt.date(2020, 1, 1), -1.0)
+            PriceSeries("X", [d], [-1.0])
 
     def test_rejects_nonincreasing_dates(self):
         d = dt.date(2020, 1, 1)
         with pytest.raises(DataError):
-            PriceSeries("X", (PricePoint(d, 1.0), PricePoint(d, 2.0)))
+            PriceSeries("X", [d, d], [1.0, 2.0])
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_each_bad_price_naming_its_date(self, bad):
+        dates = ["2020-01-01", "2020-01-02", "2020-01-03"]
+        with pytest.raises(DataError, match=r"X: adj_close .* on 2020-01-02"):
+            PriceSeries("X", dates, [1.0, bad, 2.0])
+
+    @pytest.mark.parametrize(
+        "dates, pair",
+        [
+            (["2020-01-01", "2020-01-02", "2020-01-02"], "2020-01-02 followed by 2020-01-02"),
+            (["2020-01-01", "2020-01-03", "2020-01-02"], "2020-01-03 followed by 2020-01-02"),
+        ],
+        ids=["equal", "decreasing"],
+    )
+    def test_rejects_nonincreasing_dates_naming_the_first_pair(self, dates, pair):
+        with pytest.raises(DataError, match=pair):
+            PriceSeries("X", dates, [1.0, 2.0, 3.0])
+
+    def test_rejects_lengths_that_differ(self):
+        with pytest.raises(DataError, match=r"X: \(2,\) dates but \(3,\) prices"):
+            PriceSeries("X", ["2020-01-01", "2020-01-02"], [1.0, 2.0, 3.0])
+
+    def test_arrays_are_stored_typed_and_read_only(self):
+        s = series_from_prices([1, 2, 3])
+        assert s.prices is s.prices and s.dates is s.dates
+        assert s.dates.dtype == np.dtype("datetime64[D]")
+        assert s.prices.dtype == np.float64
+        for arr in (s.dates, s.prices):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = arr[1]
+
+    def test_points_carry_the_arrays_values(self):
+        s = series_from_prices([3.5, 1.25, 7.0])
+        assert [p.adj_close for p in s.points] == s.prices.tolist()
+        assert [p.date for p in s.points] == s.dates.tolist()
+        assert s.dates.tolist() == [dt.date(2020, 1, k) for k in (1, 2, 3)]
+
+    def test_date_at_steps_calendar_days_past_a_series_with_weekends(self):
+        s = series_from_prices([1.0] * 5, start=dt.date(2020, 1, 1))  # Wed .. Sun
+        assert str(s.date_at(4)) == "2020-01-05"
+        assert [str(s.date_at(4 + k)) for k in (1, 2, 3)] == [
+            "2020-01-06", "2020-01-07", "2020-01-08"
+        ]
+
+    def test_date_at_steps_business_days_past_a_weekday_series(self):
+        dates = np.busday_offset("2020-01-01", np.arange(4))  # Wed, Thu, Fri, Mon
+        s = PriceSeries("X", dates, [1.0] * 4)
+        assert [str(s.date_at(k)) for k in range(4)] == [
+            "2020-01-01", "2020-01-02", "2020-01-03", "2020-01-06"
+        ]
+        assert [str(s.date_at(3 + k)) for k in (1, 2, 3, 4, 5)] == [
+            "2020-01-07", "2020-01-08", "2020-01-09", "2020-01-10", "2020-01-13"
+        ]
 
 
 class TestLoadCsv:
@@ -125,6 +177,9 @@ class TestLoadCsv:
         assert sorted(back) == sorted(universe)
         for ticker in universe:
             np.testing.assert_array_equal(back[ticker].prices, universe[ticker].prices)
+        again = tmp_path / "again.csv"
+        write_csv(back, again)
+        assert again.read_bytes() == path.read_bytes()
 
 
 class TestReturns:
