@@ -36,9 +36,12 @@ def main():
     print(f"{len(result.records)} metric records, "
           f"{len(result.predictions)} stored single-step predictions\n")
 
-    for assignment in result.assignments:
-        volatile = sorted(t for t, l in assignment.labels.items() if l.value == "Volatile")
-        print(f"fold {assignment.fold_id}: volatile = {volatile}")
+    for fold in plan.folds:
+        volatile = sorted(
+            ticker for (ticker, fold_id), fm in result.models.items()
+            if fold_id == fold.fold_id and fm.regime.value == "Volatile"
+        )
+        print(f"fold {fold.fold_id}: volatile = {volatile}")
     print()
     print(render_tables_text(list(result.records), fingerprint="demo", seed=42))
 

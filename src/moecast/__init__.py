@@ -20,7 +20,6 @@ from .market_data import (
 )
 from .regime import (
     PolicyKind,
-    RegimeAssignment,
     RegimeLabel,
     RegimePolicy,
     classify_median,

@@ -22,7 +22,13 @@ from .errors import ConfigError
 from .evaluation import BacktestSettings, HorizonSpec, TrainMode
 from .lstm_expert import TrainConfig
 from .market_data import SyntheticSpec, WindowMode
-from .regime import RegimeLabel, RegimePolicy
+from .regime import (
+    DEFAULT_MEDIAN_WINDOW,
+    DEFAULT_TAU,
+    DEFAULT_THRESHOLD_WINDOW,
+    RegimeLabel,
+    RegimePolicy,
+)
 
 __all__ = ["RunConfig", "parse_config", "parse_config_text"]
 
@@ -85,7 +91,7 @@ _REGISTRY: tuple[_Key, ...] = (
     _Key("window.length", _parse_int, 10, "integer >= 1", lambda v: v >= 1),
     _enum_key("vol.policy", ("threshold", "median"), None, contextual=True),
     _Key("vol.window", _parse_int, None, "integer >= 2", lambda v: v >= 2, contextual=True),
-    _Key("vol.tau", _parse_float, 0.025, "real > 0", lambda v: v > 0, fmt=repr),
+    _Key("vol.tau", _parse_float, DEFAULT_TAU, "real > 0", lambda v: v > 0, fmt=repr),
     _Key("wf.init_train", _parse_int, 80, "integer >= 1", lambda v: v >= 1),
     _Key("wf.val_len", _parse_int, 20, "integer >= 1", lambda v: v >= 1),
     _Key("wf.step", _parse_int, 20, "integer >= 1", lambda v: v >= 1),
@@ -126,9 +132,6 @@ _REGISTRY: tuple[_Key, ...] = (
 
 _BY_NAME = {key.name: key for key in _REGISTRY}
 
-_POLICY_WINDOW_DEFAULTS = {"threshold": 30, "median": 21}
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Fully resolved configuration plus the set of keys the user actually wrote."""
@@ -143,12 +146,12 @@ class RunConfig:
 
     def _policy(self, default_kind: str) -> RegimePolicy:
         kind = self.values["vol.policy"] or default_kind
-        window = self.values["vol.window"]
-        if window is None:
-            window = _POLICY_WINDOW_DEFAULTS[kind]
+        window = self.values["vol.window"]  # None when unset, else at least 2
         if kind == "threshold":
-            return RegimePolicy.threshold(window, self.values["vol.tau"])
-        return RegimePolicy.median(window)
+            return RegimePolicy.threshold(
+                window or DEFAULT_THRESHOLD_WINDOW, self.values["vol.tau"]
+            )
+        return RegimePolicy.median(window or DEFAULT_MEDIAN_WINDOW)
 
     def policy_for_backtest(self) -> RegimePolicy:
         return self._policy("median")

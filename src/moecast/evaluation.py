@@ -52,7 +52,7 @@ from .linear_expert import LinearParams, fit_ols, predict_linear
 from .lstm_expert import LstmParams, TrainConfig, predict_lstm, train_early_stopping
 from .market_data import PriceSeries, Scaler, WindowMode, make_windows
 from .moe import DEFAULT_GATE_TABLE, GateWeights, blend, gate_for_regime
-from .regime import RegimeAssignment, RegimeLabel, RegimePolicy
+from .regime import RegimeLabel, RegimePolicy
 
 __all__ = [
     "MODELS",
@@ -168,10 +168,6 @@ class FoldSpec:
 @dataclass(frozen=True)
 class WalkForwardPlan:
     folds: tuple[FoldSpec, ...]
-    init_train: int
-    val_len: int
-    step: int
-    mode: TrainMode
 
 
 @dataclass(frozen=True)
@@ -213,7 +209,7 @@ def plan_walk_forward(
         train_start = val_start - init_train if mode is TrainMode.SLIDING else 0
         folds.append(FoldSpec(k, range(train_start, val_start), range(val_start, val_start + val_len)))
         k += 1
-    return WalkForwardPlan(tuple(folds), init_train, val_len, step, mode)
+    return WalkForwardPlan(tuple(folds))
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +453,6 @@ class WalkForwardResult:
     records: tuple[MetricRecord, ...]
     models: dict[tuple[str, int], FoldModels]
     predictions: tuple[PredictionPoint, ...]
-    assignments: tuple[RegimeAssignment, ...]
 
 
 def task_seed(global_seed: int, ticker: str, fold_id: int) -> int:
@@ -635,12 +630,10 @@ def _run_fold(
     fold: FoldSpec,
     policy: RegimePolicy,
     settings: BacktestSettings,
-) -> tuple[list[MetricRecord], dict[tuple[str, int], FoldModels], list[PredictionPoint],
-           RegimeAssignment]:
-    """One fold of the walk-forward: its records, models, predictions and regime split."""
+) -> tuple[list[MetricRecord], dict[tuple[str, int], FoldModels], list[PredictionPoint]]:
+    """One fold of the walk-forward: its records, models and predictions."""
     firms = [_prepare_fold_firm(universe[t], fold, policy, settings) for t in sorted(universe)]
     labels = policy.labels({data.ticker: data.sigma_frozen for data in firms})
-    assignment = RegimeAssignment(fold.fold_id, labels, policy, fold.train_range.stop - 1)
 
     lstm, linears = _fit_fold_experts(firms, settings, fold.fold_id)
     fms = [
@@ -683,7 +676,7 @@ def _run_fold(
             for j in range(len(actual))
         ]
     models = {(data.ticker, fold.fold_id): fm for data, fm in zip(firms, fms)}
-    return records, models, predictions, assignment
+    return records, models, predictions
 
 
 _TASKS: Sequence[Callable[[], object]] = ()  # what forked workers of _in_parallel run
@@ -788,12 +781,11 @@ def run_backtest(
     results = _in_parallel(tasks)
     pooled, holdout_records = results.pop(0) if holdout is not None else (None, ())
 
-    records, models, predictions, assignments = zip(*results)
+    records, models, predictions = zip(*results)
     result = WalkForwardResult(
         records=tuple(r for fold_records in records for r in fold_records),
         models={key: fm for fold_models in models for key, fm in fold_models.items()},
         predictions=tuple(p for fold_predictions in predictions for p in fold_predictions),
-        assignments=assignments,
     )
     return result, pooled, holdout_records
 

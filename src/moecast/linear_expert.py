@@ -37,7 +37,6 @@ class LinearParams:
 class LinearFitReport:
     params: LinearParams
     rss: float
-    n: int
 
 
 def _diagnose_deficiency(t: np.ndarray, sigma: np.ndarray) -> str:
@@ -87,7 +86,7 @@ def fit_ols(t, sigma, y) -> LinearFitReport:
     beta = beta + np.linalg.solve(xtx, xty - xtx @ beta)
     residuals = y - X @ beta
     params = LinearParams(float(beta[0]), float(beta[1]), float(beta[2]))
-    return LinearFitReport(params, float(residuals @ residuals), n)
+    return LinearFitReport(params, float(residuals @ residuals))
 
 
 def predict_linear(

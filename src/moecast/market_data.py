@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import enum
+import io
 import math
 from dataclasses import dataclass
 
@@ -137,7 +138,6 @@ class VolatilitySeries:
     ``window - 1`` onward.
     """
 
-    ticker: str
     window: int
     values: np.ndarray
 
@@ -151,18 +151,13 @@ class VolatilitySeries:
     def first_return_index(self) -> int:
         return self.window - 1
 
-    @property
-    def last_return_index(self) -> int:
-        return self.window - 1 + len(self.values) - 1
-
     def at_return_index(self, at: int) -> float:
         """Volatility of the window whose most recent return has index ``at``."""
-        if not (self.first_return_index <= at <= self.last_return_index):
-            raise DataError(
-                f"return index {at} outside volatility range "
-                f"[{self.first_return_index}, {self.last_return_index}]"
-            )
-        return float(self.values[at - self.first_return_index])
+        first = self.first_return_index
+        last = first + len(self.values) - 1
+        if not (first <= at <= last):
+            raise DataError(f"return index {at} outside volatility range [{first}, {last}]")
+        return float(self.values[at - first])
 
 
 @dataclass(frozen=True)
@@ -187,7 +182,6 @@ class WindowedDataset:
     ``t_index[k]`` and ``targets[k]`` the standardized value at that position.
     """
 
-    ticker: str
     inputs: np.ndarray
     targets: np.ndarray
     t_index: np.ndarray
@@ -211,41 +205,45 @@ def load_csv(path) -> dict[str, PriceSeries]:
     series is sorted by date.  Every malformed row is reported with its
     1-based line number.
     """
-    # utf-8-sig drops the byte-order mark that Excel writes before the header
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
+    try:
+        # utf-8-sig drops the byte-order mark that Excel writes before the header
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read prices {path}: {exc}")
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError(f"{path}: empty file, expected header {','.join(CSV_HEADER)}")
+    if tuple(h.strip() for h in header) != CSV_HEADER:
+        raise DataError(
+            f"{path}: line 1: expected header {','.join(CSV_HEADER)}, got {','.join(header)}"
+        )
+    rows: dict[str, list[tuple[dt.date, float]]] = {}
+    seen: set[tuple[str, dt.date]] = set()
+    for lineno, row in enumerate(reader, start=2):
+        if len(row) != 3:
+            raise DataError(f"{path}: line {lineno}: expected 3 fields, got {len(row)}")
+        ticker, date_text, price_text = (f.strip() for f in row)
+        if not ticker:
+            raise DataError(f"{path}: line {lineno}: empty ticker")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file, expected header {','.join(CSV_HEADER)}")
-        if tuple(h.strip() for h in header) != CSV_HEADER:
+            date = dt.date.fromisoformat(date_text)
+        except ValueError:
+            raise DataError(f"{path}: line {lineno}: invalid ISO date {date_text!r}")
+        try:
+            price = float(price_text)
+        except ValueError:
+            raise DataError(f"{path}: line {lineno}: invalid price {price_text!r}")
+        if not (math.isfinite(price) and price > 0):
             raise DataError(
-                f"{path}: line 1: expected header {','.join(CSV_HEADER)}, got {','.join(header)}"
+                f"{path}: line {lineno}: non-positive price {price_text} for {ticker}"
             )
-        rows: dict[str, list[tuple[dt.date, float]]] = {}
-        seen: set[tuple[str, dt.date]] = set()
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 3:
-                raise DataError(f"{path}: line {lineno}: expected 3 fields, got {len(row)}")
-            ticker, date_text, price_text = (f.strip() for f in row)
-            if not ticker:
-                raise DataError(f"{path}: line {lineno}: empty ticker")
-            try:
-                date = dt.date.fromisoformat(date_text)
-            except ValueError:
-                raise DataError(f"{path}: line {lineno}: invalid ISO date {date_text!r}")
-            try:
-                price = float(price_text)
-            except ValueError:
-                raise DataError(f"{path}: line {lineno}: invalid price {price_text!r}")
-            if not (math.isfinite(price) and price > 0):
-                raise DataError(
-                    f"{path}: line {lineno}: non-positive price {price_text} for {ticker}"
-                )
-            if (ticker, date) in seen:
-                raise DataError(f"{path}: line {lineno}: duplicate ({ticker}, {date})")
-            seen.add((ticker, date))
-            rows.setdefault(ticker, []).append((date, price))
+        if (ticker, date) in seen:
+            raise DataError(f"{path}: line {lineno}: duplicate ({ticker}, {date})")
+        seen.add((ticker, date))
+        rows.setdefault(ticker, []).append((date, price))
     out: dict[str, PriceSeries] = {}
     for ticker in sorted(rows):
         dates, prices = zip(*sorted(rows[ticker]))
@@ -291,7 +289,7 @@ def rolling_volatility(returns: ReturnSeries, window: int) -> VolatilitySeries:
             f"{returns.ticker}: window {window} exceeds return series length {len(values)}"
         )
     panes = np.lib.stride_tricks.sliding_window_view(values, window)
-    return VolatilitySeries(returns.ticker, window, panes.std(axis=1, ddof=1))
+    return VolatilitySeries(window, panes.std(axis=1, ddof=1))
 
 
 def fit_scaler(values) -> Scaler:
@@ -346,7 +344,17 @@ def make_windows(
     standardized = scaler.apply(values)
     inputs = np.lib.stride_tricks.sliding_window_view(standardized, w)[:-1]
     targets = standardized[w:]
-    return WindowedDataset(series.ticker, inputs, targets, np.arange(w, n), scaler)
+    return WindowedDataset(inputs, targets, np.arange(w, n), scaler)
+
+
+# The ranges each synthetic firm draws its parameters from, uniformly, and
+# the first date of every synthetic series.
+_BASE_PRICE = (80.0, 160.0)
+_STABLE_DRIFT = (0.02, 0.12)
+_VOLATILE_NOISE = (0.035, 0.055)
+_VOLATILE_AR_SCALE = (0.01, 0.03)
+_VOLATILE_AR_GAIN = 10.0
+_START_DATE = np.datetime64("2015-01-02", "D")
 
 
 @dataclass(frozen=True)
@@ -362,18 +370,8 @@ class SyntheticSpec:
     n_stable: int = 8
     n_volatile: int = 8
     length: int = 300
-    base_price_low: float = 80.0
-    base_price_high: float = 160.0
-    stable_drift_low: float = 0.02
-    stable_drift_high: float = 0.12
     stable_noise_low: float = 0.2
     stable_noise_high: float = 0.5
-    volatile_noise_low: float = 0.035
-    volatile_noise_high: float = 0.055
-    volatile_ar_scale_low: float = 0.01
-    volatile_ar_scale_high: float = 0.03
-    volatile_ar_gain: float = 10.0
-    start_date: dt.date = dt.date(2015, 1, 2)
 
     def __post_init__(self) -> None:
         if self.length <= 0:
@@ -387,8 +385,8 @@ def _uniform(rng: np.random.Generator, low: float, high: float) -> float:
 
 
 def _stable_prices(spec: SyntheticSpec, rng: np.random.Generator) -> np.ndarray:
-    base = _uniform(rng, spec.base_price_low, spec.base_price_high)
-    drift = _uniform(rng, spec.stable_drift_low, spec.stable_drift_high)
+    base = _uniform(rng, *_BASE_PRICE)
+    drift = _uniform(rng, *_STABLE_DRIFT)
     noise_sd = _uniform(rng, spec.stable_noise_low, spec.stable_noise_high)
     t = np.arange(spec.length, dtype=float)
     noise = rng.normal(0.0, noise_sd, size=spec.length) if noise_sd > 0 else np.zeros(spec.length)
@@ -396,15 +394,15 @@ def _stable_prices(spec: SyntheticSpec, rng: np.random.Generator) -> np.ndarray:
 
 
 def _volatile_prices(spec: SyntheticSpec, rng: np.random.Generator) -> np.ndarray:
-    base = _uniform(rng, spec.base_price_low, spec.base_price_high)
-    noise_sd = _uniform(rng, spec.volatile_noise_low, spec.volatile_noise_high)
-    ar_scale = _uniform(rng, spec.volatile_ar_scale_low, spec.volatile_ar_scale_high)
+    base = _uniform(rng, *_BASE_PRICE)
+    noise_sd = _uniform(rng, *_VOLATILE_NOISE)
+    ar_scale = _uniform(rng, *_VOLATILE_AR_SCALE)
     shocks = rng.normal(0.0, noise_sd, size=spec.length - 1) if spec.length > 1 else np.empty(0)
     rets = np.empty(spec.length - 1)
     prev = 0.0
     for k in range(spec.length - 1):
         # bounded nonlinear feedback keeps the return process stationary
-        prev = ar_scale * math.tanh(spec.volatile_ar_gain * prev) + shocks[k]
+        prev = ar_scale * math.tanh(_VOLATILE_AR_GAIN * prev) + shocks[k]
         rets[k] = prev
     prices = np.empty(spec.length)
     prices[0] = base
@@ -419,7 +417,7 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> dict[str, PriceSeries]
     firm index)``, so regenerating with the same seed is bit-identical and
     adding firms never reshuffles existing ones.
     """
-    dates = np.datetime64(spec.start_date, "D") + np.arange(spec.length)
+    dates = _START_DATE + np.arange(spec.length)
     universe: dict[str, PriceSeries] = {}
     for group, count, maker in (
         (0, spec.n_stable, _stable_prices),

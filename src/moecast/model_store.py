@@ -9,6 +9,7 @@ reproduces every prediction bit-for-bit, which the tests assert.
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,11 +92,14 @@ class ModelStore:
 
     @classmethod
     def load(cls, path) -> "ModelStore":
+        # what an unreadable file raises: a truncated archive BadZipFile, an
+        # empty file EOFError, a bare .npy array IndexError, any other file
+        # ValueError (numpy takes it for a pickle); no manifest, KeyError
         try:
             archive = np.load(path, allow_pickle=False)
-        except OSError as exc:
+            manifest = json.loads(str(archive["manifest"]))
+        except (OSError, EOFError, ValueError, LookupError, zipfile.BadZipFile) as exc:
             raise DataError(f"cannot read model store {path}: {exc}")
-        manifest = json.loads(str(archive["manifest"]))
         if manifest.get("version") != _FORMAT_VERSION:
             raise DataError(f"unsupported model store version {manifest.get('version')!r}")
         fold_models: dict[tuple[str, int], FoldModels] = {}

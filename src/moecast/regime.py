@@ -26,7 +26,6 @@ __all__ = [
     "RegimeLabel",
     "PolicyKind",
     "RegimePolicy",
-    "RegimeAssignment",
     "classify_threshold",
     "classify_median",
     "label_for",
@@ -112,16 +111,6 @@ class RegimePolicy:
         if self.kind is PolicyKind.THRESHOLD:
             return label_for(sigma, self.tau)
         return label_for(sigma, frozen_boundary)
-
-
-@dataclass(frozen=True)
-class RegimeAssignment:
-    """Per-fold labelling of the whole universe under one policy."""
-
-    fold_id: int
-    labels: dict[str, RegimeLabel]
-    policy: RegimePolicy
-    as_of_index: int
 
 
 def label_for(sigma: float, boundary: float) -> RegimeLabel:

@@ -304,6 +304,52 @@ class TestCli:
         assert code == 1
         assert "model store" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["classify", "backtest", "forecast"])
+    @pytest.mark.parametrize(
+        "content", [None, b"ticker,date,adj_close\nST\xe9B01,2015-01-02,100.0\n"],
+        ids=["missing", "not_utf8"],
+    )
+    def test_unreadable_prices_fail_naming_the_path(
+        self, cli_workspace, capsys, command, content
+    ):
+        cfg, data, _ = cli_workspace
+        args = [command]
+        if command == "forecast":  # it reads the prices after a stored backtest's models
+            args += ["--ticker", "STB01", "--horizon", "3"]
+            assert main(["--config", str(cfg), "synth"]) == 0
+            assert main(["--config", str(cfg), "backtest"]) == 0
+            data.unlink()
+        if content is not None:
+            data.write_bytes(content)
+        capsys.readouterr()
+        assert main(["--config", str(cfg), *args]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read prices ") and str(data) in err
+
+    @pytest.mark.parametrize(
+        "case", ["truncated", "not_an_archive", "bare_array", "empty", "no_manifest"]
+    )
+    def test_unreadable_model_store_fails_naming_the_path(self, cli_workspace, capsys, case):
+        cfg, _, reports = cli_workspace
+        reports.mkdir()
+        store = reports / f"models_{parse_config(cfg).short_fingerprint}.npz"
+        if case == "truncated":
+            ModelStore("f" * 64, {}).save(store)
+            store.write_bytes(store.read_bytes()[:-30])
+        elif case == "not_an_archive":
+            store.write_bytes(b"not a model store\n")
+        elif case == "bare_array":
+            with open(store, "wb") as fh:
+                np.save(fh, np.zeros(3))
+        elif case == "empty":
+            store.write_bytes(b"")
+        else:
+            np.savez(store, a0=np.zeros(3))
+        code = main(["--config", str(cfg), "forecast", "--ticker", "STB01", "--horizon", "3"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read model store ") and str(store) in err
+
     def test_backtest_without_data_path_fails(self, tmp_path, capsys):
         cfg = tmp_path / "bare.cfg"
         cfg.write_text("", encoding="utf-8")

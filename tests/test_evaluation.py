@@ -403,11 +403,11 @@ class TestRunWalkForward:
         plan = plan_walk_forward(60, 40, 10, 10)
         policy = RegimePolicy.median(vol_window=10)
         result = run_walk_forward(tiny_universe, plan, policy, fast_settings())
-        for assignment in result.assignments:
-            labels = list(assignment.labels.values())
-            assert labels.count(RegimeLabel.VOLATILE) == 2
-            volatile = {t for t, l in assignment.labels.items() if l is RegimeLabel.VOLATILE}
-            assert volatile == {t for t in assignment.labels if t.startswith("VOL")}
+        for fold in plan.folds:
+            labels = {t: result.models[(t, fold.fold_id)].regime for t in tiny_universe}
+            assert list(labels.values()).count(RegimeLabel.VOLATILE) == 2
+            volatile = {t for t, l in labels.items() if l is RegimeLabel.VOLATILE}
+            assert volatile == {t for t in labels if t.startswith("VOL")}
 
     def test_plan_exceeding_series_rejected(self, tiny_universe):
         plan = plan_walk_forward(100, 80, 20, 20)
@@ -649,7 +649,9 @@ class TestParallelBacktest:
         assert len(plan.folds) == 2
         assert forked.records == here.records
         assert forked.predictions == here.predictions
-        assert forked.assignments == here.assignments
+        assert {k: fm.regime for k, fm in forked.models.items()} == {
+            k: fm.regime for k, fm in here.models.items()
+        }
         assert_same_models(forked.models, here.models)
 
     def test_run_backtest_equals_its_three_parts(self, pooled_setup, monkeypatch):
@@ -770,4 +772,3 @@ def test_fold_models_match_own_sigma_regime_and_least_squares(tiny_universe, mod
         for ticker, sigma in sigmas.items():
             expected = RegimeLabel.VOLATILE if sigma > boundary else RegimeLabel.STABLE
             assert result.models[(ticker, fold.fold_id)].regime is expected
-            assert result.assignments[fold.fold_id].labels[ticker] is expected

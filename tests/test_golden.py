@@ -131,6 +131,23 @@ def test_sigma_branches_match_golden_digests(
     assert sha256(reports / f"predictions_{fingerprint}.csv") == predictions_sha256
 
 
+# The golden configuration with each firm's gradient clipped to norm 0.05.
+# The clip fires (the records differ from the unclipped ones), so these pin
+# the order in which ``lstm_expert._clipped`` sums the norm.
+CLIPPED_EXTRA = "train.clip_norm = 0.05\n"
+CLIPPED_FINGERPRINT = "5a2623aa0605"
+CLIPPED_RECORDS_SHA256 = "bd68cfdd834ef9c2d8261fbd944d395d83d405ca1be575c117b10cfe3770d3a5"
+CLIPPED_PREDICTIONS_SHA256 = "91dbb67412c4f9689dd13de298988829056c88c2d52f3541a8c7fe70e8393e56"
+
+
+def test_clipped_training_matches_golden_digests(tmp_path, monkeypatch):
+    reports = run_backtest_in(tmp_path, monkeypatch, GOLDEN_CONFIG + CLIPPED_EXTRA)
+    records = sha256(reports / f"records_{CLIPPED_FINGERPRINT}.csv")
+    assert records != GOLDEN_RECORDS_SHA256
+    assert records == CLIPPED_RECORDS_SHA256
+    assert sha256(reports / f"predictions_{CLIPPED_FINGERPRINT}.csv") == CLIPPED_PREDICTIONS_SHA256
+
+
 GOLDEN_TICKERS = ("STB01", "STB02", "STB03", "VOL01", "VOL02", "VOL03")
 
 # The stdout of ``classify`` (each firm's σ, its label and the rule) and of
