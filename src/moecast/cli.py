@@ -10,6 +10,7 @@ byte for byte.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from pathlib import Path
 
@@ -38,9 +39,24 @@ from .reporting import (
 __all__ = ["main"]
 
 
+@contextlib.contextmanager
+def _writing(path: Path | str):
+    """Report an ``OSError`` raised while creating or writing ``path`` as a DataError."""
+    try:
+        yield
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc}") from exc
+
+
+def _write_text(path: Path, text: str) -> None:
+    with _writing(path):
+        path.write_text(text, encoding="utf-8")
+
+
 def _report_dir(config: RunConfig) -> Path:
     path = Path(config["report.dir"])
-    path.mkdir(parents=True, exist_ok=True)
+    with _writing(path):
+        path.mkdir(parents=True, exist_ok=True)
     return path
 
 
@@ -50,8 +66,7 @@ def _artifact(config: RunConfig, kind: str, suffix: str) -> Path:
 
 def _write_config_echo(config: RunConfig) -> Path:
     path = _artifact(config, "config", "cfg")
-    path.write_text(stamp(config.fingerprint, config["seed"]) + config.serialize(),
-                    encoding="utf-8")
+    _write_text(path, stamp(config.fingerprint, config["seed"]) + config.serialize())
     return path
 
 
@@ -67,8 +82,9 @@ def cmd_synth(config: RunConfig, out_path: str | None) -> int:
     if not target:
         raise ConfigError("no output path: pass --out or set data.path")
     universe = generate_synthetic(config.synthetic_spec(), config["seed"])
-    Path(target).parent.mkdir(parents=True, exist_ok=True)
-    write_csv(universe, target)
+    with _writing(target):
+        Path(target).parent.mkdir(parents=True, exist_ok=True)
+        write_csv(universe, target)
     total = sum(len(s) for s in universe.values())
     print(f"wrote {len(universe)} synthetic firms ({total} rows) to {target}")
     return 0
@@ -121,15 +137,16 @@ def cmd_backtest(config: RunConfig) -> int:
     fingerprint, seed = config.fingerprint, config["seed"]
     config_path = _write_config_echo(config)
     records_path = _artifact(config, "records", "csv")
-    records_path.write_text(records_to_csv(records, fingerprint, seed), encoding="utf-8")
+    _write_text(records_path, records_to_csv(records, fingerprint, seed))
     predictions_path = _artifact(config, "predictions", "csv")
-    predictions_path.write_text(
+    _write_text(
+        predictions_path,
         predictions_to_csv(result.predictions, universe, settings.mode, fingerprint, seed),
-        encoding="utf-8",
     )
     store = ModelStore(fingerprint, dict(result.models), pooled)
     store_path = _artifact(config, "models", "npz")
-    store.save(store_path)
+    with _writing(store_path):
+        store.save(store_path)
 
     print(f"backtest: {len(train_universe)} firms, {len(plan.folds)} folds, "
           f"{len(records)} metric records")
@@ -200,9 +217,9 @@ def cmd_report(config: RunConfig) -> int:
     fingerprint, seed = config.fingerprint, config["seed"]
     text = render_tables_text(records, fingerprint, seed)
     tables_txt = _artifact(config, "tables", "txt")
-    tables_txt.write_text(text, encoding="utf-8")
+    _write_text(tables_txt, text)
     tables_csv = _artifact(config, "tables", "csv")
-    tables_csv.write_text(tables_to_csv(records, fingerprint, seed), encoding="utf-8")
+    _write_text(tables_csv, tables_to_csv(records, fingerprint, seed))
     print(text)
     print(f"wrote {tables_txt}")
     print(f"wrote {tables_csv}")

@@ -40,6 +40,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import operator
 import os
 import zlib
 from dataclasses import dataclass, field, replace
@@ -365,22 +366,45 @@ class StratifiedReport:
         return self.cells[(regime, model, horizon)]
 
 
+_metric_values = operator.attrgetter(*METRIC_NAMES)
+
+
 def aggregate_stratified(records: Iterable[MetricRecord]) -> StratifiedReport:
-    """Sample mean and deviation of every metric per (regime, model, horizon)."""
-    groups: dict[tuple[RegimeLabel, str, int], list[MetricRecord]] = {}
+    """Sample mean and deviation of every metric per (regime, model, horizon).
+
+    Cells keep the order their first record arrives in, and a cell's metrics
+    the order of ``METRIC_NAMES``; a metric that is ``None`` on every member
+    (``mase`` on a constant training series) is left out of the cell, and a
+    one-member cell has std 0.0.
+
+    The (cell, metric) value lists of equal length are stacked into one
+    C-contiguous block and reduced row-wise, one ``mean`` and one ``std``
+    call per length.  numpy sums each row of a last-axis reduction with the
+    same pairwise summation ``ndarray.mean()`` runs on a lone 1-D array, so
+    every value is the one a per-cell reduction gives, bit for bit.
+    ``np.add.reduceat`` over one flat array would need no grouping by length,
+    but it sums each segment sequentially, not pairwise, so it rounds
+    differently from ``ndarray.mean()``.
+    """
+    groups: dict[tuple[RegimeLabel, str, int], list[tuple]] = {}
     for record in records:
-        groups.setdefault((record.regime, record.model, record.horizon), []).append(record)
+        key = (record.regime, record.model, record.horizon)
+        groups.setdefault(key, []).append(_metric_values(record))
     cells: dict[tuple[RegimeLabel, str, int], dict[str, CellStats]] = {}
-    for key, members in groups.items():
-        stats: dict[str, CellStats] = {}
-        for metric in METRIC_NAMES:
-            values = [getattr(m, metric) for m in members if getattr(m, metric) is not None]
-            if not values:
-                continue
-            arr = np.asarray(values, dtype=float)
-            std = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
-            stats[metric] = CellStats(float(arr.mean()), std, arr.size)
-        cells[key] = stats
+    by_length: dict[int, list[tuple[dict[str, CellStats], str, list[float]]]] = {}
+    for key, rows in groups.items():
+        stats = cells[key] = {}
+        for metric, column in zip(METRIC_NAMES, zip(*rows)):
+            values = [v for v in column if v is not None]
+            if values:
+                stats[metric] = None  # holds the metric's place until its length is reduced
+                by_length.setdefault(len(values), []).append((stats, metric, values))
+    for n, lists in by_length.items():
+        block = np.array([values for _, _, values in lists], dtype=float)
+        means = block.mean(axis=-1).tolist()
+        stds = block.std(axis=-1, ddof=1).tolist() if n > 1 else [0.0] * len(lists)
+        for (stats, metric, _), mean, std in zip(lists, means, stds):
+            stats[metric] = CellStats(mean, std, n)
     return StratifiedReport(cells)
 
 

@@ -100,8 +100,25 @@ class ModelStore:
             manifest = json.loads(str(archive["manifest"]))
         except (OSError, EOFError, ValueError, LookupError, zipfile.BadZipFile) as exc:
             raise DataError(f"cannot read model store {path}: {exc}")
+        if not isinstance(manifest, dict):
+            raise DataError(f"cannot read model store {path}: the manifest is not a JSON object")
         if manifest.get("version") != _FORMAT_VERSION:
-            raise DataError(f"unsupported model store version {manifest.get('version')!r}")
+            raise DataError(
+                f"cannot read model store {path}: unsupported version {manifest.get('version')!r}"
+            )
+        # a manifest of the right version but the wrong shape: a missing key
+        # raises KeyError, a field of the wrong type TypeError or
+        # AttributeError, a value out of its domain ValueError
+        try:
+            return cls._from_manifest(manifest, archive)
+        except (LookupError, TypeError, AttributeError, ValueError) as exc:
+            raise DataError(
+                f"cannot read model store {path}: malformed manifest "
+                f"({type(exc).__name__}: {exc})"
+            )
+
+    @classmethod
+    def _from_manifest(cls, manifest: dict, archive) -> "ModelStore":
         fold_models: dict[tuple[str, int], FoldModels] = {}
         for entry in manifest["entries"]:
             fold_models[(entry["ticker"], entry["fold"])] = FoldModels(

@@ -19,6 +19,7 @@ from .evaluation import (
     WALK_FORWARD_SPLIT,
     MetricRecord,
     PredictionPoint,
+    StratifiedReport,
     aggregate_stratified,
     improvement_pct,
 )
@@ -128,9 +129,12 @@ def _fmt(value: float) -> str:
     return f"{value:.6f}"
 
 
-def _regime_table(records: list[MetricRecord], regime: RegimeLabel,
+def _split_report(records: Iterable[MetricRecord], split: str) -> StratifiedReport:
+    return aggregate_stratified(r for r in records if r.split == split)
+
+
+def _regime_table(report: StratifiedReport, regime: RegimeLabel,
                   mse_key: str, mae_key: str) -> list[str]:
-    report = aggregate_stratified([r for r in records if r.regime is regime])
     lines = [f"{'Model':<22}{'MSE':>12}{'MAE':>12}"]
     cells = {}
     for model in MODELS:
@@ -154,10 +158,9 @@ def _regime_table(records: list[MetricRecord], regime: RegimeLabel,
     return lines
 
 
-def _horizon_breakdown(records: list[MetricRecord], mse_key: str, mae_key: str) -> list[str]:
-    report = aggregate_stratified(records)
+def _horizon_breakdown(report: StratifiedReport, horizons: list[int],
+                       mse_key: str, mae_key: str) -> list[str]:
     lines = [f"{'Regime':<10}{'Model':<22}{'Horizon':>8}{'MSE mean±std':>26}{'MAE mean±std':>26}"]
-    horizons = sorted({r.horizon for r in records})
     for regime in (RegimeLabel.STABLE, RegimeLabel.VOLATILE):
         for model in MODELS:
             for h in horizons:
@@ -175,27 +178,31 @@ def _horizon_breakdown(records: list[MetricRecord], mse_key: str, mae_key: str) 
 
 
 def render_tables_text(records: Sequence[MetricRecord], fingerprint: str, seed: int) -> str:
-    """The full plain-text report: per-regime tables, horizon and holdout breakdowns."""
-    wf = [r for r in records if r.split == WALK_FORWARD_SPLIT]
-    ho = [r for r in records if r.split == HOLDOUT_SPLIT]
+    """The full plain-text report: per-regime tables, horizon and holdout breakdowns.
+
+    Each split is aggregated once; a table reads the cells it shows from that
+    one report, so a regime or horizon cell holds the same records, in the
+    same order, as if its subset were aggregated on its own.
+    """
+    wf = _split_report(records, WALK_FORWARD_SPLIT)
+    ho = _split_report(records, HOLDOUT_SPLIT)
+    wf_horizons = sorted({h for _, _, h in wf.cells})
     out = [stamp(fingerprint, seed).rstrip("\n"), ""]
-    for scale, mse_key, mae_key in SCALES:
-        h1 = [r for r in wf if r.horizon == 1]
-        if not h1:
-            continue
-        for regime in (RegimeLabel.STABLE, RegimeLabel.VOLATILE):
-            out.append(f"== Evaluation of models, {regime.value.lower()} firms "
-                       f"({scale} scale, horizon 1) ==")
-            out.extend(_regime_table(h1, regime, mse_key, mae_key))
-            out.append("")
-    multi = [r for r in wf if r.horizon > 1]
+    if 1 in wf_horizons:
+        for scale, mse_key, mae_key in SCALES:
+            for regime in (RegimeLabel.STABLE, RegimeLabel.VOLATILE):
+                out.append(f"== Evaluation of models, {regime.value.lower()} firms "
+                           f"({scale} scale, horizon 1) ==")
+                out.extend(_regime_table(wf, regime, mse_key, mae_key))
+                out.append("")
+    multi = [h for h in wf_horizons if h > 1]
     if multi:
         out.append("== Walk-forward horizon breakdown (standardized scale) ==")
-        out.extend(_horizon_breakdown(multi, "mse", "mae"))
+        out.extend(_horizon_breakdown(wf, multi, "mse", "mae"))
         out.append("")
-    if ho:
+    if ho.cells:
         out.append("== Holdout stress firms (standardized scale) ==")
-        out.extend(_horizon_breakdown(ho, "mse", "mae"))
+        out.extend(_horizon_breakdown(ho, sorted({h for _, _, h in ho.cells}), "mse", "mae"))
         out.append("")
     return "\n".join(out) + "\n"
 
@@ -207,10 +214,9 @@ def tables_to_csv(records: Sequence[MetricRecord], fingerprint: str, seed: int) 
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["split", "scale", "regime", "model", "horizon", "metric", "mean", "std", "count"])
     for split in (WALK_FORWARD_SPLIT, HOLDOUT_SPLIT):
-        subset = [r for r in records if r.split == split]
-        if not subset:
+        report = _split_report(records, split)
+        if not report.cells:
             continue
-        report = aggregate_stratified(subset)
         for key in sorted(report.cells, key=lambda k: (k[0].value, k[1], k[2])):
             regime, model, horizon = key
             for metric, stats in sorted(report.cells[key].items()):

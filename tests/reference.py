@@ -6,6 +6,7 @@ None of these is part of moecast's API: the package never calls them.
 import numpy as np
 
 from moecast.errors import FitError
+from moecast.evaluation import METRIC_NAMES, CellStats, StratifiedReport
 from moecast.lstm_expert import LstmParams, _sigmoid
 
 
@@ -42,3 +43,27 @@ def loss_mse(predictions, targets) -> float:
         )
     diff = predictions - targets
     return float((diff * diff).mean())
+
+
+def aggregate_stratified(records) -> StratifiedReport:
+    """Mean and sample deviation of every metric per (regime, model, horizon).
+
+    One ``ndarray.mean()`` and one ``ndarray.std(ddof=1)`` per (cell, metric),
+    each on its own 1-D array, as the reference the row-wise reduction of
+    ``moecast.evaluation.aggregate_stratified`` is tested against.
+    """
+    groups = {}
+    for record in records:
+        groups.setdefault((record.regime, record.model, record.horizon), []).append(record)
+    cells = {}
+    for key, members in groups.items():
+        stats = {}
+        for metric in METRIC_NAMES:
+            values = [getattr(m, metric) for m in members if getattr(m, metric) is not None]
+            if not values:
+                continue
+            arr = np.asarray(values, dtype=float)
+            std = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
+            stats[metric] = CellStats(float(arr.mean()), std, arr.size)
+        cells[key] = stats
+    return StratifiedReport(cells)

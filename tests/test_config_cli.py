@@ -1,5 +1,6 @@
 """Configuration parsing, model persistence, report rendering, and the CLI."""
 
+import json
 import os
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from moecast import cli
 from moecast.cli import main
 from moecast.config import parse_config, parse_config_text
-from moecast.errors import ConfigError
+from moecast.errors import ConfigError, DataError
 from moecast.evaluation import HorizonSpec, plan_walk_forward, run_walk_forward
 from moecast.lstm_expert import predict_lstm
 from moecast.market_data import PriceSeries, SyntheticSpec, generate_synthetic, load_csv, write_csv
@@ -349,6 +350,74 @@ class TestCli:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: cannot read model store ") and str(store) in err
+
+    @pytest.mark.parametrize(
+        "manifest",
+        [
+            {"version": 1},
+            {"version": 1, "fingerprint": "f" * 64, "pooled": None, "entries": [
+                {"ticker": "STB01", "fold": 0, "linear": [0.0, 0.0, 0.0],
+                 "scaler": [0.0, 1.0], "sigma": 0.01, "regime": "Stable",
+                 "launch_t": 40, "window": 5, "mode": "price_levels"},
+            ]},
+            [1, 2],
+        ],
+        ids=["no_entries", "entry_without_lstm", "json_list"],
+    )
+    def test_malformed_manifest_fails_naming_the_path(self, cli_workspace, capsys, manifest):
+        cfg, _, reports = cli_workspace
+        reports.mkdir()
+        store = reports / f"models_{parse_config(cfg).short_fingerprint}.npz"
+        np.savez(store, manifest=np.array(json.dumps(manifest)))
+        with pytest.raises(DataError, match="cannot read model store"):
+            ModelStore.load(store)
+        code = main(["--config", str(cfg), "forecast", "--ticker", "STB01", "--horizon", "3"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read model store ") and str(store) in err
+
+    @pytest.mark.parametrize("command", ["backtest", "report", "forecast"])
+    def test_report_dir_naming_a_file_fails_naming_the_path(self, cli_workspace, capsys, command):
+        cfg, _, reports = cli_workspace
+        args = [command] + (["--ticker", "STB01", "--horizon", "3"] if command == "forecast" else [])
+        if command == "backtest":
+            assert main(["--config", str(cfg), "synth"]) == 0
+        reports.write_text("not a directory\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["--config", str(cfg), *args]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {reports}: ")
+
+    @pytest.mark.parametrize(
+        "command, artifact",
+        [("backtest", "config_{}.cfg"), ("backtest", "records_{}.csv"),
+         ("backtest", "predictions_{}.csv"), ("backtest", "models_{}.npz"),
+         ("report", "tables_{}.txt"), ("report", "tables_{}.csv")],
+    )
+    def test_unwritable_artifact_fails_naming_the_path(self, cli_workspace, capsys, command, artifact):
+        cfg, _, reports = cli_workspace
+        assert main(["--config", str(cfg), "synth"]) == 0
+        if command == "report":
+            assert main(["--config", str(cfg), "backtest"]) == 0
+        # a directory where the artifact goes cannot be opened for writing
+        blocked = reports / artifact.format(parse_config(cfg).short_fingerprint)
+        blocked.mkdir(parents=True)
+        capsys.readouterr()
+        assert main(["--config", str(cfg), command]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {blocked}: ")
+
+    @pytest.mark.parametrize("blocked", ["parent_is_a_file", "target_is_a_directory"])
+    def test_unwritable_synth_target_fails_naming_the_path(self, tmp_path, capsys, blocked):
+        if blocked == "parent_is_a_file":
+            (tmp_path / "data").write_text("", encoding="utf-8")
+            target = tmp_path / "data" / "prices.csv"
+        else:
+            target = tmp_path / "prices.csv"
+            target.mkdir()
+        assert main(["synth", "--out", str(target)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {target}: ")
 
     def test_backtest_without_data_path_fails(self, tmp_path, capsys):
         cfg = tmp_path / "bare.cfg"

@@ -1,12 +1,13 @@
 """Metrics, fold geometry, recursion, the walk-forward engine, and holdouts."""
 
+import itertools
 import multiprocessing
 import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from moecast import evaluation
@@ -46,6 +47,8 @@ from moecast.market_data import (
     generate_synthetic,
 )
 from moecast.regime import PolicyKind, RegimeLabel, RegimePolicy
+
+import reference
 
 FAST_TRAIN = TrainConfig(batch_size=8, max_epochs=3, patience=3, seed=0)
 
@@ -623,6 +626,82 @@ class TestAggregateStratified:
 
     def test_empty_input_empty_report(self):
         assert aggregate_stratified([]).cells == {}
+
+
+CELL_KEYS = list(itertools.product(RegimeLabel, evaluation.MODELS, (1, 5, 20)))
+METRIC_VALUES = st.floats(min_value=0.0, max_value=1e9, allow_nan=False, allow_infinity=False)
+
+
+def scored_record(key, index, values, mase):
+    regime, model, horizon = key
+    return MetricRecord(
+        ticker=f"T{index}", fold_id=0, split="walk_forward", regime=regime,
+        horizon=horizon, model=model, mse=values[0], mae=values[1], rmse=values[2],
+        raw_mse=values[3], raw_mae=values[4], raw_rmse=values[5], mase=mase,
+    )
+
+
+@st.composite
+def interleaved_cells(draw):
+    """Records of up to six cells, 1 to 20 members each, in a shuffled order.
+
+    Each cell's ``mase`` is never, sometimes or always ``None``.
+    """
+    sizes = draw(st.lists(st.integers(1, 20), max_size=6))
+    keys = draw(st.permutations(CELL_KEYS))[: len(sizes)]
+    slots = []
+    for key, size in zip(keys, sizes):
+        missing = draw(st.sampled_from(["never", "sometimes", "always"]))
+        for _ in range(size):
+            none = missing == "always" or (missing == "sometimes" and draw(st.booleans()))
+            slots.append((key, None if none else draw(METRIC_VALUES)))
+    order = draw(st.permutations(range(len(slots))))
+    return [
+        scored_record(slots[i][0], i, draw(st.lists(METRIC_VALUES, min_size=6, max_size=6)),
+                      slots[i][1])
+        for i in order
+    ]
+
+
+def assert_same_report(report, expected):
+    assert list(report.cells) == list(expected.cells)
+    for key, stats in report.cells.items():
+        assert list(stats.items()) == list(expected.cells[key].items()), key
+        for cell in stats.values():
+            assert type(cell.mean) is float and type(cell.std) is float
+            assert type(cell.count) is int
+
+
+class TestAggregateStratifiedMatchesReference:
+    """Row-wise reductions give each cell the bits of its own per-cell reduction."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(interleaved_cells())
+    @example([])
+    def test_equals_per_cell_reference(self, records):
+        assert_same_report(aggregate_stratified(records), reference.aggregate_stratified(records))
+
+    @pytest.mark.parametrize("sizes", [(1,), (2, 7), (8, 9, 16), (1, 129, 300, 129)])
+    def test_cell_sizes_across_the_pairwise_branches(self, sizes):
+        # below 8 numpy sums a row in one loop, from 8 with eight accumulators,
+        # above 128 it splits the row in halves
+        rng = np.random.default_rng(sum(sizes))
+        keys = CELL_KEYS[: len(sizes)]
+        slots = [key for key, size in zip(keys, sizes) for _ in range(size)]
+        records = [
+            scored_record(slots[i], i, (10.0 ** rng.uniform(-6, 6, size=6)).tolist(),
+                          None if i % 3 == 0 else float(rng.lognormal()))
+            for i in rng.permutation(len(slots))
+        ]
+        assert_same_report(aggregate_stratified(records), reference.aggregate_stratified(records))
+
+    def test_mase_left_out_of_a_cell_where_it_is_always_none(self):
+        records = [scored_record(CELL_KEYS[0], i, [0.5] * 6, None) for i in range(3)]
+        records.append(scored_record(CELL_KEYS[1], 3, [0.5] * 6, 2.0))
+        report = aggregate_stratified(records)
+        assert "mase" not in report.cells[CELL_KEYS[0]]
+        assert report.cells[CELL_KEYS[1]]["mase"] == evaluation.CellStats(2.0, 0.0, 1)
+        assert_same_report(report, reference.aggregate_stratified(records))
 
 
 def one_core(monkeypatch):

@@ -148,6 +148,24 @@ def test_clipped_training_matches_golden_digests(tmp_path, monkeypatch):
     assert sha256(reports / f"predictions_{CLIPPED_FINGERPRINT}.csv") == CLIPPED_PREDICTIONS_SHA256
 
 
+# What ``report`` makes of the golden records: both table files and its
+# stdout (the text tables and the paths it wrote).  These pin the order in
+# which every cell's mean and deviation are summed.
+GOLDEN_TABLES_CSV_SHA256 = "488b2a8947348ce8aaa6c342aeef4dce12d62fcf62e84b30517952c4989a7249"
+GOLDEN_TABLES_TXT_SHA256 = "97af79571a8f9e63a6761f9231f97743e132debcd475addd87752e2f772f5be1"
+GOLDEN_REPORT_STDOUT_SHA256 = "cb2e833ef20080e6f7ec91e0a44ac379f3620d36f97e37e2048e260a0468a2e0"
+
+
+def test_report_tables_and_stdout_match_golden_digests(tmp_path, monkeypatch, capsys):
+    reports = run_backtest_in(tmp_path, monkeypatch, GOLDEN_CONFIG)
+    capsys.readouterr()
+    assert main(["--config", "run.cfg", "report"]) == 0
+    stdout = capsys.readouterr().out
+    assert sha256(reports / f"tables_{GOLDEN_FINGERPRINT}.csv") == GOLDEN_TABLES_CSV_SHA256
+    assert sha256(reports / f"tables_{GOLDEN_FINGERPRINT}.txt") == GOLDEN_TABLES_TXT_SHA256
+    assert hashlib.sha256(stdout.encode("utf-8")).hexdigest() == GOLDEN_REPORT_STDOUT_SHA256
+
+
 GOLDEN_TICKERS = ("STB01", "STB02", "STB03", "VOL01", "VOL02", "VOL03")
 
 # The stdout of ``classify`` (each firm's σ, its label and the rule) and of
