@@ -41,8 +41,9 @@ __all__ = ["main"]
 
 @contextlib.contextmanager
 def _writing(path: Path | str):
-    """Report an ``OSError`` raised while creating or writing ``path`` as a DataError."""
+    """Create ``path``'s directory; an ``OSError`` doing so or writing ``path`` is a DataError."""
     try:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
         yield
     except OSError as exc:
         raise DataError(f"cannot write {path}: {exc}") from exc
@@ -53,15 +54,13 @@ def _write_text(path: Path, text: str) -> None:
         path.write_text(text, encoding="utf-8")
 
 
-def _report_dir(config: RunConfig) -> Path:
-    path = Path(config["report.dir"])
-    with _writing(path):
-        path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
 def _artifact(config: RunConfig, kind: str, suffix: str) -> Path:
-    return _report_dir(config) / f"{kind}_{config.short_fingerprint}.{suffix}"
+    # creates nothing; a report.dir that names a file fails every command,
+    # those that only read from it too
+    directory = Path(config["report.dir"])
+    if directory.exists() and not directory.is_dir():
+        raise DataError(f"cannot write {directory}: not a directory")
+    return directory / f"{kind}_{config.short_fingerprint}.{suffix}"
 
 
 def _write_config_echo(config: RunConfig) -> Path:
@@ -83,7 +82,6 @@ def cmd_synth(config: RunConfig, out_path: str | None) -> int:
         raise ConfigError("no output path: pass --out or set data.path")
     universe = generate_synthetic(config.synthetic_spec(), config["seed"])
     with _writing(target):
-        Path(target).parent.mkdir(parents=True, exist_ok=True)
         write_csv(universe, target)
     total = sum(len(s) for s in universe.values())
     print(f"wrote {len(universe)} synthetic firms ({total} rows) to {target}")
@@ -193,9 +191,9 @@ def cmd_forecast(config: RunConfig, ticker: str, horizon: int) -> int:
     window = standardized[fm.launch_t - fm.window:fm.launch_t]
     weights = gate_for_regime(fm.regime, config.gate_table())
     paths = {
-        model: fm.scaler.invert(path)
+        model: fm.scaler.invert(path[0])
         for model, path in forecast_paths(
-            fm.lstm, fm.linear, weights, window, float(fm.launch_t), fm.sigma, horizon
+            fm.lstm, [fm.linear], [weights], window[None], float(fm.launch_t), [fm.sigma], horizon
         ).items()
     }
     print(stamp(config.fingerprint, config["seed"]).rstrip("\n"))

@@ -14,6 +14,7 @@ canonical serialization so that behaviour survives a round trip.
 
 from __future__ import annotations
 
+import enum
 import hashlib
 from dataclasses import dataclass
 from typing import Any, Callable
@@ -26,6 +27,7 @@ from .regime import (
     DEFAULT_MEDIAN_WINDOW,
     DEFAULT_TAU,
     DEFAULT_THRESHOLD_WINDOW,
+    PolicyKind,
     RegimeLabel,
     RegimePolicy,
 )
@@ -74,7 +76,8 @@ class _Key:
     contextual: bool = False  # omitted from serialization when not explicitly set
 
 
-def _enum_key(name: str, choices: tuple[str, ...], default: str | None, contextual=False) -> _Key:
+def _enum_key(name: str, kind: type[enum.Enum], default: str | None, contextual=False) -> _Key:
+    choices = tuple(member.value for member in kind)
     return _Key(
         name=name,
         parse=lambda text: text.strip(),
@@ -87,15 +90,15 @@ def _enum_key(name: str, choices: tuple[str, ...], default: str | None, contextu
 
 _REGISTRY: tuple[_Key, ...] = (
     _Key("data.path", str.strip, "", "file path", lambda v: True),
-    _enum_key("data.mode", ("price_levels", "log_returns"), "price_levels"),
+    _enum_key("data.mode", WindowMode, WindowMode.PRICE_LEVELS.value),
     _Key("window.length", _parse_int, 10, "integer >= 1", lambda v: v >= 1),
-    _enum_key("vol.policy", ("threshold", "median"), None, contextual=True),
+    _enum_key("vol.policy", PolicyKind, None, contextual=True),
     _Key("vol.window", _parse_int, None, "integer >= 2", lambda v: v >= 2, contextual=True),
     _Key("vol.tau", _parse_float, DEFAULT_TAU, "real > 0", lambda v: v > 0, fmt=repr),
     _Key("wf.init_train", _parse_int, 80, "integer >= 1", lambda v: v >= 1),
     _Key("wf.val_len", _parse_int, 20, "integer >= 1", lambda v: v >= 1),
     _Key("wf.step", _parse_int, 20, "integer >= 1", lambda v: v >= 1),
-    _enum_key("wf.mode", ("sliding", "expanding"), "sliding"),
+    _enum_key("wf.mode", TrainMode, TrainMode.SLIDING.value),
     _Key("train.learning_rate", _parse_float, 0.001, "real > 0", lambda v: v > 0, fmt=repr),
     _Key("train.batch_size", _parse_int, 16, "integer >= 1", lambda v: v >= 1),
     _Key("train.max_epochs", _parse_int, 50, "integer >= 1", lambda v: v >= 1),

@@ -265,17 +265,16 @@ def moe_one_step(
 
 def forecast_paths(
     lstm: LstmParams,
-    linear: LinearParams | Sequence[LinearParams],
-    weights: GateWeights | Sequence[GateWeights],
-    window: np.ndarray,
+    linear: Sequence[LinearParams],
+    weights: Sequence[GateWeights],
+    windows: np.ndarray,
     t0: float,
-    sigma: float | Sequence[float],
+    sigma: Sequence[float],
     h: int,
 ) -> dict[str, np.ndarray]:
     """Recursive ``h``-step paths of every model, launched from one window per firm.
 
-    For one firm ``window`` is 1-D and each path has shape ``(h,)``.  For F
-    firms ``window`` is ``(F, width)``; ``linear``, ``weights`` and ``sigma``
+    ``windows`` is ``(F, width)``; ``linear``, ``weights`` and ``sigma``
     hold one entry per firm; ``lstm`` is a stack of F firms' parameters or
     one set that every firm shares; each path has shape ``(F, h)``.
 
@@ -285,17 +284,14 @@ def forecast_paths(
     :func:`predict_lstm` call per step; the linear path is closed form over
     ``t0, t0 + 1, ...`` since that expert never reads the window.
     """
-    windows = np.asarray(window, dtype=float)
-    if windows.ndim == 1:
-        paths = forecast_paths(lstm, [linear], [weights], windows[None], t0, [sigma], h)
-        return {model: path[0] for model, path in paths.items()}
+    windows = np.asarray(windows, dtype=float)
     n_firms, width = windows.shape
     lin = np.array([predict_linear(p, t0 + np.arange(h), s) for p, s in zip(linear, sigma)])
     # per firm, row 0 is the LSTM recursion and row 1 the mixture's
     path = np.empty((n_firms, 2, width + h))
     path[:, :, :width] = windows[:, None, :]
     for j in range(h):
-        preds = predict_lstm(lstm, path[:, :, j:j + width, None])
+        preds = predict_lstm(lstm, path[:, :, j:j + width])
         path[:, 0, width + j] = preds[:, 0]
         path[:, 1, width + j] = [
             blend(w, rnn, lm) for w, rnn, lm in zip(weights, preds[:, 1], lin[:, j])
@@ -460,13 +456,12 @@ class FoldModels:
 
 @dataclass(frozen=True)
 class PredictionPoint:
-    """One stored single-step validation prediction (both scales)."""
+    """One stored single-step validation prediction (both scales) and its raw target."""
 
     ticker: str
     fold_id: int
     t_index: int
     model: str
-    actual: float
     predicted: float
     actual_raw: float
     predicted_raw: float
@@ -676,7 +671,7 @@ def _run_fold(
     gates = [gate_for_regime(fm.regime, settings.gate_table) for fm in fms]
     # horizon 1: every validation window of every firm in one call, each
     # window its own one-row batch (as in a single-window call)
-    lstm_h1 = predict_lstm(lstm, np.stack([d.inputs[d.train_rows:] for d in firms])[..., None])
+    lstm_h1 = predict_lstm(lstm, np.stack([d.inputs[d.train_rows:] for d in firms]))
     horizon_records = _horizon_records(
         lstm, firms, fms, gates, settings.horizons, fold.fold_id, WALK_FORWARD_SPLIT
     )
@@ -692,8 +687,7 @@ def _run_fold(
         records += horizon_records[k]
         predictions += [
             PredictionPoint(
-                data.ticker, fold.fold_id, fm.launch_t + j, model,
-                float(actual[j]), float(preds[j]),
+                data.ticker, fold.fold_id, fm.launch_t + j, model, float(preds[j]),
                 float(fm.scaler.invert(actual[j])), float(fm.scaler.invert(preds[j])),
             )
             for model, preds in h1.items()

@@ -9,14 +9,15 @@ The cell follows the standard gate algebra
 with elementwise products throughout; the prediction after the final step is
 ``W_y h + b_y``.
 
-All parameters live in one flat float64 vector ``theta``.  For hidden size H
-and input dimension D it holds, in ``PARAM_FIELDS`` order,
+Each step reads one value ``x``: the expert forecasts from a window of one
+firm's standardized values.  All parameters live in one flat float64 vector
+``theta``.  For hidden size H it holds, in ``PARAM_FIELDS`` order,
 
-    W_f, W_i, W_C, W_o    (H, H + D) each, acting on the concatenated [h, x]
+    W_f, W_i, W_C, W_o    (H, H + 1) each, acting on the concatenated [h, x]
     b_f, b_i, b_C, b_o    (H,) each
     W_y, b_y              (1, H) and (1,)
 
-that is ``4H(H + D) + 5H + 1`` entries, and the named fields are reshaped
+that is ``4H(H + 1) + 5H + 1`` entries, and the named fields are reshaped
 views into it.  A gradient has the same layout, so Adam, clipping and copies
 act on ``theta`` alone while the cell and BPTT read and write the views.
 Gradients are exact analytic backpropagation through time of the batch
@@ -25,7 +26,7 @@ differences.  Everything is plain float64 numpy and deterministic for a
 fixed seed.
 
 ``theta`` may carry a leading firm axis: a stack of F firms is one ``(F, P)``
-array whose views are ``(F, H, H + D)`` and so on, and every step of the
+array whose views are ``(F, H, H + 1)`` and so on, and every step of the
 forward pass, BPTT, Adam and the trainer runs all F firms in one numpy call
 (``np.matmul`` over the stack).  The four gates likewise share one matmul
 call.  Each slice of such a call is the same BLAS call as one gate of one
@@ -65,16 +66,16 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
-def _field_shapes(hidden: int, input_dim: int) -> tuple[tuple[int, ...], ...]:
-    gate, bias = (hidden, hidden + input_dim), (hidden,)
+def _field_shapes(hidden: int) -> tuple[tuple[int, ...], ...]:
+    gate, bias = (hidden, hidden + 1), (hidden,)
     return (gate,) * 4 + (bias,) * 4 + ((1, hidden), (1,))
 
 
 @functools.lru_cache(maxsize=None)
-def _layout(hidden: int, input_dim: int) -> tuple[int, tuple[tuple[str, int, int, tuple], ...]]:
+def _layout(hidden: int) -> tuple[int, tuple[tuple[str, int, int, tuple], ...]]:
     """``theta``'s size and each field's ``(name, start, stop, shape)`` in it."""
     fields, offset = [], 0
-    for name, shape in zip(PARAM_FIELDS, _field_shapes(hidden, input_dim)):
+    for name, shape in zip(PARAM_FIELDS, _field_shapes(hidden)):
         fields.append((name, offset, offset + math.prod(shape), shape))
         offset += math.prod(shape)
     return offset, tuple(fields)
@@ -90,13 +91,13 @@ class LstmParams:
     the constructor wraps a ``theta`` of the right size.
     """
 
-    def __init__(self, theta: np.ndarray, hidden: int, input_dim: int) -> None:
-        if hidden < 1 or input_dim < 1:
-            raise FitError(f"inconsistent shapes: hidden={hidden}, input_dim={input_dim}")
-        size, fields = _layout(hidden, input_dim)
+    def __init__(self, theta: np.ndarray, hidden: int) -> None:
+        if hidden < 1:
+            raise FitError(f"hidden must be positive, got {hidden}")
+        size, fields = _layout(hidden)
         if theta.dtype != np.float64 or theta.ndim < 1 or theta.shape[-1] != size:
             raise FitError(f"theta must be float64 of shape (..., {size}), got {theta.shape}")
-        self.theta, self.hidden, self.input_dim = theta, hidden, input_dim
+        self.theta, self.hidden = theta, hidden
         lead = theta.shape[:-1]
         for name, start, stop, shape in fields:
             setattr(self, name, theta[..., start:stop].reshape(lead + shape))
@@ -114,12 +115,12 @@ class LstmParams:
     def __reduce__(self):
         # pickle theta alone: the views are rebuilt over it, so they still
         # share its memory after a round trip
-        return LstmParams, (self.theta, self.hidden, self.input_dim)
+        return LstmParams, (self.theta, self.hidden)
 
     @classmethod
     def stack(cls, firms: Sequence["LstmParams"]) -> "LstmParams":
         """The firms' parameters as one stack, in order, along a new leading axis."""
-        return cls(np.stack([p.theta for p in firms]), firms[0].hidden, firms[0].input_dim)
+        return cls(np.stack([p.theta for p in firms]), firms[0].hidden)
 
     def firm(self, k: int) -> "LstmParams":
         """Firm ``k`` of a stack, as a view."""
@@ -129,20 +130,20 @@ class LstmParams:
     def from_arrays(cls, arrays: Mapping[str, np.ndarray]) -> "LstmParams":
         """Copy the ten named arrays into one ``theta``, rejecting any wrong shape."""
         gate_shape = np.shape(arrays["W_f"])
-        if len(gate_shape) != 2:
-            raise FitError(f"W_f must be a matrix, got shape {gate_shape}")
-        hidden, input_dim = gate_shape[0], gate_shape[1] - gate_shape[0]
+        if len(gate_shape) != 2 or gate_shape[1] != gate_shape[0] + 1:
+            raise FitError(f"W_f must have shape (H, H + 1), got {gate_shape}")
+        hidden = gate_shape[0]
         parts = []
-        for name, shape in zip(PARAM_FIELDS, _field_shapes(hidden, input_dim)):
+        for name, shape in zip(PARAM_FIELDS, _field_shapes(hidden)):
             arr = np.asarray(arrays[name], dtype=float)
             if arr.shape != shape:
                 raise FitError(f"{name} must have shape {shape}, got {arr.shape}")
             parts.append(arr.reshape(-1))
-        return cls(np.concatenate(parts), hidden, input_dim)
+        return cls(np.concatenate(parts), hidden)
 
     def with_theta(self, theta: np.ndarray) -> "LstmParams":
         """Parameters of the same shapes over another ``theta``, firm axes and all."""
-        return LstmParams(theta, self.hidden, self.input_dim)
+        return LstmParams(theta, self.hidden)
 
     def arrays(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, name) for name in PARAM_FIELDS}
@@ -188,7 +189,7 @@ class Tape:
     predictions: np.ndarray
 
 
-def init_params(hidden: int, input_dim: int, seed: int | tuple[int, ...]) -> LstmParams:
+def init_params(hidden: int, seed: int | tuple[int, ...]) -> LstmParams:
     """Uniform fan-scaled weights, zero biases except a forget bias of one.
 
     Each matrix draws from ``U(-b, b)`` with ``b = sqrt(6 / (fan_in +
@@ -196,17 +197,17 @@ def init_params(hidden: int, input_dim: int, seed: int | tuple[int, ...]) -> Lst
     erase the cell state.  Deterministic for a fixed seed; a tuple of seeds
     gives the stack of each seed's parameters.
     """
-    if hidden < 1 or input_dim < 1:
-        raise FitError(f"hidden and input_dim must be positive, got {hidden}, {input_dim}")
+    if hidden < 1:
+        raise FitError(f"hidden must be positive, got {hidden}")
     if isinstance(seed, tuple):
-        return LstmParams.stack([init_params(hidden, input_dim, s) for s in seed])
+        return LstmParams.stack([init_params(hidden, s) for s in seed])
     rng = np.random.default_rng(seed)
 
     def draw(rows: int, cols: int) -> np.ndarray:
         bound = math.sqrt(6.0 / (rows + cols))
         return rng.uniform(-bound, bound, size=(rows, cols))
 
-    gate_cols = hidden + input_dim
+    gate_cols = hidden + 1
     return LstmParams.from_arrays(
         dict(
             W_f=draw(hidden, gate_cols),
@@ -224,17 +225,11 @@ def init_params(hidden: int, input_dim: int, seed: int | tuple[int, ...]) -> Lst
 
 
 def _as_batch(params: LstmParams, inputs: np.ndarray) -> np.ndarray:
-    """``inputs`` as ``(batch, steps, input_dim)`` after the firm axes of ``params``."""
+    """``inputs`` as ``(batch, steps)`` after the firm axes of ``params``."""
     lead = params.theta.shape[:-1]
     X = np.asarray(inputs, dtype=float)
-    if X.ndim == len(lead) + 2:
-        X = X[..., None]
-    if X.ndim != len(lead) + 3 or X.shape[:len(lead)] != lead or X.shape[-2] < 1:
-        raise FitError(
-            f"inputs must be {lead} + (batch, steps[, dim]) with steps >= 1, got {X.shape}"
-        )
-    if X.shape[-1] != params.input_dim:
-        raise FitError(f"input dim {X.shape[-1]} does not match parameters ({params.input_dim})")
+    if X.ndim != len(lead) + 2 or X.shape[:len(lead)] != lead or X.shape[-1] < 1:
+        raise FitError(f"inputs must be {lead} + (batch, steps) with steps >= 1, got {X.shape}")
     return X
 
 
@@ -246,7 +241,7 @@ def _cell(
     ``weights`` are the gate matrices transposed and the gate biases as rows,
     so that both broadcast over the rows of every firm.  One matmul call forms the four gates, but each gate (and each firm) is
     its own slice of it, the same BLAS call as a lone ``z @ W_f.T``: one fused
-    ``(4H, H + D)`` matrix would round differently.  The three sigmoid gates
+    ``(4H, H + 1)`` matrix would round differently.  The three sigmoid gates
     share one elementwise call.
     """
     W_T, b = weights
@@ -266,10 +261,9 @@ def _head(params: LstmParams, h: np.ndarray) -> np.ndarray:
 def forward_batch(params: LstmParams, inputs: np.ndarray) -> tuple[np.ndarray, Tape]:
     """Run a batch of sequences from a zero state and apply the output head.
 
-    ``inputs`` has shape (batch, steps) for scalar steps or (batch, steps,
-    input_dim), after the firm axes of stacked ``params``.  Returns the
-    per-sequence predictions, ``firm axes + (batch,)``, and the activation
-    tape needed by :func:`backward_bptt`.
+    ``inputs`` has shape (batch, steps), after the firm axes of stacked
+    ``params``.  Returns the per-sequence predictions, ``firm axes +
+    (batch,)``, and the activation tape needed by :func:`backward_bptt`.
     """
     caches: list[tuple[np.ndarray, ...]] = []
     predictions = _run(params, _as_batch(params, inputs), caches)
@@ -286,10 +280,10 @@ def _run(
     activations outlive the next step.
     """
     weights = (params.W_gates.swapaxes(-1, -2), params.b_gates[..., None, :])
-    h = np.zeros(X.shape[:-2] + (params.hidden,))
+    h = np.zeros(X.shape[:-1] + (params.hidden,))
     C = np.zeros_like(h)
-    for t in range(X.shape[-2]):
-        z = np.concatenate([h, X[..., t, :]], axis=-1)
+    for t in range(X.shape[-1]):
+        z = np.concatenate([h, X[..., t, None]], axis=-1)
         out = _cell(weights, z, C)
         if caches is not None:
             caches.append((z, C) + out)
@@ -407,7 +401,7 @@ def train_early_stopping(
 ) -> tuple[LstmParams, list]:
     """Mini-batch Adam training with patience-based early stopping.
 
-    One firm trains on inputs ``(n, steps[, dim])`` and targets ``(n,)``.
+    One firm trains on inputs ``(n, steps)`` and targets ``(n,)``.
     When ``cfg.seed`` is a tuple of F seeds, F firms train as one stack:
     every input and target array, and ``init``, has a leading firm axis, and
     the result equals F separate fits, one per seed, bit for bit.
@@ -435,12 +429,10 @@ def train_early_stopping(
         raise FitError("both the training and validation splits must be non-empty")
     train_x = np.asarray(train_inputs, dtype=float)
     val_x = np.asarray(val_inputs, dtype=float)
-    if train_x.ndim == len(lead) + 2:
-        train_x, val_x = train_x[..., None], val_x[..., None]
-    if train_x.shape[:len(lead) + 1] != train_y.shape:
+    if train_x.ndim != len(lead) + 2 or train_x.shape[:-1] != train_y.shape:
         raise FitError(f"inputs {train_x.shape} do not match targets {train_y.shape}")
 
-    params = init.copy() if init is not None else init_params(hidden, train_x.shape[-1], cfg.seed)
+    params = init.copy() if init is not None else init_params(hidden, cfg.seed)
     if params.theta.shape[:-1] != lead:
         raise FitError(f"init has firm axes {params.theta.shape[:-1]}, the seeds give {lead}")
     moments = (np.zeros_like(params.theta), np.zeros_like(params.theta))
@@ -457,12 +449,12 @@ def train_early_stopping(
         order = np.array(
             [np.random.default_rng([seeds[f], epoch]).permutation(n) for f in firms]
         ).reshape(params.theta.shape[:-1] + (n,))
-        epoch_x = np.take_along_axis(train_x, order[..., None, None], axis=-3)
+        epoch_x = np.take_along_axis(train_x, order[..., None], axis=-2)
         epoch_y = np.take_along_axis(train_y, order, axis=-1)
         epoch_sse = 0.0
         for start in range(0, n, cfg.batch_size):
             batch_y = epoch_y[..., start:start + cfg.batch_size]
-            preds, tape = forward_batch(params, epoch_x[..., start:start + cfg.batch_size, :, :])
+            preds, tape = forward_batch(params, epoch_x[..., start:start + cfg.batch_size, :])
             grads = backward_bptt(params, batch_y, tape)
             del tape  # freed now, so the next batch's tape reuses its memory
             if cfg.clip_norm is not None:
@@ -495,33 +487,27 @@ def train_early_stopping(
                 f"{where}the fit diverged: no epoch left finite parameters and validation error",
                 firm=f if stacked else None,
             )
-    best_params = LstmParams(best.reshape(lead + (-1,)), params.hidden, params.input_dim)
+    best_params = LstmParams(best.reshape(lead + (-1,)), params.hidden)
     return best_params, histories if stacked else histories[0]
 
 
 def predict_lstm(params: LstmParams, windows: np.ndarray) -> float | np.ndarray:
     """Forward pass of one window, or of many, that keeps no activations.
 
-    One window, ``(steps,)`` or ``(steps, input_dim)``, gives a float and
-    equals ``forward_batch(params, window[None])[0][0]`` bit for bit.
-    Otherwise ``windows`` is the firm axes of ``params`` (none for unstacked
-    ones), then any batch axes, then ``(steps, input_dim)``, and the result
-    has the shape of those leading axes.  Every window runs as its own
-    one-row batch, so each prediction equals its single-window call bit for
-    bit (a 2-D batch of windows would round differently).
+    One window, ``(steps,)``, gives a float and equals
+    ``forward_batch(params, window[None])[0][0]`` bit for bit.  Otherwise
+    ``windows`` is the firm axes of ``params`` (none for unstacked ones), then
+    any batch axes, then ``steps``, and the result has the shape of those
+    leading axes.  Every window runs as its own one-row batch, so each
+    prediction equals its single-window call bit for bit (a 2-D batch of
+    windows would round differently).
     """
     lead = params.theta.shape[:-1]
     X = np.asarray(windows, dtype=float)
-    if X.ndim == 1 and not lead:
-        X = X[:, None]
-    if X.ndim < len(lead) + 2 or X.shape[:len(lead)] != lead or X.shape[-2] < 1:
-        raise FitError(
-            f"windows must be {lead} + (..., steps, dim) with steps >= 1, got {X.shape}"
-        )
-    if X.shape[-1] != params.input_dim:
-        raise FitError(f"input dim {X.shape[-1]} does not match parameters ({params.input_dim})")
-    extra = (1,) * (X.ndim - len(lead) - 2)
+    if X.ndim < len(lead) + 1 or X.shape[:len(lead)] != lead or X.shape[-1] < 1:
+        raise FitError(f"windows must be {lead} + (..., steps) with steps >= 1, got {X.shape}")
+    extra = (1,) * (X.ndim - len(lead) - 1)
     if extra:  # one singleton axis per batch axis, so the weights broadcast over them
         params = params.with_theta(params.theta.reshape(lead + extra + params.theta.shape[-1:]))
-    out = _run(params, X[..., None, :, :])[..., 0]
+    out = _run(params, X[..., None, :])[..., 0]
     return float(out) if out.ndim == 0 else out

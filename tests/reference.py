@@ -13,14 +13,14 @@ from moecast.lstm_expert import LstmParams, _sigmoid
 def cell_step(
     params: LstmParams, x_t: np.ndarray, h: np.ndarray, C: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One LSTM cell update ``(h', C')`` for a single (unbatched) input vector.
+    """One LSTM cell update ``(h', C')`` for a single (unbatched) one-value input.
 
     Written gate by gate, apart from the fused cell of ``lstm_expert``, as the
     reference the batched forward pass is tested against.
     """
     x_t = np.asarray(x_t, dtype=float).reshape(-1)
-    if x_t.shape[0] != params.input_dim:
-        raise FitError(f"input has dim {x_t.shape[0]}, parameters expect {params.input_dim}")
+    if x_t.shape != (1,):
+        raise FitError(f"a step reads one value, got {x_t.size}")
     if h.shape != (params.hidden,) or C.shape != (params.hidden,):
         raise FitError("state vectors do not match the hidden size")
     z = np.concatenate([h, x_t])

@@ -81,7 +81,7 @@ def test_criterion_1_gradient_correctness():
     with criterion(1, "BPTT matches central finite differences (rel < 1e-4)"):
         started = time.monotonic()
         rng = np.random.default_rng(2024)
-        params = init_params(hidden=4, input_dim=1, seed=17)
+        params = init_params(hidden=4, seed=17)
         inputs = rng.normal(size=(3, 5))
         targets = rng.normal(size=3)
         _, tape = forward_batch(params, inputs)

@@ -11,7 +11,7 @@ from moecast.cli import main
 from moecast.config import parse_config, parse_config_text
 from moecast.errors import ConfigError, DataError
 from moecast.evaluation import HorizonSpec, plan_walk_forward, run_walk_forward
-from moecast.lstm_expert import predict_lstm
+from moecast.lstm_expert import PARAM_FIELDS, predict_lstm
 from moecast.market_data import PriceSeries, SyntheticSpec, generate_synthetic, load_csv, write_csv
 from moecast.model_store import ModelStore
 from moecast.regime import PolicyKind, RegimeLabel
@@ -328,7 +328,9 @@ class TestCli:
         assert err.startswith("error: cannot read prices ") and str(data) in err
 
     @pytest.mark.parametrize(
-        "case", ["truncated", "not_an_archive", "bare_array", "empty", "no_manifest"]
+        "case",
+        ["truncated", "not_an_archive", "bare_array", "empty", "no_manifest",
+         "two_values_per_step"],
     )
     def test_unreadable_model_store_fails_naming_the_path(self, cli_workspace, capsys, case):
         cfg, _, reports = cli_workspace
@@ -344,12 +346,26 @@ class TestCli:
                 np.save(fh, np.zeros(3))
         elif case == "empty":
             store.write_bytes(b"")
-        else:
+        elif case == "no_manifest":
             np.savez(store, a0=np.zeros(3))
+        else:
+            # well formed but for an LSTM that reads two values per step:
+            # its gates are (H, H + 2)
+            shapes = [(3, 5)] * 4 + [(3,)] * 4 + [(1, 3), (1,)]
+            entry = {"ticker": "STB01", "fold": 0, "linear": [0.0, 0.0, 0.0],
+                     "scaler": [0.0, 1.0], "sigma": 0.01, "regime": "Stable",
+                     "launch_t": 40, "window": 5, "mode": "price_levels",
+                     "lstm": {name: k for k, name in enumerate(PARAM_FIELDS)}}
+            manifest = {"version": 1, "fingerprint": "f" * 64, "pooled": None,
+                        "entries": [entry]}
+            np.savez(store, manifest=np.array(json.dumps(manifest)),
+                     **{f"a{k}": np.zeros(shape) for k, shape in enumerate(shapes)})
         code = main(["--config", str(cfg), "forecast", "--ticker", "STB01", "--horizon", "3"])
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: cannot read model store ") and str(store) in err
+        if case == "two_values_per_step":
+            assert f"{store}: malformed manifest (FitError: W_f must have shape" in err
 
     @pytest.mark.parametrize(
         "manifest",
@@ -387,6 +403,22 @@ class TestCli:
         assert main(["--config", str(cfg), *args]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot write {reports}: ")
+
+    @pytest.mark.parametrize(
+        "command, artifact, message",
+        [("forecast", "models_{}.npz", "error: model store {} not found; run backtest first"),
+         ("report", "records_{}.csv", "error: no records at {}; run backtest first")],
+        ids=["forecast", "report"],
+    )
+    def test_reading_commands_leave_a_fresh_report_dir_uncreated(
+        self, cli_workspace, capsys, command, artifact, message
+    ):
+        cfg, _, reports = cli_workspace
+        args = [command] + (["--ticker", "STB01", "--horizon", "3"] if command == "forecast" else [])
+        assert main(["--config", str(cfg), *args]) == 1
+        expected = reports / artifact.format(parse_config(cfg).short_fingerprint)
+        assert capsys.readouterr().err == message.format(expected) + "\n"
+        assert not reports.exists()
 
     @pytest.mark.parametrize(
         "command, artifact",

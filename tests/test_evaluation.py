@@ -230,11 +230,11 @@ def linear_one_step_stub(slope):
 class TestForecastPaths:
     @pytest.mark.parametrize("weights", [GateWeights(0.7, 0.3), GateWeights(0.3, 0.7)])
     def test_every_prefix_equals_the_one_step_recursion(self, weights):
-        lstm = init_params(hidden=6, input_dim=1, seed=3)
+        lstm = init_params(hidden=6, seed=3)
         linear = LinearParams(0.25, -0.0125, 3.5)
         window = np.random.default_rng(8).normal(size=5)
         t0, sigma, longest = 41.0, 0.031, 12
-        paths = forecast_paths(lstm, linear, weights, window, t0, sigma, longest)
+        paths = forecast_paths(lstm, [linear], [weights], window[None], t0, [sigma], longest)
         fns = {
             "Linear": linear_one_step(linear),
             "LSTM": lstm_one_step(lstm),
@@ -243,7 +243,7 @@ class TestForecastPaths:
         for h in range(1, longest + 1):
             for model, fn in fns.items():
                 expected = recursive_forecast(fn, window, t0, sigma, h)
-                assert np.array_equal(paths[model][:h], expected), (model, h)
+                assert np.array_equal(paths[model][0, :h], expected), (model, h)
 
     @pytest.mark.parametrize(
         "horizons", [(3, 25), (3, 5, 10)], ids=["val_len<max_h", "val_len>=max_h"]
@@ -279,7 +279,7 @@ class TestForecastPaths:
     def test_firms_paths_equal_each_firms_one_step_recursion(self, shared):
         # three firms with their own LSTM (or the one they share, as holdout
         # firms do), linear expert, gate weights, volatility and window
-        lstm = init_params(hidden=6, input_dim=1, seed=(3, 4, 5))
+        lstm = init_params(hidden=6, seed=(3, 4, 5))
         linears = [LinearParams(0.25, -0.0125, 3.5), LinearParams(-0.1, 0.002, 1.0),
                    LinearParams(0.0, 0.01, -2.0)]
         gates = [GateWeights(0.7, 0.3), GateWeights(0.3, 0.7), GateWeights(0.7, 0.3)]
@@ -762,7 +762,7 @@ class TestParallelBacktest:
         def nan_in_fold_1(*args, **kwargs):
             cfg = args[4]
             if cfg.seed == fold_1:  # firm 1 of fold 1 starts from a NaN weight
-                kwargs["init"] = init_params(kwargs["hidden"], 1, cfg.seed)
+                kwargs["init"] = init_params(kwargs["hidden"], cfg.seed)
                 kwargs["init"].W_i[1, 0, 0] = np.nan
             return train(*args, **kwargs)
 

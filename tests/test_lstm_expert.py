@@ -63,7 +63,7 @@ def max_relative_error(analytic, numeric, floor=1e-6):
 class TestGradientOracle:
     def test_bptt_matches_central_finite_differences(self):
         rng = np.random.default_rng(7)
-        params = init_params(hidden=4, input_dim=1, seed=11)
+        params = init_params(hidden=4, seed=11)
         inputs = rng.normal(size=(3, 5))
         targets = rng.normal(size=3)
         preds, tape = forward_batch(params, inputs)
@@ -72,7 +72,7 @@ class TestGradientOracle:
         assert max_relative_error(analytic, numeric) < 1e-4
 
     def test_zero_error_batch_gives_near_zero_gradients(self):
-        params = init_params(hidden=3, input_dim=1, seed=2)
+        params = init_params(hidden=3, seed=2)
         inputs = np.random.default_rng(3).normal(size=(4, 6))
         preds, tape = forward_batch(params, inputs)
         grads = backward_bptt(params, preds.copy(), tape)
@@ -81,7 +81,7 @@ class TestGradientOracle:
 
     def test_doubling_error_scale_doubles_gradients(self):
         rng = np.random.default_rng(5)
-        params = init_params(hidden=3, input_dim=1, seed=8)
+        params = init_params(hidden=3, seed=8)
         inputs = rng.normal(size=(4, 5))
         preds, tape = forward_batch(params, inputs)
         delta = rng.normal(size=4)
@@ -93,7 +93,7 @@ class TestGradientOracle:
             )
 
     def test_mismatched_tape_rejected(self):
-        params = init_params(hidden=3, input_dim=1, seed=1)
+        params = init_params(hidden=3, seed=1)
         _, tape = forward_batch(params, np.zeros((4, 5)))
         with pytest.raises(FitError):
             backward_bptt(params, np.zeros(3), tape)
@@ -101,21 +101,21 @@ class TestGradientOracle:
 
 class TestInitParams:
     def test_same_seed_is_bit_identical(self):
-        a = init_params(6, 1, seed=42)
-        b = init_params(6, 1, seed=42)
+        a = init_params(6, seed=42)
+        b = init_params(6, seed=42)
         for name in PARAM_FIELDS:
             assert np.array_equal(getattr(a, name), getattr(b, name))
 
     def test_shapes(self):
-        p = init_params(50, 1, seed=0)
+        p = init_params(50, seed=0)
         assert p.W_f.shape == (50, 51)
         assert p.W_y.shape == (1, 50)
         assert p.b_y.shape == (1,)
-        assert p.hidden == 50 and p.input_dim == 1
+        assert p.hidden == 50
 
     def test_weights_within_fan_bound_and_biases(self):
-        p = init_params(5, 2, seed=3)
-        bound_gate = math.sqrt(6.0 / (5 + 7))
+        p = init_params(5, seed=3)
+        bound_gate = math.sqrt(6.0 / (5 + 6))
         for name in ("W_f", "W_i", "W_C", "W_o"):
             assert np.abs(getattr(p, name)).max() <= bound_gate
         assert np.abs(p.W_y).max() <= math.sqrt(6.0 / (1 + 5))
@@ -125,22 +125,20 @@ class TestInitParams:
 
     def test_rejects_nonpositive_dims(self):
         with pytest.raises(FitError):
-            init_params(0, 1, seed=0)
-        with pytest.raises(FitError):
-            init_params(4, 0, seed=0)
+            init_params(0, seed=0)
 
 
 class TestLstmParams:
     def test_fields_are_views_of_theta_in_layout_order(self):
-        p = init_params(3, 2, seed=1)
-        assert p.theta.shape == (4 * 3 * (3 + 2) + 5 * 3 + 1,)
+        p = init_params(3, seed=1)
+        assert p.theta.shape == (4 * 3 * (3 + 1) + 5 * 3 + 1,)
         flat = np.concatenate([getattr(p, name).reshape(-1) for name in PARAM_FIELDS])
         assert np.array_equal(flat, p.theta)
         for name in PARAM_FIELDS:
             assert np.shares_memory(getattr(p, name), p.theta)
 
     def test_write_through_a_view_changes_theta(self):
-        p = init_params(3, 1, seed=1)
+        p = init_params(3, seed=1)
         p.W_C[1, 2] = 7.5
         assert p.theta[2 * 3 * 4 + 1 * 4 + 2] == 7.5
         p.b_y[...] = -2.0
@@ -149,14 +147,14 @@ class TestLstmParams:
         assert not p.W_f.any()
 
     def test_copy_is_independent(self):
-        p = init_params(3, 1, seed=1)
+        p = init_params(3, seed=1)
         q = p.copy()
         q.b_i[...] = 5.0
         assert np.array_equal(p.b_i, np.zeros(3))
 
     def test_from_arrays_rejects_a_wrongly_shaped_array(self):
-        good = init_params(3, 1, seed=1).arrays()
-        assert np.array_equal(LstmParams.from_arrays(good).theta, init_params(3, 1, seed=1).theta)
+        good = init_params(3, seed=1).arrays()
+        assert np.array_equal(LstmParams.from_arrays(good).theta, init_params(3, seed=1).theta)
         for name in PARAM_FIELDS:
             bad = dict(good)
             bad[name] = np.zeros(good[name].size + 1)
@@ -164,34 +162,38 @@ class TestLstmParams:
                 LstmParams.from_arrays(bad)
         with pytest.raises(FitError):
             LstmParams.from_arrays(dict(good, W_f=np.zeros((3, 3))))
+        # a consistent set of gates laid out for two values per step
+        two_values = dict(good, **{name: np.zeros((3, 5)) for name in PARAM_FIELDS[:4]})
+        with pytest.raises(FitError, match=r"\(H, H \+ 1\)"):
+            LstmParams.from_arrays(two_values)
 
     @pytest.mark.parametrize("seed", [1, (1, 2, 3)], ids=["one firm", "stack"])
     def test_pickle_round_trip_keeps_the_views_on_theta(self, seed):
-        p = init_params(4, 1, seed=seed)
+        p = init_params(4, seed=seed)
         data = pickle.dumps(p)
         q = pickle.loads(data)
         assert np.array_equal(q.theta, p.theta)
-        assert (q.hidden, q.input_dim) == (p.hidden, p.input_dim)
+        assert q.hidden == p.hidden
         for name in PARAM_FIELDS:
             assert np.shares_memory(getattr(q, name), q.theta)
             assert np.array_equal(getattr(q, name), getattr(p, name))
         assert np.shares_memory(q.W_gates, q.theta)
-        q.W_f[...] = 0.0  # W_f is theta's first H * (H + D) entries
+        q.W_f[...] = 0.0  # W_f is theta's first H * (H + 1) entries
         assert not q.theta[..., :4 * 5].any()
         assert p.W_f.all()
         assert len(data) < 2 * p.theta.nbytes
 
     def test_constructor_rejects_a_theta_of_the_wrong_size(self):
-        theta = init_params(3, 1, seed=1).theta
+        theta = init_params(3, seed=1).theta
         with pytest.raises(FitError):
-            LstmParams(theta[:-1], 3, 1)
+            LstmParams(theta[:-1], 3)
         with pytest.raises(FitError):
-            LstmParams(theta, 3, 2)
+            LstmParams(theta, 2)
 
 
 class TestCellStep:
-    def zero_params(self, hidden=3, input_dim=1, forget_bias=0.0):
-        p = init_params(hidden, input_dim, seed=0)
+    def zero_params(self, hidden=3, forget_bias=0.0):
+        p = init_params(hidden, seed=0)
         for name in PARAM_FIELDS:
             getattr(p, name)[...] = 0.0
         p.b_f[...] = forget_bias
@@ -209,7 +211,7 @@ class TestCellStep:
         assert np.array_equal(h, np.zeros(3))
 
     def test_repeated_calls_bit_identical(self):
-        p = init_params(4, 1, seed=9)
+        p = init_params(4, seed=9)
         prev = (np.full(4, 0.1), np.full(4, -0.2))
         a = cell_step(p, np.array([0.5]), *prev)
         b = cell_step(p, np.array([0.5]), *prev)
@@ -217,28 +219,28 @@ class TestCellStep:
 
     def test_gate_ranges_on_random_inputs(self):
         rng = np.random.default_rng(0)
-        p = init_params(8, 1, seed=4)
+        p = init_params(8, seed=4)
         h, C = np.zeros(8), np.zeros(8)
         for _ in range(50):
             h, C = cell_step(p, rng.normal(size=1) * 3.0, h, C)
             assert np.all(np.abs(h) < 1.0)
 
     def test_shape_mismatch(self):
-        p = init_params(3, 1, seed=0)
+        p = init_params(3, seed=0)
         with pytest.raises(FitError):
             cell_step(p, np.array([1.0, 2.0]), np.zeros(3), np.zeros(3))
 
 
 class TestForward:
     def test_zero_params_predict_zero(self):
-        p = init_params(4, 1, seed=0)
+        p = init_params(4, seed=0)
         for name in PARAM_FIELDS:
             getattr(p, name)[...] = 0.0
         preds, _ = forward_batch(p, np.linspace(-1, 1, 10)[None])
         assert preds[0] == 0.0
 
     def test_length_one_sequence_matches_manual_cell_step(self):
-        p = init_params(4, 1, seed=6)
+        p = init_params(4, seed=6)
         x = np.array([0.3])
         h, _ = cell_step(p, x, np.zeros(4), np.zeros(4))
         expected = float(p.W_y[0] @ h + p.b_y[0])
@@ -246,7 +248,7 @@ class TestForward:
         assert preds[0] == pytest.approx(expected, abs=1e-15)
 
     def test_tape_replay_reproduces_prediction(self):
-        p = init_params(5, 1, seed=12)
+        p = init_params(5, seed=12)
         window = np.random.default_rng(1).normal(size=9)
         preds, tape = forward_batch(p, window[None])
         last_h = tape.steps[-1][-1]
@@ -254,7 +256,7 @@ class TestForward:
         assert replayed == preds[0]
 
     def test_batch_forward_consistent_with_sequence(self):
-        p = init_params(5, 1, seed=12)
+        p = init_params(5, seed=12)
         windows = np.random.default_rng(2).normal(size=(6, 7))
         preds, _ = forward_batch(p, windows)
         singles = [forward_batch(p, w[None])[0][0] for w in windows]
@@ -263,19 +265,19 @@ class TestForward:
         np.testing.assert_allclose(preds, np.array(singles), rtol=1e-12, atol=1e-15)
 
     def test_empty_sequence_rejected(self):
-        p = init_params(3, 1, seed=0)
+        p = init_params(3, seed=0)
         with pytest.raises(FitError):
             forward_batch(p, np.empty((1, 0)))
 
     def test_predict_lstm_matches_forward_batch(self):
-        p = init_params(4, 1, seed=3)
+        p = init_params(4, seed=3)
         window = np.arange(10.0) / 10.0
         assert predict_lstm(p, window) == forward_batch(p, window[None])[0][0]
 
     def test_predict_lstm_builds_no_tape(self, monkeypatch):
         # a tape keeps nine small arrays per step, megabytes over this
         # window; a tape-free pass holds a few steps' worth at a time
-        p = init_params(8, 1, seed=3)
+        p = init_params(8, seed=3)
         window = np.random.default_rng(5).normal(size=3000)
         expected = forward_batch(p, window[None])[0][0]
 
@@ -298,10 +300,29 @@ class TestForward:
         assert predict_lstm(p, window) == expected
 
     def test_predict_lstm_rejects_bad_shapes(self):
-        p = init_params(3, 1, seed=0)
-        for bad in (np.empty(0), np.zeros((1, 2, 3)), np.zeros((4, 2))):
+        p = init_params(3, seed=0)
+        for bad in (np.empty(0), np.zeros((4, 0)), np.float64(1.0)):
             with pytest.raises(FitError):
                 predict_lstm(p, bad)
+        stack = init_params(3, (1, 2))
+        for bad in (np.zeros(5), np.zeros((3, 5)), np.zeros((2, 0))):
+            with pytest.raises(FitError):
+                predict_lstm(stack, bad)
+
+    @pytest.mark.parametrize("seed", [1, (1, 2)], ids=["one firm", "stack"])
+    def test_a_trailing_value_axis_is_rejected(self, seed):
+        # a step reads one value, so (batch, steps, 1) is not a batch
+        p = init_params(3, seed=seed)
+        lead = p.theta.shape[:-1]
+        inputs = np.zeros(lead + (4, 5, 1))
+        with pytest.raises(FitError):
+            forward_batch(p, inputs)
+        cfg = TrainConfig(max_epochs=1, patience=1, seed=seed)
+        with pytest.raises(FitError):
+            train_early_stopping(
+                inputs, np.zeros(lead + (4,)), inputs[..., :2, :, :], np.zeros(lead + (2,)),
+                cfg, hidden=3,
+            )
 
 
 def test_sigmoid_matches_two_branch_reference_bit_for_bit():
@@ -351,7 +372,7 @@ class TestLossMse:
 
 class TestAdam:
     def make(self, hidden=3):
-        params = init_params(hidden, 1, seed=5)
+        params = init_params(hidden, seed=5)
         cfg = TrainConfig(seed=5)
         return params, (np.zeros_like(params.theta), np.zeros_like(params.theta)), cfg
 
@@ -385,7 +406,7 @@ class TestAdam:
             assert np.allclose(np.abs(delta[nonzero]), cfg.learning_rate, rtol=1e-3)
 
     def test_clipping_caps_global_norm_and_changes_training(self):
-        params = init_params(4, 1, seed=5)
+        params = init_params(4, seed=5)
         rng = np.random.default_rng(6)
         inputs = rng.normal(size=(8, 5)) * 3.0
         preds, tape = forward_batch(params, inputs)
@@ -471,7 +492,7 @@ class TestTrainEarlyStopping:
         windows = np.stack([values[k:k + w] for k in range(len(values) - w)])
         targets = values[w:]
         cfg = TrainConfig(max_epochs=15, patience=15, seed=7, batch_size=8)
-        initial = init_params(8, 1, seed=cfg.seed)
+        initial = init_params(8, seed=cfg.seed)
         preds0, _ = forward_batch(initial, windows[:40])
         epoch0_mse = loss_mse(preds0, targets[:40])
         params, _ = train_early_stopping(
@@ -484,7 +505,7 @@ class TestTrainEarlyStopping:
         rng = np.random.default_rng(13)
         inputs = rng.normal(size=(10, 5))
         targets = rng.normal(size=10)
-        init = init_params(4, 1, seed=0)
+        init = init_params(4, seed=0)
         init.W_i[0, 0] = np.nan
         cfg = TrainConfig(max_epochs=3, patience=3, seed=2, batch_size=4)
         with pytest.raises(FitError, match="diverged"):
@@ -527,18 +548,18 @@ STACK_SEEDS = (3, 17, 99)
 
 class TestStackedFirms:
     def test_params_stack_and_firm_views(self):
-        stack = init_params(3, 2, STACK_SEEDS)
-        assert stack.theta.shape == (3, 4 * 3 * 5 + 5 * 3 + 1)
-        assert stack.W_f.shape == (3, 3, 5) and stack.b_y.shape == (3, 1)
+        stack = init_params(3, STACK_SEEDS)
+        assert stack.theta.shape == (3, 4 * 3 * 4 + 5 * 3 + 1)
+        assert stack.W_f.shape == (3, 3, 4) and stack.b_y.shape == (3, 1)
         for k, seed in enumerate(STACK_SEEDS):
             firm = stack.firm(k)
-            assert np.array_equal(firm.theta, init_params(3, 2, seed).theta)
+            assert np.array_equal(firm.theta, init_params(3, seed).theta)
             assert np.shares_memory(firm.W_o, stack.theta)
         again = LstmParams.stack([stack.firm(k) for k in range(3)])
         assert np.array_equal(again.theta, stack.theta)
 
     def test_forward_backward_adam_equal_separate_calls(self):
-        stack = init_params(5, 1, STACK_SEEDS)
+        stack = init_params(5, STACK_SEEDS)
         rng = np.random.default_rng(2)
         inputs, targets = rng.normal(size=(3, 7, 6)), rng.normal(size=(3, 7))
         preds, tape = forward_batch(stack, inputs)
@@ -600,7 +621,7 @@ class TestStackedFirms:
 
     def test_non_finite_init_names_the_firm(self):
         train_x, train_y, val_x, val_y = stacked_problem()
-        init = init_params(4, 1, STACK_SEEDS)
+        init = init_params(4, STACK_SEEDS)
         init.W_i[1, 0, 0] = np.nan
         cfg = TrainConfig(max_epochs=3, patience=3, batch_size=8, seed=STACK_SEEDS)
         with pytest.raises(FitError, match="firm 1: the fit diverged") as caught:
@@ -616,8 +637,8 @@ class TestStackedFirms:
             TrainConfig(seed=())
 
     def test_predict_lstm_stacked_windows_equal_single_window_calls(self):
-        stack = init_params(6, 1, STACK_SEEDS)
-        windows = np.random.default_rng(3).normal(size=(3, 4, 2, 7, 1))
+        stack = init_params(6, STACK_SEEDS)
+        windows = np.random.default_rng(3).normal(size=(3, 4, 2, 7))
         preds = predict_lstm(stack, windows)
         assert preds.shape == (3, 4, 2)
         for k in range(3):

@@ -84,7 +84,7 @@ class TestPredictMoe:
         return blend(weights, rnn, lm), rnn, lm, weights
 
     def zero_lstm(self):
-        p = init_params(4, 1, seed=0)
+        p = init_params(4, seed=0)
         for name in ("W_f", "W_i", "W_C", "W_o", "b_f", "b_i", "b_C", "b_o", "W_y", "b_y"):
             getattr(p, name)[...] = 0.0
         return p
@@ -97,7 +97,7 @@ class TestPredictMoe:
         assert combined == 0.0
 
     def test_combined_between_experts(self):
-        lstm = init_params(6, 1, seed=3)
+        lstm = init_params(6, seed=3)
         linear = LinearParams(0.5, 0.01, -2.0)
         rng = np.random.default_rng(0)
         for _ in range(20):
@@ -108,7 +108,7 @@ class TestPredictMoe:
             assert min(rnn, lm) - 1e-12 <= combined <= max(rnn, lm) + 1e-12
 
     def test_replaying_components_reproduces_combined(self):
-        lstm = init_params(5, 1, seed=9)
+        lstm = init_params(5, seed=9)
         linear = LinearParams(1.0, -0.02, 3.0)
         combined, rnn, lm, weights = self.predict(lstm, linear, np.linspace(-1, 1, 8), t=30.0,
                                                   sigma=0.01, regime=RegimeLabel.STABLE)
