@@ -34,7 +34,7 @@ def main():
         print(f"{ticker}: first price {series.prices[0]:.2f}, last {series.prices[-1]:.2f}")
         print(f"  mean |simple return| {np.abs(simple.values).mean():.5f}, "
               f"mean |log return| {np.abs(logr.values).mean():.5f}")
-        print(f"  30-day volatility range [{vol30.values.min():.5f}, {vol30.values.max():.5f}]")
+        print(f"  30-day volatility range [{np.nanmin(vol30):.5f}, {np.nanmax(vol30):.5f}]")
 
     # rule 1: fixed threshold on each firm's own 30-day volatility
     threshold = RegimePolicy.threshold()
@@ -42,7 +42,7 @@ def main():
     sigmas = {}
     for ticker in sorted(universe):
         vol = rolling_volatility(simple_returns(universe[ticker]), threshold.vol_window)
-        sigma = float(vol.values[-1])
+        sigma = float(vol[-1])
         sigmas[ticker] = sigma
         label = label_for(sigma, threshold.tau)
         print(f"  {ticker}: sigma {sigma:.5f} -> {label.value}")

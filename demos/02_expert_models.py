@@ -49,7 +49,7 @@ def main():
     policy = RegimePolicy.threshold()
     vol = rolling_volatility(simple_returns(series), policy.vol_window)
     rows = range(policy.vol_window, train_end)
-    sigma_at = lambda t: vol.at_return_index(t - 1)
+    sigma_at = lambda t: float(vol[t - 1])
     report = fit_ols(
         [float(t) for t in rows],
         [sigma_at(t) for t in rows],

@@ -22,8 +22,8 @@ from moecast.reporting import render_tables_text
 def main():
     universe = generate_synthetic(SyntheticSpec(n_stable=3, n_volatile=3, length=160), seed=42)
     plan = plan_walk_forward(160, init_train=80, val_len=20, step=20)
-    print(f"{len(universe)} firms, {len(plan.folds)} folds "
-          f"(validation starts at {[f.val_range.start for f in plan.folds]})")
+    print(f"{len(universe)} firms, {len(plan)} folds "
+          f"(validation starts at {[f.val_range.start for f in plan]})")
 
     settings = BacktestSettings(
         window=10,
@@ -36,7 +36,7 @@ def main():
     print(f"{len(result.records)} metric records, "
           f"{len(result.predictions)} stored single-step predictions\n")
 
-    for fold in plan.folds:
+    for fold in plan:
         volatile = sorted(
             ticker for (ticker, fold_id), fm in result.models.items()
             if fold_id == fold.fold_id and fm.regime.value == "Volatile"

@@ -6,7 +6,6 @@ from .market_data import (
     ReturnSeries,
     Scaler,
     SyntheticSpec,
-    VolatilitySeries,
     WindowMode,
     WindowedDataset,
     fit_scaler,
@@ -51,9 +50,7 @@ from .evaluation import (
     HorizonSpec,
     MetricRecord,
     PooledExperts,
-    StratifiedReport,
     TrainMode,
-    WalkForwardPlan,
     WalkForwardResult,
     aggregate_stratified,
     fit_pooled_experts,

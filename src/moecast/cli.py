@@ -91,7 +91,7 @@ def cmd_synth(config: RunConfig, out_path: str | None) -> int:
 def cmd_classify(config: RunConfig) -> int:
     universe = _load_universe(config)
     policy = config.policy_for_classify()
-    sigmas = {t: float(policy.volatility(universe[t]).values[-1]) for t in sorted(universe)}
+    sigmas = {t: float(policy.volatility(universe[t])[-1]) for t in sorted(universe)}
     labels = policy.labels(sigmas)
     print(f"regime classification by {policy.describe()}")
     print(f"{'ticker':<10}{'sigma':>12}  regime")
@@ -107,8 +107,9 @@ def _select_holdout(
     if k == 0:
         return dict(universe), None
     policy = config.policy_for_backtest()
+    # the defined entries' own mean: np.nanmean sums other blocks and can round differently
     mean_sigma = {
-        ticker: float(policy.volatility(series).values.mean())
+        ticker: float(policy.volatility(series)[policy.vol_window - 1:].mean())
         for ticker, series in universe.items()
     }
     top, bottom = rank_by_volatility(mean_sigma, k)
@@ -146,7 +147,7 @@ def cmd_backtest(config: RunConfig) -> int:
     with _writing(store_path):
         store.save(store_path)
 
-    print(f"backtest: {len(train_universe)} firms, {len(plan.folds)} folds, "
+    print(f"backtest: {len(train_universe)} firms, {len(plan)} folds, "
           f"{len(records)} metric records")
     if holdout is not None:
         print(f"holdout: {len(holdout.volatile_holdout)} volatile + "

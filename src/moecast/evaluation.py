@@ -59,11 +59,9 @@ __all__ = [
     "MODELS",
     "TrainMode",
     "FoldSpec",
-    "WalkForwardPlan",
     "HorizonSpec",
     "MetricRecord",
     "CellStats",
-    "StratifiedReport",
     "HoldoutSpec",
     "BacktestSettings",
     "FoldModels",
@@ -167,11 +165,6 @@ class FoldSpec:
 
 
 @dataclass(frozen=True)
-class WalkForwardPlan:
-    folds: tuple[FoldSpec, ...]
-
-
-@dataclass(frozen=True)
 class HorizonSpec:
     """Recursive forecast horizons, all at least one step."""
 
@@ -189,8 +182,8 @@ def plan_walk_forward(
     val_len: int = 20,
     step: int = 20,
     mode: TrainMode = TrainMode.SLIDING,
-) -> WalkForwardPlan:
-    """Fold layout over a length-``n`` observation sequence.
+) -> tuple[FoldSpec, ...]:
+    """The folds over a length-``n`` observation sequence, in order.
 
     Fold ``k`` validates on ``[init_train + k*step, init_train + k*step +
     val_len)``; sliding mode keeps a fixed-length training window ending at
@@ -210,7 +203,7 @@ def plan_walk_forward(
         train_start = val_start - init_train if mode is TrainMode.SLIDING else 0
         folds.append(FoldSpec(k, range(train_start, val_start), range(val_start, val_start + val_len)))
         k += 1
-    return WalkForwardPlan(tuple(folds))
+    return tuple(folds)
 
 
 # ---------------------------------------------------------------------------
@@ -352,21 +345,15 @@ class CellStats:
     count: int
 
 
-@dataclass(frozen=True)
-class StratifiedReport:
-    """Per (regime, model, horizon) means and deviations, never pooled across regimes."""
-
-    cells: dict[tuple[RegimeLabel, str, int], dict[str, CellStats]]
-
-    def get(self, regime: RegimeLabel, model: str, horizon: int) -> dict[str, CellStats]:
-        return self.cells[(regime, model, horizon)]
-
-
 _metric_values = operator.attrgetter(*METRIC_NAMES)
 
 
-def aggregate_stratified(records: Iterable[MetricRecord]) -> StratifiedReport:
-    """Sample mean and deviation of every metric per (regime, model, horizon).
+def aggregate_stratified(
+    records: Iterable[MetricRecord],
+) -> dict[tuple[RegimeLabel, str, int], dict[str, CellStats]]:
+    """Sample mean and deviation of every metric per (regime, model, horizon)
+    cell, as ``{(regime, model, horizon): {metric: CellStats}}``; regimes are
+    never pooled.
 
     Cells keep the order their first record arrives in, and a cell's metrics
     the order of ``METRIC_NAMES``; a metric that is ``None`` on every member
@@ -401,7 +388,7 @@ def aggregate_stratified(records: Iterable[MetricRecord]) -> StratifiedReport:
         stds = block.std(axis=-1, ddof=1).tolist() if n > 1 else [0.0] * len(lists)
         for (stats, metric, _), mean, std in zip(lists, means, stds):
             stats[metric] = CellStats(mean, std, n)
-    return StratifiedReport(cells)
+    return cells
 
 
 @dataclass(frozen=True)
@@ -520,10 +507,8 @@ def _prepare_fold_firm(
     # The one place a target meets its σ: the target at local index t sits at
     # price t + offset and reads the volatility window ending with return
     # t + offset - 1, the return into that price (for a log return, the
-    # target itself).  ``vol.values[j]`` ends with return ``vol_window - 1 + j``.
-    sigma = np.concatenate([np.full(vol.first_return_index, np.nan), vol.values])[
-        dataset.t_index + settings.mode.offset - 1
-    ]
+    # target itself).  ``vol[j]`` ends with return j, NaN until the window fills.
+    sigma = vol[dataset.t_index + settings.mode.offset - 1]
     data = _FoldFirmData(
         series.ticker, dataset.inputs, dataset.targets, sigma, dataset.scaler,
         train_rows=te - ts - settings.window, t_offset=ts,
@@ -746,7 +731,7 @@ def _in_parallel(tasks: Sequence[Callable[[], object]]) -> list:
 
 def run_backtest(
     universe: Mapping[str, PriceSeries],
-    plan: WalkForwardPlan,
+    plan: Sequence[FoldSpec],
     policy: RegimePolicy,
     settings: BacktestSettings,
     holdout: HoldoutSpec | None = None,
@@ -770,7 +755,7 @@ def run_backtest(
     train = {t: s for t, s in universe.items() if t not in excluded}
     if not train:
         raise EvaluationError("universe is empty")
-    horizon_end = plan.folds[-1].val_range.stop
+    horizon_end = plan[-1].val_range.stop
     for ticker in sorted(train):
         have = len(train[ticker]) - settings.mode.offset
         if have < horizon_end:
@@ -789,10 +774,10 @@ def run_backtest(
             raise DataError(f"{ticker}: date {dates[k]} at index {k} differs from "
                             f"{first}'s {calendar[k]}; the firms must share one calendar")
 
-    tasks = [functools.partial(_run_fold, train, fold, policy, settings) for fold in plan.folds]
+    tasks = [functools.partial(_run_fold, train, fold, policy, settings) for fold in plan]
     if holdout is not None:
         def pooled_phase() -> tuple[PooledExperts, tuple[MetricRecord, ...]]:
-            pooled = fit_pooled_experts(train, policy, settings, plan.folds[-1].val_range.start)
+            pooled = fit_pooled_experts(train, policy, settings, plan[-1].val_range.start)
             return pooled, run_holdout(universe, holdout, pooled, policy, settings)
 
         tasks.insert(0, pooled_phase)  # first, because it is the longest task
@@ -810,7 +795,7 @@ def run_backtest(
 
 def run_walk_forward(
     universe: Mapping[str, PriceSeries],
-    plan: WalkForwardPlan,
+    plan: Sequence[FoldSpec],
     policy: RegimePolicy,
     settings: BacktestSettings,
 ) -> WalkForwardResult:

@@ -1,9 +1,11 @@
 """Price series ingestion, returns, rolling volatility, and supervised windows.
 
 Everything downstream (regime labels, both experts, the backtest) consumes the
-types defined here.  All containers are immutable after construction: numpy
-payloads are marked read-only so they can be shared freely across parallel
-per-firm pipelines.
+types defined here.  A rolling volatility is no container but one array indexed
+like the returns it reads: entry ``j`` ends with return ``j``, and it is NaN
+until the window fills.  All containers and arrays are immutable after
+construction: numpy payloads are marked read-only so they can be shared freely
+across parallel per-firm pipelines.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ __all__ = [
     "WindowMode",
     "PriceSeries",
     "ReturnSeries",
-    "VolatilitySeries",
     "Scaler",
     "WindowedDataset",
     "SyntheticSpec",
@@ -130,37 +131,6 @@ class ReturnSeries:
 
 
 @dataclass(frozen=True)
-class VolatilitySeries:
-    """Trailing sample standard deviations of returns.
-
-    ``values[j]`` is the deviation of the ``window`` returns ending at return
-    index ``window - 1 + j``, so the series is only defined from return index
-    ``window - 1`` onward.
-    """
-
-    window: int
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", _frozen(self.values))
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    @property
-    def first_return_index(self) -> int:
-        return self.window - 1
-
-    def at_return_index(self, at: int) -> float:
-        """Volatility of the window whose most recent return has index ``at``."""
-        first = self.first_return_index
-        last = first + len(self.values) - 1
-        if not (first <= at <= last):
-            raise DataError(f"return index {at} outside volatility range [{first}, {last}]")
-        return float(self.values[at - first])
-
-
-@dataclass(frozen=True)
 class Scaler:
     """Mean/deviation pair fitted on the training portion of a series."""
 
@@ -244,6 +214,8 @@ def load_csv(path) -> dict[str, PriceSeries]:
             raise DataError(f"{path}: line {lineno}: duplicate ({ticker}, {date})")
         seen.add((ticker, date))
         rows.setdefault(ticker, []).append((date, price))
+    if not rows:
+        raise DataError(f"{path}: no price rows after the header")
     out: dict[str, PriceSeries] = {}
     for ticker in sorted(rows):
         dates, prices = zip(*sorted(rows[ticker]))
@@ -279,8 +251,14 @@ def log_returns(series: PriceSeries) -> ReturnSeries:
     return ReturnSeries(series.ticker, np.diff(np.log(prices)))
 
 
-def rolling_volatility(returns: ReturnSeries, window: int) -> VolatilitySeries:
-    """Trailing sample standard deviation (divisor ``window - 1``) of returns."""
+def rolling_volatility(returns: ReturnSeries, window: int) -> np.ndarray:
+    """Trailing sample standard deviation (divisor ``window - 1``) of returns,
+    indexed like the returns.
+
+    Entry ``j`` is the deviation of the ``window`` returns that end with return
+    ``j``; it is NaN for ``j < window - 1``, before the window fills.  The
+    array is read-only.
+    """
     if window < 2:
         raise DataError(f"volatility window must be at least 2, got {window}")
     values = returns.values
@@ -288,8 +266,10 @@ def rolling_volatility(returns: ReturnSeries, window: int) -> VolatilitySeries:
         raise DataError(
             f"{returns.ticker}: window {window} exceeds return series length {len(values)}"
         )
-    panes = np.lib.stride_tricks.sliding_window_view(values, window)
-    return VolatilitySeries(window, panes.std(axis=1, ddof=1))
+    vol = np.full(len(values), np.nan)
+    vol[window - 1:] = np.lib.stride_tricks.sliding_window_view(values, window).std(axis=1, ddof=1)
+    vol.setflags(write=False)
+    return vol
 
 
 def fit_scaler(values) -> Scaler:
@@ -351,6 +331,7 @@ def make_windows(
 # the first date of every synthetic series.
 _BASE_PRICE = (80.0, 160.0)
 _STABLE_DRIFT = (0.02, 0.12)
+_STABLE_NOISE = (0.2, 0.5)
 _VOLATILE_NOISE = (0.035, 0.055)
 _VOLATILE_AR_SCALE = (0.01, 0.03)
 _VOLATILE_AR_GAIN = 10.0
@@ -370,8 +351,6 @@ class SyntheticSpec:
     n_stable: int = 8
     n_volatile: int = 8
     length: int = 300
-    stable_noise_low: float = 0.2
-    stable_noise_high: float = 0.5
 
     def __post_init__(self) -> None:
         if self.length <= 0:
@@ -387,10 +366,9 @@ def _uniform(rng: np.random.Generator, low: float, high: float) -> float:
 def _stable_prices(spec: SyntheticSpec, rng: np.random.Generator) -> np.ndarray:
     base = _uniform(rng, *_BASE_PRICE)
     drift = _uniform(rng, *_STABLE_DRIFT)
-    noise_sd = _uniform(rng, spec.stable_noise_low, spec.stable_noise_high)
+    noise_sd = _uniform(rng, *_STABLE_NOISE)
     t = np.arange(spec.length, dtype=float)
-    noise = rng.normal(0.0, noise_sd, size=spec.length) if noise_sd > 0 else np.zeros(spec.length)
-    return base + drift * t + noise
+    return base + drift * t + rng.normal(0.0, noise_sd, size=spec.length)
 
 
 def _volatile_prices(spec: SyntheticSpec, rng: np.random.Generator) -> np.ndarray:

@@ -13,14 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EvaluationError
-from .market_data import (
-    PriceSeries,
-    VolatilitySeries,
-    log_returns,
-    rolling_volatility,
-    simple_returns,
-)
+from .errors import DataError, EvaluationError
+from .market_data import PriceSeries, log_returns, rolling_volatility, simple_returns
 
 __all__ = [
     "RegimeLabel",
@@ -84,9 +78,14 @@ class RegimePolicy:
             return f"threshold (window {self.vol_window}, tau {self.tau})"
         return f"cross-sectional median (window {self.vol_window})"
 
-    def volatility(self, series: PriceSeries) -> VolatilitySeries:
+    def volatility(self, series: PriceSeries) -> np.ndarray:
         """Rolling volatility of the returns this rule reads: simple returns
-        under the threshold rule, log returns under the median rule."""
+        under the threshold rule, log returns under the median rule.
+
+        The array is indexed like those returns (:func:`rolling_volatility`):
+        entry ``j`` is the window ending with return ``j``, the move into
+        price ``j + 1``, and the first ``vol_window - 1`` entries are NaN.
+        """
         if self.kind is PolicyKind.THRESHOLD:
             returns = simple_returns(series)
         else:
@@ -118,9 +117,16 @@ def label_for(sigma: float, boundary: float) -> RegimeLabel:
     return RegimeLabel.VOLATILE if sigma > boundary else RegimeLabel.STABLE
 
 
-def classify_threshold(vol: VolatilitySeries, at: int, tau: float) -> RegimeLabel:
-    """Volatile iff the volatility at return index ``at`` strictly exceeds ``tau``."""
-    return label_for(vol.at_return_index(at), tau)
+def classify_threshold(vol: np.ndarray, at: int, tau: float) -> RegimeLabel:
+    """Volatile iff the volatility at return index ``at`` strictly exceeds ``tau``.
+
+    ``vol`` is a :func:`rolling_volatility` array.  An ``at`` that is negative,
+    past the end, or before the window fills is a :class:`DataError`.
+    """
+    if not (0 <= at < len(vol)) or np.isnan(vol[at]):
+        raise DataError(f"no volatility at return index {at} of {len(vol)}: "
+                        "out of range, or before the window fills")
+    return label_for(float(vol[at]), tau)
 
 
 def classify_median(vols: dict[str, float]) -> dict[str, RegimeLabel]:

@@ -17,9 +17,9 @@ from .evaluation import (
     HOLDOUT_SPLIT,
     MODELS,
     WALK_FORWARD_SPLIT,
+    CellStats,
     MetricRecord,
     PredictionPoint,
-    StratifiedReport,
     aggregate_stratified,
     improvement_pct,
 )
@@ -129,19 +129,22 @@ def _fmt(value: float) -> str:
     return f"{value:.6f}"
 
 
-def _split_report(records: Iterable[MetricRecord], split: str) -> StratifiedReport:
+_Cells = dict[tuple[RegimeLabel, str, int], dict[str, CellStats]]
+
+
+def _split_report(records: Iterable[MetricRecord], split: str) -> _Cells:
     return aggregate_stratified(r for r in records if r.split == split)
 
 
-def _regime_table(report: StratifiedReport, regime: RegimeLabel,
+def _regime_table(report: _Cells, regime: RegimeLabel,
                   mse_key: str, mae_key: str) -> list[str]:
     lines = [f"{'Model':<22}{'MSE':>12}{'MAE':>12}"]
     cells = {}
     for model in MODELS:
         key = (regime, model, 1)
-        if key not in report.cells:
+        if key not in report:
             return [f"(no horizon-1 records for {regime.value} firms)"]
-        stats = report.cells[key]
+        stats = report[key]
         cells[model] = (stats[mse_key], stats[mae_key])
         lines.append(
             f"{DISPLAY_NAMES[model]:<22}{_fmt(stats[mse_key].mean):>12}"
@@ -158,16 +161,16 @@ def _regime_table(report: StratifiedReport, regime: RegimeLabel,
     return lines
 
 
-def _horizon_breakdown(report: StratifiedReport, horizons: list[int],
+def _horizon_breakdown(report: _Cells, horizons: list[int],
                        mse_key: str, mae_key: str) -> list[str]:
     lines = [f"{'Regime':<10}{'Model':<22}{'Horizon':>8}{'MSE mean±std':>26}{'MAE mean±std':>26}"]
     for regime in (RegimeLabel.STABLE, RegimeLabel.VOLATILE):
         for model in MODELS:
             for h in horizons:
                 key = (regime, model, h)
-                if key not in report.cells:
+                if key not in report:
                     continue
-                stats = report.cells[key]
+                stats = report[key]
                 m, a = stats[mse_key], stats[mae_key]
                 lines.append(
                     f"{regime.value:<10}{DISPLAY_NAMES[model]:<22}{h:>8}"
@@ -186,7 +189,7 @@ def render_tables_text(records: Sequence[MetricRecord], fingerprint: str, seed: 
     """
     wf = _split_report(records, WALK_FORWARD_SPLIT)
     ho = _split_report(records, HOLDOUT_SPLIT)
-    wf_horizons = sorted({h for _, _, h in wf.cells})
+    wf_horizons = sorted({h for _, _, h in wf})
     out = [stamp(fingerprint, seed).rstrip("\n"), ""]
     if 1 in wf_horizons:
         for scale, mse_key, mae_key in SCALES:
@@ -200,9 +203,9 @@ def render_tables_text(records: Sequence[MetricRecord], fingerprint: str, seed: 
         out.append("== Walk-forward horizon breakdown (standardized scale) ==")
         out.extend(_horizon_breakdown(wf, multi, "mse", "mae"))
         out.append("")
-    if ho.cells:
+    if ho:
         out.append("== Holdout stress firms (standardized scale) ==")
-        out.extend(_horizon_breakdown(ho, sorted({h for _, _, h in ho.cells}), "mse", "mae"))
+        out.extend(_horizon_breakdown(ho, sorted({h for _, _, h in ho}), "mse", "mae"))
         out.append("")
     return "\n".join(out) + "\n"
 
@@ -215,11 +218,9 @@ def tables_to_csv(records: Sequence[MetricRecord], fingerprint: str, seed: int) 
     writer.writerow(["split", "scale", "regime", "model", "horizon", "metric", "mean", "std", "count"])
     for split in (WALK_FORWARD_SPLIT, HOLDOUT_SPLIT):
         report = _split_report(records, split)
-        if not report.cells:
-            continue
-        for key in sorted(report.cells, key=lambda k: (k[0].value, k[1], k[2])):
+        for key in sorted(report, key=lambda k: (k[0].value, k[1], k[2])):
             regime, model, horizon = key
-            for metric, stats in sorted(report.cells[key].items()):
+            for metric, stats in sorted(report[key].items()):
                 scale = "raw" if metric.startswith("raw_") else "standardized"
                 writer.writerow(
                     [split, scale, regime.value, model, horizon,

@@ -6,7 +6,7 @@ None of these is part of moecast's API: the package never calls them.
 import numpy as np
 
 from moecast.errors import FitError
-from moecast.evaluation import METRIC_NAMES, CellStats, StratifiedReport
+from moecast.evaluation import METRIC_NAMES, CellStats
 from moecast.lstm_expert import LstmParams, _sigmoid
 
 
@@ -45,8 +45,8 @@ def loss_mse(predictions, targets) -> float:
     return float((diff * diff).mean())
 
 
-def aggregate_stratified(records) -> StratifiedReport:
-    """Mean and sample deviation of every metric per (regime, model, horizon).
+def aggregate_stratified(records) -> dict:
+    """Mean and sample deviation of every metric per (regime, model, horizon) cell.
 
     One ``ndarray.mean()`` and one ``ndarray.std(ddof=1)`` per (cell, metric),
     each on its own 1-D array, as the reference the row-wise reduction of
@@ -66,4 +66,4 @@ def aggregate_stratified(records) -> StratifiedReport:
             std = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
             stats[metric] = CellStats(float(arr.mean()), std, arr.size)
         cells[key] = stats
-    return StratifiedReport(cells)
+    return cells

@@ -159,10 +159,10 @@ def test_criterion_4_regime_ordering_and_published_improvements(full_backtest):
         result, elapsed = full_backtest
         assert elapsed < 900.0, f"backtest took {elapsed:.0f}s, budget is 15 minutes"
         h1 = [r for r in result.records if r.horizon == 1]
-        report = aggregate_stratified(h1)
+        cells = aggregate_stratified(h1)
 
         def cell(regime, model):
-            return report.get(regime, model, 1)["mse"].mean
+            return cells[(regime, model, 1)]["mse"].mean
 
         stable_linear = cell(RegimeLabel.STABLE, "Linear")
         stable_lstm = cell(RegimeLabel.STABLE, "LSTM")
@@ -190,11 +190,11 @@ def test_criterion_5_walk_forward_geometry():
             while 80 + k * 20 + 20 <= n:
                 expected.append((80 + k * 20 - 80, 80 + k * 20, 80 + k * 20 + 20))
                 k += 1
-            assert len(plan.folds) == len(expected)
-            for fold, (train_start, val_start, val_stop) in zip(plan.folds, expected):
+            assert len(plan) == len(expected)
+            for fold, (train_start, val_start, val_stop) in zip(plan, expected):
                 assert fold.train_range == range(val_start - 80, val_start)
                 assert fold.val_range == range(val_start, val_stop)
-        assert len(plan_walk_forward(200, 80, 20, 20).folds) == 6
+        assert len(plan_walk_forward(200, 80, 20, 20)) == 6
         elapsed = time.monotonic() - started
         assert elapsed < 1.0, f"geometry check took {elapsed:.2f}s"
 

@@ -327,6 +327,17 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: cannot read prices ") and str(data) in err
 
+    @pytest.mark.parametrize("command", ["classify", "backtest"])
+    def test_header_only_prices_fail_naming_the_path(self, cli_workspace, capsys, command):
+        cfg, data, _ = cli_workspace
+        # without a holdout no ranking of the firms stands before the empty universe
+        cfg.write_text(cfg.read_text(encoding="utf-8").replace("holdout.k = 1", "holdout.k = 0"),
+                       encoding="utf-8")
+        data.write_text("ticker,date,adj_close\n", encoding="utf-8")
+        assert main(["--config", str(cfg), command]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {data}: no price rows after the header\n"
+
     @pytest.mark.parametrize(
         "case",
         ["truncated", "not_an_archive", "bare_array", "empty", "no_manifest",

@@ -135,14 +135,14 @@ class TestImprovementPct:
 class TestPlanWalkForward:
     def test_single_fold_geometry(self):
         plan = plan_walk_forward(100, 80, 20, 20)
-        assert len(plan.folds) == 1
-        fold = plan.folds[0]
+        assert type(plan) is tuple and len(plan) == 1
+        fold = plan[0]
         assert fold.train_range == range(0, 80)
         assert fold.val_range == range(80, 100)
 
     def test_six_folds_at_n_200(self):
         plan = plan_walk_forward(200, 80, 20, 20)
-        assert [f.val_range.start for f in plan.folds] == [80, 100, 120, 140, 160, 180]
+        assert [f.val_range.start for f in plan] == [80, 100, 120, 140, 160, 180]
 
     def test_too_short(self):
         with pytest.raises(EvaluationError):
@@ -151,8 +151,8 @@ class TestPlanWalkForward:
     def test_sliding_vs_expanding_train_ranges(self):
         sliding = plan_walk_forward(140, 80, 20, 20, TrainMode.SLIDING)
         expanding = plan_walk_forward(140, 80, 20, 20, TrainMode.EXPANDING)
-        assert sliding.folds[2].train_range == range(40, 120)
-        assert expanding.folds[2].train_range == range(0, 120)
+        assert sliding[2].train_range == range(40, 120)
+        assert expanding[2].train_range == range(0, 120)
 
     @given(
         st.integers(min_value=30, max_value=400),
@@ -171,8 +171,8 @@ class TestPlanWalkForward:
                 plan_walk_forward(n, init_train, val_len, step)
             return
         plan = plan_walk_forward(n, init_train, val_len, step)
-        assert len(plan.folds) == len(expected)
-        for fold, k in zip(plan.folds, expected):
+        assert len(plan) == len(expected)
+        for fold, k in zip(plan, expected):
             assert fold.val_range.start == init_train + k * step
             assert len(fold.val_range) == val_len
             assert fold.train_range.stop == fold.val_range.start
@@ -318,7 +318,7 @@ class TestForecastPaths:
                 assert h1[(ticker, fold_id, t, "Linear")] == lin
                 assert h1[(ticker, fold_id, t, "MoE")] == blend(weights, lstm, lin)
         # the stacked firms differ in regime, hence in gate weights
-        for fold in plan.folds:
+        for fold in plan:
             regimes = {fm.regime for (_, k), fm in result.models.items() if k == fold.fold_id}
             assert regimes == set(RegimeLabel)
 
@@ -406,7 +406,7 @@ class TestRunWalkForward:
         plan = plan_walk_forward(60, 40, 10, 10)
         policy = RegimePolicy.median(vol_window=10)
         result = run_walk_forward(tiny_universe, plan, policy, fast_settings())
-        for fold in plan.folds:
+        for fold in plan:
             labels = {t: result.models[(t, fold.fold_id)].regime for t in tiny_universe}
             assert list(labels.values()).count(RegimeLabel.VOLATILE) == 2
             volatile = {t for t, l in labels.items() if l is RegimeLabel.VOLATILE}
@@ -582,13 +582,13 @@ class TestAggregateStratified:
         )
 
     def test_single_record_cell(self):
-        report = aggregate_stratified([self.record(0.002)])
-        stats = report.get(RegimeLabel.STABLE, "Linear", 1)["mse"]
+        cells = aggregate_stratified([self.record(0.002)])
+        stats = cells[(RegimeLabel.STABLE, "Linear", 1)]["mse"]
         assert stats.mean == 0.002 and stats.std == 0.0 and stats.count == 1
 
     def test_two_record_sample_stats(self):
-        report = aggregate_stratified([self.record(0.001), self.record(0.003, ticker="B")])
-        stats = report.get(RegimeLabel.STABLE, "Linear", 1)["mse"]
+        cells = aggregate_stratified([self.record(0.001), self.record(0.003, ticker="B")])
+        stats = cells[(RegimeLabel.STABLE, "Linear", 1)]["mse"]
         assert stats.mean == pytest.approx(0.002, rel=1e-12)
         assert stats.std == pytest.approx(0.0014142135623730952, rel=1e-12)
 
@@ -604,10 +604,10 @@ class TestAggregateStratified:
                     ticker=f"T{k}",
                 )
             )
-        report = aggregate_stratified(records)
+        cells = aggregate_stratified(records)
         weighted = 0.0
         total = 0
-        for cell in report.cells.values():
+        for cell in cells.values():
             weighted += cell["mse"].mean * cell["mse"].count
             total += cell["mse"].count
         global_mean = float(np.mean([r.mse for r in records]))
@@ -618,14 +618,13 @@ class TestAggregateStratified:
             self.record(0.001, regime=RegimeLabel.STABLE, model="Linear"),
             self.record(0.009, regime=RegimeLabel.VOLATILE, model="LSTM", ticker="B"),
         ]
-        report = aggregate_stratified(records)
-        assert set(report.cells) == {
+        assert set(aggregate_stratified(records)) == {
             (RegimeLabel.STABLE, "Linear", 1),
             (RegimeLabel.VOLATILE, "LSTM", 1),
         }
 
     def test_empty_input_empty_report(self):
-        assert aggregate_stratified([]).cells == {}
+        assert aggregate_stratified([]) == {}
 
 
 CELL_KEYS = list(itertools.product(RegimeLabel, evaluation.MODELS, (1, 5, 20)))
@@ -663,10 +662,10 @@ def interleaved_cells(draw):
     ]
 
 
-def assert_same_report(report, expected):
-    assert list(report.cells) == list(expected.cells)
-    for key, stats in report.cells.items():
-        assert list(stats.items()) == list(expected.cells[key].items()), key
+def assert_same_cells(cells, expected):
+    assert list(cells) == list(expected)
+    for key, stats in cells.items():
+        assert list(stats.items()) == list(expected[key].items()), key
         for cell in stats.values():
             assert type(cell.mean) is float and type(cell.std) is float
             assert type(cell.count) is int
@@ -679,7 +678,7 @@ class TestAggregateStratifiedMatchesReference:
     @given(interleaved_cells())
     @example([])
     def test_equals_per_cell_reference(self, records):
-        assert_same_report(aggregate_stratified(records), reference.aggregate_stratified(records))
+        assert_same_cells(aggregate_stratified(records), reference.aggregate_stratified(records))
 
     @pytest.mark.parametrize("sizes", [(1,), (2, 7), (8, 9, 16), (1, 129, 300, 129)])
     def test_cell_sizes_across_the_pairwise_branches(self, sizes):
@@ -693,15 +692,15 @@ class TestAggregateStratifiedMatchesReference:
                           None if i % 3 == 0 else float(rng.lognormal()))
             for i in rng.permutation(len(slots))
         ]
-        assert_same_report(aggregate_stratified(records), reference.aggregate_stratified(records))
+        assert_same_cells(aggregate_stratified(records), reference.aggregate_stratified(records))
 
     def test_mase_left_out_of_a_cell_where_it_is_always_none(self):
         records = [scored_record(CELL_KEYS[0], i, [0.5] * 6, None) for i in range(3)]
         records.append(scored_record(CELL_KEYS[1], 3, [0.5] * 6, 2.0))
-        report = aggregate_stratified(records)
-        assert "mase" not in report.cells[CELL_KEYS[0]]
-        assert report.cells[CELL_KEYS[1]]["mase"] == evaluation.CellStats(2.0, 0.0, 1)
-        assert_same_report(report, reference.aggregate_stratified(records))
+        cells = aggregate_stratified(records)
+        assert "mase" not in cells[CELL_KEYS[0]]
+        assert cells[CELL_KEYS[1]]["mase"] == evaluation.CellStats(2.0, 0.0, 1)
+        assert_same_cells(cells, reference.aggregate_stratified(records))
 
 
 def one_core(monkeypatch):
@@ -725,7 +724,7 @@ class TestParallelBacktest:
         forked = run_walk_forward(tiny_universe, plan, small_policy(), settings)
         one_core(monkeypatch)
         here = run_walk_forward(tiny_universe, plan, small_policy(), settings)
-        assert len(plan.folds) == 2
+        assert len(plan) == 2
         assert forked.records == here.records
         assert forked.predictions == here.predictions
         assert {k: fm.regime for k, fm in forked.models.items()} == {
@@ -816,9 +815,9 @@ def test_fold_models_match_own_sigma_regime_and_least_squares(tiny_universe, mod
     plan = plan_walk_forward(59 if log_mode else 60, 40, 9, 10)
     settings = fast_settings(mode=mode)
     result = run_walk_forward(tiny_universe, plan, policy, settings)
-    assert [f.train_range.start for f in plan.folds] == [0, 10]
+    assert [f.train_range.start for f in plan] == [0, 10]
     vw = policy.vol_window
-    for fold in plan.folds:
+    for fold in plan:
         ts, te = fold.train_range.start, fold.train_range.stop
         sigmas = {}
         for ticker, series in tiny_universe.items():

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from moecast.errors import DataError
+from moecast.regime import RegimeLabel, classify_threshold
 from moecast.market_data import (
     PriceSeries,
     ReturnSeries,
@@ -161,6 +162,12 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="header"):
             load_csv(path)
 
+    def test_header_only_rejected_naming_the_path(self, tmp_path):
+        path = self.write(tmp_path, "ticker,date,adj_close\n")
+        with pytest.raises(DataError) as exc:
+            load_csv(path)
+        assert str(exc.value) == f"{path}: no price rows after the header"
+
     def test_byte_order_mark_before_header_accepted(self, tmp_path):
         # Excel writes a UTF-8 byte-order mark before the header
         path = tmp_path / "bom.csv"
@@ -238,16 +245,25 @@ class TestRollingVolatility:
 
     def test_constant_returns_zero_volatility(self):
         vol = rolling_volatility(self.returns([0.01] * 10), window=4)
-        assert np.all(np.abs(vol.values) < 1e-15)
+        assert np.all(np.abs(vol[3:]) < 1e-15)
 
     def test_two_point_window_frozen_value(self):
         # oracle: mean 0, squared deviations 2e-4, divisor 1, sqrt
         vol = rolling_volatility(self.returns([0.01, -0.01]), window=2)
-        assert vol.values[0] == pytest.approx(0.014142135623730951, rel=1e-12)
+        assert vol[1] == pytest.approx(0.014142135623730951, rel=1e-12)
 
     def test_length_law(self):
+        # indexed like the returns: NaN exactly until the window fills, then finite
+        for w in (2, 7, 25):
+            vol = rolling_volatility(self.returns(np.linspace(0, 0.1, 25)), window=w)
+            assert vol.dtype == np.float64 and len(vol) == 25
+            assert np.isnan(vol[:w - 1]).all(), w
+            assert np.isfinite(vol[w - 1:]).all(), w
+
+    def test_read_only(self):
         vol = rolling_volatility(self.returns(np.linspace(0, 0.1, 25)), window=7)
-        assert len(vol) == 25 - 7 + 1
+        with pytest.raises(ValueError):
+            vol[10] = 0.0
 
     def test_window_exceeding_length_rejected(self):
         with pytest.raises(DataError):
@@ -259,22 +275,27 @@ class TestRollingVolatility:
         prefix = rng.normal(0, 0.02, size=5)
         plain = rolling_volatility(self.returns(tail), window=6)
         shifted = rolling_volatility(self.returns(np.concatenate([prefix, tail])), window=6)
-        np.testing.assert_array_equal(shifted.values[5:], plain.values)
+        np.testing.assert_array_equal(shifted[5 + 5:], plain[5:])
 
     def test_sample_divisor_matches_numpy_ddof1(self):
         rng = np.random.default_rng(2)
         values = rng.normal(0, 0.03, size=40)
         vol = rolling_volatility(self.returns(values), window=30)
         expected = [values[k:k + 30].std(ddof=1) for k in range(11)]
-        np.testing.assert_allclose(vol.values, expected, rtol=1e-12)
+        np.testing.assert_allclose(vol[29:], expected, rtol=1e-12)
 
-    def test_at_return_index_alignment(self):
+    def test_classify_threshold_reads_return_indices(self):
         values = np.array([0.0, 0.0, 0.0, 0.1, -0.1])
         vol = rolling_volatility(self.returns(values), window=3)
-        assert vol.at_return_index(2) == pytest.approx(0.0, abs=1e-15)
-        assert vol.at_return_index(4) == pytest.approx(np.std([0.0, 0.1, -0.1], ddof=1), rel=1e-12)
-        with pytest.raises(DataError):
-            vol.at_return_index(1)
+        # return 2 closes the all-zero window, return 4 the window [0, 0.1, -0.1]
+        assert classify_threshold(vol, 2, tau=1e-15) is RegimeLabel.STABLE
+        sigma = np.std([0.0, 0.1, -0.1], ddof=1)
+        assert classify_threshold(vol, 4, tau=sigma * (1 - 1e-12)) is RegimeLabel.VOLATILE
+        assert classify_threshold(vol, 4, tau=sigma * (1 + 1e-12)) is RegimeLabel.STABLE
+        # a negative index never wraps around to the end
+        for at in (-1, 1, 5):
+            with pytest.raises(DataError):
+                classify_threshold(vol, at, tau=1e-15)
 
 
 class TestScaler:
@@ -371,21 +392,11 @@ class TestGenerateSynthetic:
         for ticker in a:
             np.testing.assert_array_equal(a[ticker].prices, b[ticker].prices)
 
-    def test_zero_noise_stable_is_exactly_linear(self):
-        spec = SyntheticSpec(n_stable=1, n_volatile=0, length=60,
-                             stable_noise_low=0.0, stable_noise_high=0.0)
-        series = generate_synthetic(spec, seed=1)["STB01"]
-        prices = series.prices
-        diffs = np.diff(prices)
-        np.testing.assert_allclose(diffs, diffs[0], rtol=1e-12)
-        vol = rolling_volatility(simple_returns(series), 30)
-        assert np.all(vol.values < 1e-3)
-
     def test_volatile_median_volatility_exceeds_stable(self):
         spec = SyntheticSpec(n_stable=3, n_volatile=3, length=150)
         universe = generate_synthetic(spec, seed=7)
         med = {
-            t: float(np.median(rolling_volatility(simple_returns(s), 30).values))
+            t: float(np.median(rolling_volatility(simple_returns(s), 30)[29:]))
             for t, s in universe.items()
         }
         stable = [v for t, v in med.items() if t.startswith("STB")]
@@ -396,7 +407,7 @@ class TestGenerateSynthetic:
         spec = SyntheticSpec(n_stable=4, n_volatile=4, length=200)
         universe = generate_synthetic(spec, seed=42)
         for ticker, series in universe.items():
-            vol = rolling_volatility(simple_returns(series), 30).values
+            vol = rolling_volatility(simple_returns(series), 30)[29:]
             if ticker.startswith("STB"):
                 assert (vol < 0.025).mean() >= 0.9, ticker
             else:

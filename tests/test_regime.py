@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from moecast.errors import EvaluationError
+from moecast.errors import DataError, EvaluationError
 from moecast.market_data import ReturnSeries, rolling_volatility
 from moecast.regime import (
     PolicyKind,
@@ -31,7 +31,7 @@ class TestThreshold:
 
     def test_boundary_sigma_equal_tau_is_stable(self):
         vol = make_vol([0.01, -0.01], window=2)
-        sigma = vol.at_return_index(1)
+        sigma = vol[1]
         assert classify_threshold(vol, at=1, tau=sigma) is RegimeLabel.STABLE
 
     def test_zero_volatility_is_stable(self):
@@ -40,7 +40,7 @@ class TestThreshold:
 
     def test_out_of_range_index(self):
         vol = make_vol([0.01, 0.02, 0.03], window=3)
-        with pytest.raises(Exception):
+        with pytest.raises(DataError):
             classify_threshold(vol, at=1, tau=0.025)
 
     def test_pointwise_independent_of_other_firms(self):
