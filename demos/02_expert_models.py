@@ -38,10 +38,13 @@ def main():
     train = dataset.t_index < train_end
     inputs, targets = dataset.inputs[train], dataset.targets[train]
     split = len(targets) - len(targets) // 5
-    cfg = TrainConfig(max_epochs=25, patience=5, seed=1)
-    lstm, history = train_early_stopping(
-        inputs[:split], targets[:split], inputs[split:], targets[split:], cfg, hidden=20,
+    # the trainer fits a stack of firms, one seed each: here a stack of one
+    cfg = TrainConfig(max_epochs=25, patience=5)
+    stack, (history,) = train_early_stopping(
+        inputs[None, :split], targets[None, :split], inputs[None, split:], targets[None, split:],
+        cfg, seeds=(1,), hidden=20,
     )
+    lstm = stack.firm(0)
     print(f"LSTM trained for {len(history)} epochs, "
           f"best validation MAE {history[-1].best_val_mae:.4f}")
 

@@ -27,7 +27,7 @@ def main():
 
     settings = BacktestSettings(
         window=10,
-        train=TrainConfig(max_epochs=15, patience=5, seed=0),
+        train=TrainConfig(max_epochs=15, patience=5),
         hidden=20,
         horizons=HorizonSpec((5, 20)),
         seed=42,

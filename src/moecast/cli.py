@@ -212,7 +212,11 @@ def cmd_report(config: RunConfig) -> int:
     records_path = _artifact(config, "records", "csv")
     if not records_path.exists():
         raise DataError(f"no records at {records_path}; run backtest first")
-    records = records_from_csv(records_path.read_text(encoding="utf-8"))
+    try:
+        records_text = records_path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read records {records_path}: {exc}") from exc
+    records = records_from_csv(records_text)
     fingerprint, seed = config.fingerprint, config["seed"]
     text = render_tables_text(records, fingerprint, seed)
     tables_txt = _artifact(config, "tables", "txt")

@@ -177,7 +177,6 @@ class RunConfig:
             adam_beta1=self.values["train.adam_beta1"],
             adam_beta2=self.values["train.adam_beta2"],
             adam_eps=self.values["train.adam_eps"],
-            seed=self.values["seed"],
             clip_norm=self.values["train.clip_norm"],
         )
 

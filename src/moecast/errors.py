@@ -17,8 +17,7 @@ class DataError(MoecastError):
 class FitError(MoecastError):
     """A model could not be fitted (degenerate design, bad shapes, empty splits).
 
-    ``firm`` is the index of the failing firm when a stack of firms was fitted
-    together, else None.
+    ``firm`` is the index, in its stack, of a firm whose fit diverged, else None.
     """
 
     def __init__(self, message: str, firm: int | None = None) -> None:

@@ -43,7 +43,7 @@ import math
 import operator
 import os
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -125,20 +125,14 @@ def rmse(predictions, targets) -> float:
     return math.sqrt(mse(predictions, targets))
 
 
-def _naive_mae(train_targets: np.ndarray) -> float:
-    """In-sample MAE of the one-step naive forecast, ``mean(|diff(train)|)``."""
-    return float(np.abs(np.diff(train_targets)).mean())
-
-
-def mase(predictions, targets, train_targets) -> float:
-    """MAE scaled by the in-sample one-step naive MAE of the training targets."""
+def mase(predictions, targets, train_targets) -> float | None:
+    """MAE scaled by the in-sample one-step naive MAE of the training targets,
+    ``mean(|diff(train)|)``; None when that is 0 (constant training targets)."""
     train = np.asarray(train_targets, dtype=float).reshape(-1)
     if train.size < 2:
         raise EvaluationError(f"mase needs at least 2 training targets, got {train.size}")
-    denom = _naive_mae(train)
-    if denom == 0.0:
-        raise EvaluationError("mase undefined: training targets are constant")
-    return mae(predictions, targets) / denom
+    denom = float(np.abs(np.diff(train)).mean())
+    return mae(predictions, targets) / denom if denom > 0 else None
 
 
 def improvement_pct(candidate: float, baseline: float) -> float:
@@ -541,29 +535,33 @@ def _linear_design(data: _FoldFirmData) -> tuple[np.ndarray, np.ndarray, np.ndar
     return t, data.sigma[rows], data.targets[rows]
 
 
-def _fit_fold_experts(
-    firms: Sequence[_FoldFirmData],
+def _fit_experts(
+    groups: Sequence[Sequence[_FoldFirmData]],
+    seeds: Sequence[int],
+    names: Sequence[str],
     settings: BacktestSettings,
-    fold_id: int,
 ) -> tuple[LstmParams, list[LinearParams]]:
-    """Every firm's linear expert, and all firms' LSTMs as one stacked fit.
+    """One linear expert per group of firms, and the groups' LSTMs as one stacked fit.
 
-    The firms of a fold share one training range, so their early-stopping
-    splits stack; firm ``k`` trains with its own ``task_seed``.
+    A group's early-stopping splits and linear designs are concatenated in
+    firm order: a fold fits each of its firms as its own group, which share
+    one training range, and the pooled fit is one group of every firm.
+    Group ``k`` trains from ``seeds[k]``, and a diverged fit raises
+    :class:`FitError` named ``names[k]``.
     """
-    splits = [_early_stopping_split(data, ES_VAL_FRACTION) for data in firms]
-    linears = [fit_ols(*_linear_design(data)).params for data in firms]
-    seeds = tuple(task_seed(settings.seed, data.ticker, fold_id) for data in firms)
+    def joined(parts: Iterable[tuple[np.ndarray, ...]]) -> list[np.ndarray]:
+        return [np.concatenate(part) for part in zip(*parts)]
+
+    splits = [joined(_early_stopping_split(data, ES_VAL_FRACTION) for data in g) for g in groups]
+    linears = [fit_ols(*joined(map(_linear_design, g))).params for g in groups]
     try:
         lstm, _ = train_early_stopping(
-            *(np.stack(part) for part in zip(*splits)),
-            replace(settings.train, seed=seeds),
-            hidden=settings.hidden,
+            *(np.stack(part) for part in zip(*splits)), settings.train, seeds, settings.hidden
         )
     except FitError as exc:
         if exc.firm is None:
             raise
-        raise FitError(f"{firms[exc.firm].ticker} fold {fold_id}: {exc}", firm=exc.firm) from exc
+        raise FitError(f"{names[exc.firm]}: {exc}", firm=exc.firm) from exc
     return lstm, linears
 
 
@@ -577,7 +575,7 @@ def _model_records(
 ) -> list[MetricRecord]:
     """One record per model, scoring ``preds[model]`` against as many of the
     firm's validation targets, on the standardized scale and the raw one."""
-    naive_denom = _naive_mae(data.targets[:data.train_rows])
+    train = data.targets[:data.train_rows]
     records = []
     for model in MODELS:
         p = preds[model]
@@ -587,7 +585,7 @@ def _model_records(
             data.ticker, fold_id, split, fm.regime, horizon, model,
             mse=mse(p, a), mae=mae(p, a), rmse=rmse(p, a),
             raw_mse=mse(p_raw, a_raw), raw_mae=mae(p_raw, a_raw), raw_rmse=rmse(p_raw, a_raw),
-            mase=(mae(p, a) / naive_denom) if naive_denom > 0 else None,
+            mase=mase(p, a, train),
         ))
     return records
 
@@ -639,7 +637,12 @@ def _run_fold(
     firms = [_prepare_fold_firm(universe[t], fold, policy, settings) for t in sorted(universe)]
     labels = policy.labels({data.ticker: data.sigma_frozen for data in firms})
 
-    lstm, linears = _fit_fold_experts(firms, settings, fold.fold_id)
+    lstm, linears = _fit_experts(
+        [[data] for data in firms],
+        [task_seed(settings.seed, data.ticker, fold.fold_id) for data in firms],
+        [f"{data.ticker} fold {fold.fold_id}" for data in firms],
+        settings,
+    )
     fms = [
         FoldModels(
             lstm=lstm.firm(k),
@@ -836,7 +839,8 @@ def fit_pooled_experts(
     """One LSTM and one linear fit pooled across firms, for unseen-firm scoring.
 
     Each firm contributes windows standardized by its own pre-launch scaler;
-    the tail of each firm's samples forms the early-stopping split.  The
+    the tail of each firm's samples forms the early-stopping split, and the
+    firms fit as one group (:func:`_fit_experts`), a stack of one.  The
     cross-sectional median of the firms' frozen volatilities is kept as the
     decision boundary for labelling unseen firms under the median policy.
     """
@@ -848,15 +852,10 @@ def fit_pooled_experts(
             raise EvaluationError(f"{ticker}: too short for launch index {launch_t}")
     fold = FoldSpec(0, range(0, launch_t), range(launch_t, launch_t + 1))
     firms = [_prepare_fold_firm(train_universe[t], fold, policy, settings) for t in tickers]
-    splits = [_early_stopping_split(data, ES_VAL_FRACTION) for data in firms]
-    cfg = replace(settings.train, seed=task_seed(settings.seed, "__pooled__", HOLDOUT_FOLD_ID))
-    lstm_params, _ = train_early_stopping(
-        *(np.concatenate(part) for part in zip(*splits)), cfg, hidden=settings.hidden
-    )
-    design = (np.concatenate(part) for part in zip(*map(_linear_design, firms)))
-    linear_params = fit_ols(*design).params
+    seed = task_seed(settings.seed, "__pooled__", HOLDOUT_FOLD_ID)
+    lstm, (linear,) = _fit_experts([firms], [seed], ["pooled fit"], settings)
     decision = policy.frozen_boundary([data.sigma_frozen for data in firms])
-    return PooledExperts(lstm_params, linear_params, launch_t, tuple(tickers), decision)
+    return PooledExperts(lstm.firm(0), linear, launch_t, tuple(tickers), decision)
 
 
 def _holdout_firm(

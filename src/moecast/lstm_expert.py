@@ -18,19 +18,21 @@ firm's standardized values.  All parameters live in one flat float64 vector
     W_y, b_y              (1, H) and (1,)
 
 that is ``4H(H + 1) + 5H + 1`` entries, and the named fields are reshaped
-views into it.  A gradient has the same layout, so Adam, clipping and copies
-act on ``theta`` alone while the cell and BPTT read and write the views.
+views into it.  A gradient has the same layout, so Adam and clipping act
+on ``theta`` alone while the cell and BPTT read and write the views.
 Gradients are exact analytic backpropagation through time of the batch
 mean-squared error; ``tests`` verify them against central finite
 differences.  Everything is plain float64 numpy and deterministic for a
 fixed seed.
 
-``theta`` may carry a leading firm axis: a stack of F firms is one ``(F, P)``
+``theta`` may carry leading firm axes: a stack of F firms is one ``(F, P)``
 array whose views are ``(F, H, H + 1)`` and so on, and every step of the
-forward pass, BPTT, Adam and the trainer runs all F firms in one numpy call
+forward pass, BPTT and Adam runs all F firms in one numpy call
 (``np.matmul`` over the stack).  The four gates likewise share one matmul
 call.  Each slice of such a call is the same BLAS call as one gate of one
-firm alone, so a stack reproduces F separate fits bit for bit.
+firm alone, so a stack reproduces F separate fits bit for bit.  Every fit is
+such a stack: :func:`train_early_stopping` trains F >= 1 firms from one seed
+each, and a fit of one firm is a stack of one.
 """
 
 from __future__ import annotations
@@ -148,9 +150,6 @@ class LstmParams:
     def arrays(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, name) for name in PARAM_FIELDS}
 
-    def copy(self) -> "LstmParams":
-        return self.with_theta(self.theta.copy())
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -161,7 +160,6 @@ class TrainConfig:
     adam_beta1: float = 0.9
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8
-    seed: int | tuple[int, ...] = 0  # a tuple of seeds, one per firm, trains a stack
     clip_norm: float | None = None
 
     def __post_init__(self) -> None:
@@ -171,8 +169,6 @@ class TrainConfig:
             raise FitError(f"patience must lie in [1, max_epochs], got {self.patience}")
         if not (0 < self.adam_beta1 < 1 and 0 < self.adam_beta2 < 1 and self.adam_eps > 0):
             raise FitError("invalid Adam coefficients")
-        if isinstance(self.seed, tuple) and not self.seed:
-            raise FitError("a stacked fit needs at least one seed")
         if self.clip_norm is not None and self.clip_norm <= 0:
             raise FitError(f"clip_norm must be positive when set, got {self.clip_norm}")
 
@@ -381,7 +377,7 @@ class EpochRecord:
 
 
 def _validation_mae(params: LstmParams, val_inputs: np.ndarray, val_targets: np.ndarray):
-    """Mean absolute validation error of each firm (a scalar for unstacked params).
+    """Mean absolute validation error of each firm of the stack.
 
     The validation split runs as one batch, as :func:`forward_batch` would,
     but keeps no tape.
@@ -396,15 +392,14 @@ def train_early_stopping(
     val_inputs: np.ndarray,
     val_targets: np.ndarray,
     cfg: TrainConfig,
-    hidden: int = 50,
-    init: LstmParams | None = None,
-) -> tuple[LstmParams, list]:
-    """Mini-batch Adam training with patience-based early stopping.
+    seeds: Sequence[int],
+    hidden: int,
+) -> tuple[LstmParams, list[list[EpochRecord]]]:
+    """Mini-batch Adam training of a stack of F firms with patience-based early stopping.
 
-    One firm trains on inputs ``(n, steps)`` and targets ``(n,)``.
-    When ``cfg.seed`` is a tuple of F seeds, F firms train as one stack:
-    every input and target array, and ``init``, has a leading firm axis, and
-    the result equals F separate fits, one per seed, bit for bit.
+    Firm ``k`` starts from ``init_params(hidden, seeds[k])``.  Inputs are
+    ``(F, n, steps)`` and targets ``(F, n)``, with ``F = len(seeds) >= 1``;
+    the result equals F separate fits of one firm each, bit for bit.
 
     Each epoch visits every firm's training samples in its own shuffled
     order, keyed by ``(seed, epoch)``, cut into one mini-batch partition
@@ -412,43 +407,39 @@ def train_early_stopping(
     dropped.  After each epoch the mean absolute error on each firm's
     validation split is measured.  Once a firm's error has failed to improve for
     ``cfg.patience`` consecutive epochs that firm stops training, and its
-    parameters from its best-validation epoch are the ones returned.  The
-    history is a list of :class:`EpochRecord`, or one such list per firm for
-    a stack.  Raises :class:`FitError`, naming the firm of a stack, when no
-    epoch reached a finite validation error or the best epoch's parameters
-    are not all finite.
+    parameters from its best-validation epoch are the ones returned.
+
+    Returns the ``(F, P)`` stack of best parameters and one history, a list
+    of :class:`EpochRecord`, per firm.  Raises :class:`FitError` naming the
+    firm (``FitError.firm``) when no epoch reached a finite validation error
+    or the best epoch's parameters are not all finite.
     """
-    stacked = isinstance(cfg.seed, tuple)
-    seeds = list(cfg.seed) if stacked else [cfg.seed]
-    lead = (len(seeds),) if stacked else ()
-    if np.shape(train_targets)[:len(lead)] != lead or np.shape(val_targets)[:len(lead)] != lead:
-        raise FitError(f"{len(seeds)} seeds, but targets of shape {np.shape(train_targets)}")
-    train_y = np.asarray(train_targets, dtype=float).reshape(lead + (-1,))
-    val_y = np.asarray(val_targets, dtype=float).reshape(lead + (-1,))
+    seeds = tuple(seeds)
+    train_y = np.asarray(train_targets, dtype=float)
+    val_y = np.asarray(val_targets, dtype=float)
+    if not (seeds and train_y.ndim == val_y.ndim == 2 and len(train_y) == len(val_y) == len(seeds)):
+        raise FitError(f"{len(seeds)} seeds (a fit needs one or more), but targets of shapes "
+                       f"{train_y.shape} and {val_y.shape}")
     if train_y.shape[-1] == 0 or val_y.shape[-1] == 0:
         raise FitError("both the training and validation splits must be non-empty")
     train_x = np.asarray(train_inputs, dtype=float)
     val_x = np.asarray(val_inputs, dtype=float)
-    if train_x.ndim != len(lead) + 2 or train_x.shape[:-1] != train_y.shape:
+    if train_x.ndim != 3 or train_x.shape[:-1] != train_y.shape:
         raise FitError(f"inputs {train_x.shape} do not match targets {train_y.shape}")
 
-    params = init.copy() if init is not None else init_params(hidden, cfg.seed)
-    if params.theta.shape[:-1] != lead:
-        raise FitError(f"init has firm axes {params.theta.shape[:-1]}, the seeds give {lead}")
+    params = init_params(hidden, seeds)
     moments = (np.zeros_like(params.theta), np.zeros_like(params.theta))
     step = 0
     n = train_y.shape[-1]
 
     firms = np.arange(len(seeds))  # the firms still training, in stack order
-    best = params.theta.reshape(len(seeds), -1).copy()
+    best = params.theta.copy()
     best_mae = np.full(len(seeds), math.inf)
     since_improvement = np.zeros(len(seeds), dtype=int)
     histories: list[list[EpochRecord]] = [[] for _ in seeds]
 
     for epoch in range(1, cfg.max_epochs + 1):
-        order = np.array(
-            [np.random.default_rng([seeds[f], epoch]).permutation(n) for f in firms]
-        ).reshape(params.theta.shape[:-1] + (n,))
+        order = np.array([np.random.default_rng([seeds[f], epoch]).permutation(n) for f in firms])
         epoch_x = np.take_along_axis(train_x, order[..., None], axis=-2)
         epoch_y = np.take_along_axis(train_y, order, axis=-1)
         epoch_sse = 0.0
@@ -462,11 +453,11 @@ def train_early_stopping(
             step += 1
             params, moments = adam_step(params, grads, moments, step, cfg)
             epoch_sse = epoch_sse + ((preds - batch_y) ** 2).sum(axis=-1)
-        val_mae = np.reshape(_validation_mae(params, val_x, val_y), -1)
-        train_mse = np.reshape(epoch_sse / n, -1)
+        val_mae = _validation_mae(params, val_x, val_y)
+        train_mse = epoch_sse / n
         improved = val_mae < best_mae[firms]
         best_mae[firms[improved]] = val_mae[improved]
-        best[firms[improved]] = params.theta.reshape(len(firms), -1)[improved]
+        best[firms[improved]] = params.theta[improved]
         since_improvement[firms] = np.where(improved, 0, since_improvement[firms] + 1)
         for k, f in enumerate(firms):
             histories[f].append(
@@ -475,20 +466,18 @@ def train_early_stopping(
         live = since_improvement[firms] < cfg.patience
         if not live.any():
             break
-        if not live.all():  # only a stack loses some of its firms
+        if not live.all():
             firms = firms[live]
             params = params.with_theta(params.theta[live])
             moments = (moments[0][live], moments[1][live])
             train_x, train_y, val_x, val_y = (a[live] for a in (train_x, train_y, val_x, val_y))
     for f in range(len(seeds)):
         if not (math.isfinite(best_mae[f]) and np.isfinite(best[f]).all()):
-            where = f"firm {f}: " if stacked else ""
             raise FitError(
-                f"{where}the fit diverged: no epoch left finite parameters and validation error",
-                firm=f if stacked else None,
+                f"firm {f}: the fit diverged: no epoch left finite parameters and validation error",
+                firm=f,
             )
-    best_params = LstmParams(best.reshape(lead + (-1,)), params.hidden)
-    return best_params, histories if stacked else histories[0]
+    return LstmParams(best, hidden), histories
 
 
 def predict_lstm(params: LstmParams, windows: np.ndarray) -> float | np.ndarray:

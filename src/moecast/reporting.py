@@ -77,30 +77,40 @@ def records_to_csv(records: Iterable[MetricRecord], fingerprint: str, seed: int)
 
 
 def records_from_csv(text: str) -> list[MetricRecord]:
-    lines = [line for line in text.splitlines() if not line.startswith("#")]
-    reader = csv.reader(lines)
+    """The records of :func:`records_to_csv`'s text; a malformed row is a
+    :class:`DataError` naming its 1-based line."""
+    lines = enumerate(text.splitlines(), 1)
+    numbered = [(k, line) for k, line in lines if not line.startswith("#")]
+    reader = csv.reader(line for _, line in numbered)
     header = next(reader, None)
     if header is None or tuple(header) != RECORD_COLUMNS:
         raise DataError(f"record file header mismatch: {header}")
     records = []
     for row in reader:
-        records.append(
-            MetricRecord(
-                ticker=row[0],
-                fold_id=int(row[1]),
-                split=row[2],
-                regime=RegimeLabel(row[3]),
-                horizon=int(row[4]),
-                model=row[5],
-                mse=float(row[6]),
-                mae=float(row[7]),
-                rmse=float(row[8]),
-                raw_mse=float(row[9]),
-                raw_mae=float(row[10]),
-                raw_rmse=float(row[11]),
-                mase=float(row[12]) if row[12] else None,
+        line = numbered[reader.line_num - 1][0]
+        if len(row) != len(RECORD_COLUMNS):
+            raise DataError(f"records line {line}: expected {len(RECORD_COLUMNS)} fields, "
+                            f"got {len(row)}")
+        try:
+            records.append(
+                MetricRecord(
+                    ticker=row[0],
+                    fold_id=int(row[1]),
+                    split=row[2],
+                    regime=RegimeLabel(row[3]),
+                    horizon=int(row[4]),
+                    model=row[5],
+                    mse=float(row[6]),
+                    mae=float(row[7]),
+                    rmse=float(row[8]),
+                    raw_mse=float(row[9]),
+                    raw_mae=float(row[10]),
+                    raw_rmse=float(row[11]),
+                    mase=float(row[12]) if row[12] else None,
+                )
             )
-        )
+        except ValueError as exc:  # a bad number, an unknown regime, or a record's own check
+            raise DataError(f"records line {line}: {exc}") from exc
     return records
 
 

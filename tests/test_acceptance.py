@@ -318,16 +318,16 @@ def test_criterion_10_early_stopping_trace(monkeypatch):
         snapshots = []
 
         def fake_val_mae(params, val_inputs, val_targets):
-            snapshots.append(params.copy())
-            return next(scripted)
+            snapshots.append(params.with_theta(params.theta.copy()))
+            return np.array([next(scripted)])
 
         monkeypatch.setattr(lstm_expert, "_validation_mae", fake_val_mae)
         rng = np.random.default_rng(123)
-        inputs = rng.normal(size=(24, 6))
-        targets = rng.normal(size=24)
-        cfg = TrainConfig(max_epochs=50, patience=5, seed=11, batch_size=8)
-        best, history = train_early_stopping(
-            inputs[:20], targets[:20], inputs[20:], targets[20:], cfg, hidden=5
+        inputs = rng.normal(size=(1, 24, 6))
+        targets = rng.normal(size=(1, 24))
+        cfg = TrainConfig(max_epochs=50, patience=5, batch_size=8)
+        best, (history,) = train_early_stopping(
+            inputs[:, :20], targets[:, :20], inputs[:, 20:], targets[:, 20:], cfg, (11,), hidden=5
         )
         assert len(history) == 6, f"expected 6 epochs, ran {len(history)}"
         assert history[-1].epoch == 6

@@ -15,7 +15,9 @@ from moecast.lstm_expert import PARAM_FIELDS, predict_lstm
 from moecast.market_data import PriceSeries, SyntheticSpec, generate_synthetic, load_csv, write_csv
 from moecast.model_store import ModelStore
 from moecast.regime import PolicyKind, RegimeLabel
-from moecast.reporting import records_from_csv, records_to_csv, render_tables_text
+from moecast.reporting import (
+    RECORD_COLUMNS, records_from_csv, records_to_csv, render_tables_text,
+)
 from test_evaluation import fast_settings, small_policy
 from test_golden import GOLDEN_CONFIG
 
@@ -402,6 +404,28 @@ class TestCli:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: cannot read model store ") and str(store) in err
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            (b"STB01,0,walk_forward,Stable,1,LSTM,0.1",
+             "error: records line 3: expected 13 fields, got 7\n"),
+            (b"STB01,zero,walk_forward,Stable,1,LSTM,0.1,0.2,0.3,0.1,0.2,0.3,",
+             "error: records line 3: invalid literal for int() with base 10: 'zero'\n"),
+            (b"STB01,0,walk_forward,Calm,1,LSTM,0.1,0.2,0.3,0.1,0.2,0.3,",
+             "error: records line 3: 'Calm' is not a valid RegimeLabel\n"),
+            (b"\xff\xfe", "error: cannot read records {path}: 'utf-8' codec can't decode"),
+        ],
+        ids=["seven_fields", "fold_id_zero", "unknown_regime", "not_utf8"],
+    )
+    def test_malformed_records_fail_naming_the_line(self, cli_workspace, capsys, row, message):
+        cfg, _, reports = cli_workspace
+        reports.mkdir()
+        records = reports / f"records_{parse_config(cfg).short_fingerprint}.csv"
+        header = ",".join(RECORD_COLUMNS).encode("utf-8")
+        records.write_bytes(b"# fingerprint=f seed=9\n" + header + b"\n" + row + b"\n")
+        assert main(["--config", str(cfg), "report"]) == 1
+        assert capsys.readouterr().err.startswith(message.format(path=records))
 
     @pytest.mark.parametrize("command", ["backtest", "report", "forecast"])
     def test_report_dir_naming_a_file_fails_naming_the_path(self, cli_workspace, capsys, command):

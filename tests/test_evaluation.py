@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from moecast import evaluation
+from moecast import evaluation, lstm_expert
 from moecast.errors import DataError, EvaluationError, FitError
 from moecast.evaluation import (
     BacktestSettings,
@@ -50,7 +50,7 @@ from moecast.regime import PolicyKind, RegimeLabel, RegimePolicy
 
 import reference
 
-FAST_TRAIN = TrainConfig(batch_size=8, max_epochs=3, patience=3, seed=0)
+FAST_TRAIN = TrainConfig(batch_size=8, max_epochs=3, patience=3)
 
 
 def fast_settings(**overrides):
@@ -114,9 +114,10 @@ class TestMetrics:
         value = mase(naive_preds, future, train)
         assert 0.8 < value < 1.2
 
-    def test_mase_constant_training_targets_rejected(self):
+    def test_mase_constant_training_targets_is_none(self):
+        assert mase([1.0], [2.0], [5.0, 5.0, 5.0]) is None
         with pytest.raises(EvaluationError):
-            mase([1.0], [2.0], [5.0, 5.0, 5.0])
+            mase([1.0], [2.0], [5.0])
 
 
 class TestImprovementPct:
@@ -535,6 +536,28 @@ class TestHoldout:
         settings = fast_settings(horizons=HorizonSpec(()))
         assert run_holdout(universe, holdout, experts, policy, settings) == ()
 
+    def test_a_constant_pre_launch_series_stores_no_mase(self, pooled_setup):
+        universe, holdout, experts, policy, settings = pooled_setup
+        ticker = holdout.stable_holdout[0]
+        series = universe[ticker]
+        prices = series.prices.copy()
+        prices[:experts.launch_t] = 100.0  # every training target is the same value
+        flat = {**universe, ticker: PriceSeries(ticker, series.dates, prices)}
+        records = run_holdout(flat, holdout, experts, policy, settings)
+        assert [r.mase for r in records if r.ticker == ticker] == [None] * 6
+        assert all(r.mase is not None for r in records if r.ticker != ticker)
+
+    def test_a_diverged_pooled_fit_names_itself(self, pooled_setup):
+        universe, holdout, _, policy, settings = pooled_setup
+        plan = plan_walk_forward(60, 40, 10, 10)
+        train = TrainConfig(batch_size=8, max_epochs=2, patience=2, learning_rate=1e300)
+        settings = replace(settings, train=train)
+        with np.errstate(all="ignore"), pytest.raises(
+            FitError, match="^pooled fit: firm 0: the fit diverged"
+        ):
+            run_backtest(universe, plan, policy, settings, holdout)
+        assert multiprocessing.active_children() == []
+
     def test_ten_plus_ten_firms_three_horizons_yield_180_records(self):
         universe = generate_synthetic(
             SyntheticSpec(n_stable=12, n_volatile=12, length=60), seed=2
@@ -756,16 +779,15 @@ class TestParallelBacktest:
         settings = fast_settings()
         tickers = sorted(tiny_universe)
         fold_1 = tuple(task_seed(settings.seed, t, 1) for t in tickers)
-        train = evaluation.train_early_stopping
+        init = lstm_expert.init_params
 
-        def nan_in_fold_1(*args, **kwargs):
-            cfg = args[4]
-            if cfg.seed == fold_1:  # firm 1 of fold 1 starts from a NaN weight
-                kwargs["init"] = init_params(kwargs["hidden"], cfg.seed)
-                kwargs["init"].W_i[1, 0, 0] = np.nan
-            return train(*args, **kwargs)
+        def nan_in_fold_1(hidden, seeds):
+            params = init(hidden, seeds)
+            if seeds == fold_1:  # firm 1 of fold 1 starts from a NaN weight
+                params.W_i[1, 0, 0] = np.nan
+            return params
 
-        monkeypatch.setattr(evaluation, "train_early_stopping", nan_in_fold_1)
+        monkeypatch.setattr(lstm_expert, "init_params", nan_in_fold_1)
         with pytest.raises(FitError, match=f"^{tickers[1]} fold 1: firm 1:") as raised:
             run_walk_forward(tiny_universe, plan, small_policy(), settings)
         assert raised.value.firm == 1

@@ -3,7 +3,6 @@
 import math
 import pickle
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -58,6 +57,19 @@ def max_relative_error(analytic, numeric, floor=1e-6):
         denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
         worst = max(worst, float((np.abs(a - b) / denom).max()))
     return worst
+
+
+def poison_init(monkeypatch, seeds, index):
+    """Make the trainer's ``init_params(hidden, seeds)`` start with a NaN at ``W_i[index]``."""
+    real = lstm_expert.init_params
+
+    def init_params(hidden, seed):
+        params = real(hidden, seed)
+        if seed == seeds:
+            params.W_i[index] = np.nan
+        return params
+
+    monkeypatch.setattr(lstm_expert, "init_params", init_params)
 
 
 class TestGradientOracle:
@@ -145,12 +157,6 @@ class TestLstmParams:
         assert p.theta[-1] == -2.0
         p.theta[:] = 0.0
         assert not p.W_f.any()
-
-    def test_copy_is_independent(self):
-        p = init_params(3, seed=1)
-        q = p.copy()
-        q.b_i[...] = 5.0
-        assert np.array_equal(p.b_i, np.zeros(3))
 
     def test_from_arrays_rejects_a_wrongly_shaped_array(self):
         good = init_params(3, seed=1).arrays()
@@ -317,11 +323,12 @@ class TestForward:
         inputs = np.zeros(lead + (4, 5, 1))
         with pytest.raises(FitError):
             forward_batch(p, inputs)
-        cfg = TrainConfig(max_epochs=1, patience=1, seed=seed)
+        seeds = seed if isinstance(seed, tuple) else (seed,)
+        inputs = np.zeros((len(seeds), 4, 5, 1))
         with pytest.raises(FitError):
             train_early_stopping(
-                inputs, np.zeros(lead + (4,)), inputs[..., :2, :, :], np.zeros(lead + (2,)),
-                cfg, hidden=3,
+                inputs, np.zeros((len(seeds), 4)), inputs[:, :2], np.zeros((len(seeds), 2)),
+                TrainConfig(max_epochs=1, patience=1), seeds, hidden=3,
             )
 
 
@@ -373,7 +380,7 @@ class TestLossMse:
 class TestAdam:
     def make(self, hidden=3):
         params = init_params(hidden, seed=5)
-        cfg = TrainConfig(seed=5)
+        cfg = TrainConfig()
         return params, (np.zeros_like(params.theta), np.zeros_like(params.theta)), cfg
 
     def test_zero_gradient_is_a_noop(self):
@@ -415,24 +422,25 @@ class TestAdam:
         clipped = lstm_expert._clipped(grads, norm / 2.0)
         assert float(np.linalg.norm(clipped.theta)) == pytest.approx(norm / 2.0, rel=1e-12)
         assert lstm_expert._clipped(grads, 2.0 * norm) is grads
-        cfg_off = TrainConfig(max_epochs=2, patience=2, seed=3, batch_size=4)
-        cfg_on = TrainConfig(max_epochs=2, patience=2, seed=3, batch_size=4, clip_norm=1e-3)
-        targets = rng.normal(size=8) * 10.0
-        off, _ = train_early_stopping(inputs[:6], targets[:6], inputs[6:], targets[6:],
-                                      cfg_off, hidden=4)
-        on, _ = train_early_stopping(inputs[:6], targets[:6], inputs[6:], targets[6:],
-                                     cfg_on, hidden=4)
+        cfg_off = TrainConfig(max_epochs=2, patience=2, batch_size=4)
+        cfg_on = TrainConfig(max_epochs=2, patience=2, batch_size=4, clip_norm=1e-3)
+        inputs, targets = inputs[None], rng.normal(size=(1, 8)) * 10.0
+        off, _ = train_early_stopping(inputs[:, :6], targets[:, :6], inputs[:, 6:], targets[:, 6:],
+                                      cfg_off, (3,), hidden=4)
+        on, _ = train_early_stopping(inputs[:, :6], targets[:, :6], inputs[:, 6:], targets[:, 6:],
+                                     cfg_on, (3,), hidden=4)
         assert any(
             not np.array_equal(getattr(off, name), getattr(on, name))
             for name in PARAM_FIELDS
         )
 
     def test_identical_seeds_identical_trajectories(self):
-        inputs = np.random.default_rng(8).normal(size=(10, 5))
-        targets = np.random.default_rng(9).normal(size=10)
-        cfg = TrainConfig(max_epochs=3, patience=3, seed=21, batch_size=4)
-        run1, _ = train_early_stopping(inputs[:8], targets[:8], inputs[8:], targets[8:], cfg, hidden=4)
-        run2, _ = train_early_stopping(inputs[:8], targets[:8], inputs[8:], targets[8:], cfg, hidden=4)
+        inputs = np.random.default_rng(8).normal(size=(1, 10, 5))
+        targets = np.random.default_rng(9).normal(size=(1, 10))
+        cfg = TrainConfig(max_epochs=3, patience=3, batch_size=4)
+        split = (inputs[:, :8], targets[:, :8], inputs[:, 8:], targets[:, 8:], cfg, (21,))
+        run1, _ = train_early_stopping(*split, hidden=4)
+        run2, _ = train_early_stopping(*split, hidden=4)
         for name in PARAM_FIELDS:
             assert np.array_equal(getattr(run1, name), getattr(run2, name))
 
@@ -445,16 +453,16 @@ class TestTrainEarlyStopping:
         real_forward = forward_batch
 
         def fake_val_mae(params, val_inputs, val_targets):
-            snapshots.append(params.copy())
-            return next(scripted)
+            snapshots.append(params.with_theta(params.theta.copy()))
+            return np.array([next(scripted)])
 
         monkeypatch.setattr(lstm_expert, "_validation_mae", fake_val_mae)
         rng = np.random.default_rng(10)
-        inputs = rng.normal(size=(12, 5))
-        targets = rng.normal(size=12)
-        cfg = TrainConfig(max_epochs=50, patience=5, seed=3, batch_size=4)
-        best, history = train_early_stopping(
-            inputs[:10], targets[:10], inputs[10:], targets[10:], cfg, hidden=4
+        inputs = rng.normal(size=(1, 12, 5))
+        targets = rng.normal(size=(1, 12))
+        cfg = TrainConfig(max_epochs=50, patience=5, batch_size=4)
+        best, (history,) = train_early_stopping(
+            inputs[:, :10], targets[:, :10], inputs[:, 10:], targets[:, 10:], cfg, (3,), hidden=4
         )
         assert len(history) == 6
         assert [h.epoch for h in history] == [1, 2, 3, 4, 5, 6]
@@ -464,21 +472,21 @@ class TestTrainEarlyStopping:
 
     def test_max_epochs_one_runs_exactly_one_epoch(self):
         rng = np.random.default_rng(11)
-        inputs = rng.normal(size=(8, 4))
-        targets = rng.normal(size=8)
-        cfg = TrainConfig(max_epochs=1, patience=1, seed=0)
-        _, history = train_early_stopping(
-            inputs[:6], targets[:6], inputs[6:], targets[6:], cfg, hidden=3
+        inputs = rng.normal(size=(1, 8, 4))
+        targets = rng.normal(size=(1, 8))
+        cfg = TrainConfig(max_epochs=1, patience=1)
+        _, (history,) = train_early_stopping(
+            inputs[:, :6], targets[:, :6], inputs[:, 6:], targets[:, 6:], cfg, (0,), hidden=3
         )
         assert len(history) == 1
 
     def test_best_so_far_is_monotone(self):
         rng = np.random.default_rng(12)
-        inputs = rng.normal(size=(20, 5))
-        targets = rng.normal(size=20)
-        cfg = TrainConfig(max_epochs=8, patience=8, seed=1, batch_size=8)
-        _, history = train_early_stopping(
-            inputs[:16], targets[:16], inputs[16:], targets[16:], cfg, hidden=4
+        inputs = rng.normal(size=(1, 20, 5))
+        targets = rng.normal(size=(1, 20))
+        cfg = TrainConfig(max_epochs=8, patience=8, batch_size=8)
+        _, (history,) = train_early_stopping(
+            inputs[:, :16], targets[:, :16], inputs[:, 16:], targets[:, 16:], cfg, (1,), hidden=4
         )
         best = [h.best_val_mae for h in history]
         assert best == sorted(best, reverse=True) or all(
@@ -491,43 +499,44 @@ class TestTrainEarlyStopping:
         w = 8
         windows = np.stack([values[k:k + w] for k in range(len(values) - w)])
         targets = values[w:]
-        cfg = TrainConfig(max_epochs=15, patience=15, seed=7, batch_size=8)
-        initial = init_params(8, seed=cfg.seed)
+        cfg = TrainConfig(max_epochs=15, patience=15, batch_size=8)
+        initial = init_params(8, seed=7)
         preds0, _ = forward_batch(initial, windows[:40])
         epoch0_mse = loss_mse(preds0, targets[:40])
         params, _ = train_early_stopping(
-            windows[:40], targets[:40], windows[40:], targets[40:], cfg, hidden=8
+            windows[None, :40], targets[None, :40], windows[None, 40:], targets[None, 40:],
+            cfg, (7,), hidden=8,
         )
-        preds, _ = forward_batch(params, windows[:40])
+        preds, _ = forward_batch(params.firm(0), windows[:40])
         assert loss_mse(preds, targets[:40]) < epoch0_mse
 
-    def test_non_finite_init_raises(self):
+    def test_non_finite_init_raises(self, monkeypatch):
         rng = np.random.default_rng(13)
-        inputs = rng.normal(size=(10, 5))
-        targets = rng.normal(size=10)
-        init = init_params(4, seed=0)
-        init.W_i[0, 0] = np.nan
-        cfg = TrainConfig(max_epochs=3, patience=3, seed=2, batch_size=4)
+        inputs = rng.normal(size=(1, 10, 5))
+        targets = rng.normal(size=(1, 10))
+        poison_init(monkeypatch, (2,), (0, 0, 0))
+        cfg = TrainConfig(max_epochs=3, patience=3, batch_size=4)
         with pytest.raises(FitError, match="diverged"):
             train_early_stopping(
-                inputs[:8], targets[:8], inputs[8:], targets[8:], cfg, hidden=4, init=init
+                inputs[:, :8], targets[:, :8], inputs[:, 8:], targets[:, 8:], cfg, (2,), hidden=4
             )
 
     def test_no_finite_validation_epoch_raises(self):
         # every update overflows, so no epoch validates finitely and the
         # finite initial parameters must not come back as if trained
         rng = np.random.default_rng(14)
-        inputs = rng.normal(size=(10, 5))
-        targets = rng.normal(size=10) * 1e200
-        cfg = TrainConfig(max_epochs=2, patience=2, seed=1, learning_rate=1e300)
+        inputs = rng.normal(size=(1, 10, 5))
+        targets = rng.normal(size=(1, 10)) * 1e200
+        cfg = TrainConfig(max_epochs=2, patience=2, learning_rate=1e300)
         with np.errstate(all="ignore"), pytest.raises(FitError, match="diverged"):
-            train_early_stopping(inputs[:8], targets[:8], inputs[8:], targets[8:], cfg, hidden=4)
+            train_early_stopping(inputs[:, :8], targets[:, :8], inputs[:, 8:], targets[:, 8:],
+                                 cfg, (1,), hidden=4)
 
     def test_empty_split_rejected(self):
         with pytest.raises(FitError):
             train_early_stopping(
-                np.zeros((0, 5)), np.zeros(0), np.zeros((2, 5)), np.zeros(2),
-                TrainConfig(seed=0), hidden=3,
+                np.zeros((1, 0, 5)), np.zeros((1, 0)), np.zeros((1, 2, 5)), np.zeros((1, 2)),
+                TrainConfig(), (0,), hidden=3,
             )
 
 
@@ -581,14 +590,15 @@ class TestStackedFirms:
         cfg = TrainConfig(learning_rate=0.05, batch_size=8, max_epochs=30, patience=2,
                           clip_norm=clip_norm)
         stack, histories = train_early_stopping(
-            train_x, train_y, val_x, val_y, replace(cfg, seed=STACK_SEEDS), hidden=5
+            train_x, train_y, val_x, val_y, cfg, STACK_SEEDS, hidden=5
         )
         assert stack.theta.shape[0] == 3 and len(histories) == 3
         for k, seed in enumerate(STACK_SEEDS):
-            alone, history = train_early_stopping(
-                train_x[k], train_y[k], val_x[k], val_y[k], replace(cfg, seed=seed), hidden=5
+            alone, (history,) = train_early_stopping(
+                train_x[k:k + 1], train_y[k:k + 1], val_x[k:k + 1], val_y[k:k + 1], cfg, (seed,),
+                hidden=5,
             )
-            assert np.array_equal(stack.theta[k], alone.theta)
+            assert np.array_equal(stack.theta[k], alone.theta[0])
             assert histories[k] == history
         # patience runs out at a different epoch for every firm
         assert len({len(h) for h in histories}) == 3
@@ -602,7 +612,7 @@ class TestStackedFirms:
         snapshots = []
 
         def fake_val_mae(params, val_inputs, val_targets):
-            snapshots.append(params.copy())
+            snapshots.append(params.with_theta(params.theta.copy()))
             epoch = len(snapshots)
             live = [f for f in range(3) if epoch <= last_epoch[f]]
             assert params.theta.shape[0] == val_targets.shape[0] == len(live)
@@ -610,8 +620,10 @@ class TestStackedFirms:
 
         monkeypatch.setattr(lstm_expert, "_validation_mae", fake_val_mae)
         train_x, train_y, val_x, val_y = stacked_problem()
-        cfg = TrainConfig(max_epochs=10, patience=2, batch_size=8, seed=STACK_SEEDS)
-        best, histories = train_early_stopping(train_x, train_y, val_x, val_y, cfg, hidden=4)
+        cfg = TrainConfig(max_epochs=10, patience=2, batch_size=8)
+        best, histories = train_early_stopping(
+            train_x, train_y, val_x, val_y, cfg, STACK_SEEDS, hidden=4
+        )
         assert [len(h) for h in histories] == [3, 5, 10]
         assert [s.theta.shape[0] for s in snapshots] == [3] * 3 + [2] * 2 + [1] * 5
         assert np.array_equal(best.theta[0], snapshots[0].theta[0])
@@ -619,22 +631,21 @@ class TestStackedFirms:
         assert np.array_equal(best.theta[2], snapshots[9].theta[0])
         assert [h.best_val_mae for h in histories[1]] == [3.0, 2.0, 1.0, 1.0, 1.0]
 
-    def test_non_finite_init_names_the_firm(self):
+    def test_non_finite_init_names_the_firm(self, monkeypatch):
         train_x, train_y, val_x, val_y = stacked_problem()
-        init = init_params(4, STACK_SEEDS)
-        init.W_i[1, 0, 0] = np.nan
-        cfg = TrainConfig(max_epochs=3, patience=3, batch_size=8, seed=STACK_SEEDS)
+        poison_init(monkeypatch, STACK_SEEDS, (1, 0, 0))
+        cfg = TrainConfig(max_epochs=3, patience=3, batch_size=8)
         with pytest.raises(FitError, match="firm 1: the fit diverged") as caught:
-            train_early_stopping(train_x, train_y, val_x, val_y, cfg, hidden=4, init=init)
+            train_early_stopping(train_x, train_y, val_x, val_y, cfg, STACK_SEEDS, hidden=4)
         assert caught.value.firm == 1
 
     def test_seed_count_must_match_the_stack(self):
         train_x, train_y, val_x, val_y = stacked_problem()
-        cfg = TrainConfig(max_epochs=1, patience=1, seed=(1, 2))
+        cfg = TrainConfig(max_epochs=1, patience=1)
         with pytest.raises(FitError):
-            train_early_stopping(train_x, train_y, val_x, val_y, cfg, hidden=4)
+            train_early_stopping(train_x, train_y, val_x, val_y, cfg, (1, 2), hidden=4)
         with pytest.raises(FitError):
-            TrainConfig(seed=())
+            train_early_stopping(train_x, train_y, val_x, val_y, cfg, (), hidden=4)
 
     def test_predict_lstm_stacked_windows_equal_single_window_calls(self):
         stack = init_params(6, STACK_SEEDS)
