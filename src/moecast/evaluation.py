@@ -18,21 +18,27 @@ how σs become labels to :class:`RegimePolicy`; nothing here branches on either.
 
 The firms of a fold share their train and validation ranges, so they are
 fitted and scored as one stack: one stacked LSTM fit, one horizon-1 forward
-pass over every validation window of every firm, and one recursion per step
-for all firms' forecasts.  Each equals the per-firm computation bit for bit.
+pass over every validation window of every firm, and one recursion for all
+firms' forecasts.  Each equals the per-firm computation bit for bit.
 
 Folds share nothing else: each reads only its own slices and its firms'
 seeds, and the pooled holdout fit reads no fold.  :func:`run_backtest` runs
 each as a task on up to one forked process per core this process may use,
 and gathers the results in task order, so they are the same bits for any
-number of workers; on one core (``taskset -c 0``) the same tasks run
-in-process.
+number of workers; the workers take the tasks longest first, by training
+observations times firms.  On one core (``taskset -c 0``) the same tasks
+run in-process, in task order.
 
 Recursive horizons share one path per model: a length-``h`` recursion is
 exactly the first ``h`` steps of a longer one, so :func:`forecast_paths` runs
 the LSTM and the mixture once, to the longest horizon that fits, and every
-shorter horizon is scored on a prefix of that path.  The linear expert never
-reads its window, so its path is closed form over the time index.
+shorter horizon is scored on a prefix of that path.  Both recursions of all
+firms are one wavefront (:func:`~moecast.lstm_expert.recurse_lstm`): the
+window launched after ``m`` steps starts at tick ``m``, so at each tick
+every window in flight reads the same path value and one LSTM cell call
+advances them all, ``h + width - 1`` calls where a window at a time takes
+``h * width``.  The linear expert never reads its window, so its path is
+closed form over the time index.
 """
 
 from __future__ import annotations
@@ -50,7 +56,7 @@ import numpy as np
 
 from .errors import DataError, EvaluationError, FitError
 from .linear_expert import LinearParams, fit_ols, predict_linear
-from .lstm_expert import LstmParams, TrainConfig, predict_lstm, train_early_stopping
+from .lstm_expert import LstmParams, TrainConfig, predict_lstm, recurse_lstm, train_early_stopping
 from .market_data import PriceSeries, Scaler, WindowMode, make_windows
 from .moe import DEFAULT_GATE_TABLE, GateWeights, blend, gate_for_regime
 from .regime import RegimeLabel, RegimePolicy
@@ -267,23 +273,25 @@ def forecast_paths(
 
     Every path equals :func:`recursive_forecast` with the ``*_one_step``
     closures, and any prefix equals the shorter recursion, bit for bit.  The
-    LSTM and mixture recursions of all firms advance together, one
-    :func:`predict_lstm` call per step; the linear path is closed form over
-    ``t0, t0 + 1, ...`` since that expert never reads the window.
+    LSTM and mixture recursions of all firms are one
+    :func:`~moecast.lstm_expert.recurse_lstm` wavefront, which advances
+    every window in flight in one cell call per tick; the mixture row feeds
+    back its blend.  The linear path is closed form over ``t0, t0 + 1,
+    ...`` since that expert never reads the window.
     """
     windows = np.asarray(windows, dtype=float)
-    n_firms, width = windows.shape
     lin = np.array([predict_linear(p, t0 + np.arange(h), s) for p, s in zip(linear, sigma)])
+    w_rnn = np.array([w.w_rnn for w in weights])
+    w_lm = np.array([w.w_lm for w in weights])
+
+    def feedback(m: int, preds: np.ndarray) -> np.ndarray:
+        # the mixture row takes blend(w, rnn, lm), in blend's operation order
+        preds[:, 1] = w_rnn * preds[:, 1] + w_lm * lin[:, m]
+        return preds
+
     # per firm, row 0 is the LSTM recursion and row 1 the mixture's
-    path = np.empty((n_firms, 2, width + h))
-    path[:, :, :width] = windows[:, None, :]
-    for j in range(h):
-        preds = predict_lstm(lstm, path[:, :, j:j + width])
-        path[:, 0, width + j] = preds[:, 0]
-        path[:, 1, width + j] = [
-            blend(w, rnn, lm) for w, rnn, lm in zip(weights, preds[:, 1], lin[:, j])
-        ]
-    return {"Linear": lin, "LSTM": path[:, 0, width:], "MoE": path[:, 1, width:]}
+    path = recurse_lstm(lstm, np.repeat(windows[:, None, :], 2, axis=1), h, feedback)
+    return {"Linear": lin, "LSTM": path[:, 0], "MoE": path[:, 1]}
 
 
 # ---------------------------------------------------------------------------
@@ -692,16 +700,18 @@ def _run_task(index: int) -> object:
     return _TASKS[index]()
 
 
-def _in_parallel(tasks: Sequence[Callable[[], object]]) -> list:
+def _in_parallel(tasks: Sequence[Callable[[], object]], costs: Sequence[float]) -> list:
     """Every task's result, in task order, from up to one forked worker per usable core.
 
     The workers are forked, so they inherit the tasks, closures and the
     data they read included, from ``_TASKS``; only a task's index and its
-    result cross the process boundary.  With fewer than two workers (one
-    task, or one usable core, as under ``taskset -c 0``), or without
-    ``fork``, the same tasks run here, in order.  The first task to raise,
-    in task order, cancels the ones not started, and its exception is
-    re-raised.
+    result cross the process boundary.  They are handed the tasks longest
+    first, by ``costs`` (ties in task order), so no long task starts last
+    while the other workers sit idle (Graham 1969).  With fewer than two
+    workers (one task, or one usable core, as under ``taskset -c 0``), or
+    without ``fork``, the same tasks run here, in task order.  The first
+    task to raise, in task order, cancels the ones not started, and its
+    exception is re-raised.
     """
     global _TASKS
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
@@ -721,9 +731,10 @@ def _in_parallel(tasks: Sequence[Callable[[], object]]) -> list:
                 with ProcessPoolExecutor(
                     workers, mp_context=multiprocessing.get_context("fork")
                 ) as pool:
-                    futures = [pool.submit(_run_task, k) for k in range(len(tasks))]
+                    longest_first = sorted(range(len(tasks)), key=lambda k: -costs[k])
+                    futures = {k: pool.submit(_run_task, k) for k in longest_first}
                     try:
-                        return [future.result() for future in futures]
+                        return [futures[k].result() for k in range(len(tasks))]
                     except BaseException:
                         pool.shutdown(cancel_futures=True)
                         raise
@@ -778,13 +789,18 @@ def run_backtest(
                             f"{first}'s {calendar[k]}; the firms must share one calendar")
 
     tasks = [functools.partial(_run_fold, train, fold, policy, settings) for fold in plan]
+    # a task's cost is its training observations times its firms
+    costs = [len(fold.train_range) * len(train) for fold in plan]
     if holdout is not None:
+        launch_t = plan[-1].val_range.start
+
         def pooled_phase() -> tuple[PooledExperts, tuple[MetricRecord, ...]]:
-            pooled = fit_pooled_experts(train, policy, settings, plan[-1].val_range.start)
+            pooled = fit_pooled_experts(train, policy, settings, launch_t)
             return pooled, run_holdout(universe, holdout, pooled, policy, settings)
 
-        tasks.insert(0, pooled_phase)  # first, because it is the longest task
-    results = _in_parallel(tasks)
+        tasks.insert(0, pooled_phase)
+        costs.insert(0, launch_t * len(train))
+    results = _in_parallel(tasks, costs)
     pooled, holdout_records = results.pop(0) if holdout is not None else (None, ())
 
     records, models, predictions = zip(*results)

@@ -40,7 +40,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -57,6 +57,7 @@ __all__ = [
     "adam_step",
     "train_early_stopping",
     "predict_lstm",
+    "recurse_lstm",
 ]
 
 PARAM_FIELDS = ("W_f", "W_i", "W_C", "W_o", "b_f", "b_i", "b_C", "b_o", "W_y", "b_y")
@@ -491,12 +492,70 @@ def predict_lstm(params: LstmParams, windows: np.ndarray) -> float | np.ndarray:
     prediction equals its single-window call bit for bit (a 2-D batch of
     windows would round differently).
     """
+    params, X = _broadcast_windows(params, windows, 0)
+    out = _run(params, X[..., None, :])[..., 0]
+    return float(out) if out.ndim == 0 else out
+
+
+def _broadcast_windows(
+    params: LstmParams, windows: np.ndarray, more_axes: int
+) -> tuple[LstmParams, np.ndarray]:
+    """``params`` with one singleton axis per batch axis of ``windows``, and
+    ``more_axes`` more, so that its weights broadcast over them; and
+    ``windows`` as float, checked to be the firm axes + ``(..., steps)``."""
     lead = params.theta.shape[:-1]
     X = np.asarray(windows, dtype=float)
     if X.ndim < len(lead) + 1 or X.shape[:len(lead)] != lead or X.shape[-1] < 1:
         raise FitError(f"windows must be {lead} + (..., steps) with steps >= 1, got {X.shape}")
-    extra = (1,) * (X.ndim - len(lead) - 1)
-    if extra:  # one singleton axis per batch axis, so the weights broadcast over them
+    extra = (1,) * (X.ndim - len(lead) - 1 + more_axes)
+    if extra:  # a lone window skips this: the recursive reference calls it once per step
         params = params.with_theta(params.theta.reshape(lead + extra + params.theta.shape[-1:]))
-    out = _run(params, X[..., None, :])[..., 0]
-    return float(out) if out.ndim == 0 else out
+    return params, X
+
+
+def recurse_lstm(
+    params: LstmParams,
+    windows: np.ndarray,
+    h: int,
+    feedback: Callable[[int, np.ndarray], np.ndarray],
+) -> np.ndarray:
+    """``h`` recursive steps from each window, every step's value fed back as its newest.
+
+    ``windows`` has :func:`predict_lstm`'s layout: the firm axes of
+    ``params``, any batch axes, then ``width`` values.  Window ``m`` of a
+    path is its last ``width`` values after ``m`` steps, and its prediction
+    ``y`` (shaped like the leading axes) gives the path's next value
+    ``feedback(m, y)``.  Returns the ``h`` values each path gained, leading
+    axes + ``(h,)``; every prediction equals :func:`predict_lstm` on its
+    window bit for bit.
+
+    The windows advance as a wavefront.  Window ``m`` starts from the zero
+    state at tick ``m`` and takes its step ``s`` at tick ``m + s``, so at
+    tick τ every window in flight, at most ``width``, reads the same path
+    value τ, and one :func:`_cell` call advances them all.  Each keeps its
+    own ``h`` and ``C`` as its own one-row batch on a window axis, as in
+    :func:`predict_lstm`.  Window ``m`` ends at tick ``m + width - 1``; its
+    value lands at path position ``width + m``, which window ``m + 1``
+    reads at its last step, one tick later.  That is ``h + width - 1`` cell
+    calls where a window at a time takes ``h * width``.
+    """
+    if h < 0:
+        raise FitError(f"a recursion takes h >= 0 steps, got {h}")
+    params, X = _broadcast_windows(params, windows, 1)  # one more for the window axis
+    width = X.shape[-1]
+    weights = (params.W_gates.swapaxes(-1, -2), params.b_gates[..., None, :])
+    path = np.empty(X.shape[:-1] + (width + h,))
+    path[..., :width] = X
+    start = np.zeros(X.shape[:-1] + (1, 1, params.hidden))  # one window's zero state
+    hs = Cs = start[..., :0, :, :]  # leading axes + (windows in flight, 1, H)
+    for tick in range(h + width - 1):
+        if tick < h:  # window ``tick`` starts
+            hs, Cs = (np.concatenate([s, start], axis=-3) for s in (hs, Cs))
+        x = np.broadcast_to(path[..., tick, None, None, None], hs.shape[:-1] + (1,))
+        *_, Cs, _, hs = _cell(weights, np.concatenate([hs, x], axis=-1), Cs)
+        m = tick - width + 1
+        if m >= 0:  # window m took its last step
+            y = _head(params, hs[..., :1, :, :])[..., 0, 0]
+            path[..., width + m] = feedback(m, y)
+            hs, Cs = hs[..., 1:, :, :], Cs[..., 1:, :, :]
+    return path[..., width:]

@@ -301,6 +301,36 @@ class TestForecastPaths:
                 expected = recursive_forecast(fn, windows[k], t0, sigmas[k], longest)
                 assert np.array_equal(paths[model][k], expected), (k, model)
 
+    @pytest.mark.parametrize("shared", [False, True], ids=["stacked", "shared"])
+    @pytest.mark.parametrize("hidden", [1, 3, 16])
+    @pytest.mark.parametrize("case", range(4))
+    def test_random_paths_equal_the_one_step_recursions(self, case, hidden, shared):
+        # 1-4 firms, windows of 1-12 values, horizons of 1-70 steps, and in
+        # odd cases a horizon no longer than the window
+        rng = np.random.default_rng([case, hidden, shared])
+        n_firms, width = int(rng.integers(1, 5)), int(rng.integers(1, 13))
+        h = int(rng.integers(1, max(width, 2))) if case % 2 else int(rng.integers(1, 71))
+        stack = init_params(hidden, tuple(int(s) for s in rng.integers(0, 2**31, n_firms)))
+        stack.theta[...] += rng.normal(scale=0.5, size=stack.theta.shape)
+        linears = [LinearParams(*rng.normal(size=3) * [1.0, 0.01, 5.0]) for _ in range(n_firms)]
+        gates = [(GateWeights(0.7, 0.3), GateWeights(0.3, 0.7))[g]
+                 for g in rng.integers(0, 2, n_firms)]
+        sigmas = rng.uniform(0.001, 0.1, n_firms).tolist()
+        windows = rng.normal(scale=2.0, size=(n_firms, width))
+        t0 = float(rng.integers(0, 500))
+        lstm = stack.firm(0) if shared else stack
+        paths = forecast_paths(lstm, linears, gates, windows, t0, sigmas, h)
+        for k in range(n_firms):
+            firm_lstm = lstm if shared else lstm.firm(k)
+            fns = {
+                "Linear": linear_one_step(linears[k]),
+                "LSTM": lstm_one_step(firm_lstm),
+                "MoE": moe_one_step(firm_lstm, linears[k], gates[k]),
+            }
+            for model, fn in fns.items():
+                expected = recursive_forecast(fn, windows[k], t0, sigmas[k], h)
+                assert np.array_equal(paths[model][k], expected), (k, model)
+
     @pytest.mark.parametrize(
         "horizons", [(3, 25), (3, 5, 10)], ids=["val_len<max_h", "val_len>=max_h"]
     )
@@ -742,18 +772,24 @@ class TestParallelBacktest:
     """Folds and the pooled fit run as forked tasks; one usable core runs them here."""
 
     def test_walk_forward_is_the_same_forked_and_in_process(self, tiny_universe, monkeypatch):
-        plan = plan_walk_forward(60, 40, 10, 10)
+        # two sliding folds of equal cost, and three expanding folds whose
+        # training grows, so that the workers take them in reverse order
+        plans = [
+            plan_walk_forward(60, 40, 10, 10),
+            plan_walk_forward(60, 30, 10, 10, TrainMode.EXPANDING),
+        ]
+        assert [[len(f.train_range) for f in plan] for plan in plans] == [[40, 40], [30, 40, 50]]
         settings = fast_settings(horizons=HorizonSpec((3, 8)))
-        forked = run_walk_forward(tiny_universe, plan, small_policy(), settings)
+        forked = [run_walk_forward(tiny_universe, plan, small_policy(), settings) for plan in plans]
         one_core(monkeypatch)
-        here = run_walk_forward(tiny_universe, plan, small_policy(), settings)
-        assert len(plan) == 2
-        assert forked.records == here.records
-        assert forked.predictions == here.predictions
-        assert {k: fm.regime for k, fm in forked.models.items()} == {
-            k: fm.regime for k, fm in here.models.items()
-        }
-        assert_same_models(forked.models, here.models)
+        for plan, there in zip(plans, forked):
+            here = run_walk_forward(tiny_universe, plan, small_policy(), settings)
+            assert there.records == here.records
+            assert there.predictions == here.predictions
+            assert {k: fm.regime for k, fm in there.models.items()} == {
+                k: fm.regime for k, fm in here.models.items()
+            }
+            assert_same_models(there.models, here.models)
 
     def test_run_backtest_equals_its_three_parts(self, pooled_setup, monkeypatch):
         universe, holdout, experts, policy, settings = pooled_setup
@@ -796,7 +832,7 @@ class TestParallelBacktest:
     @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity")
     def test_tasks_use_at_most_one_worker_per_usable_core(self):
         tasks = [lambda k=k: (k, os.getpid()) for k in range(6)]
-        results = evaluation._in_parallel(tasks)
+        results = evaluation._in_parallel(tasks, [1] * 6)
         assert [k for k, _ in results] == list(range(6))
         pids = {pid for _, pid in results}
         assert len(pids) <= len(os.sched_getaffinity(0))
@@ -805,9 +841,45 @@ class TestParallelBacktest:
         assert multiprocessing.active_children() == []
 
     def test_one_task_or_one_core_runs_in_this_process(self, monkeypatch):
-        assert evaluation._in_parallel([os.getpid]) == [os.getpid()]
+        assert evaluation._in_parallel([os.getpid], [1]) == [os.getpid()]
         one_core(monkeypatch)
-        assert evaluation._in_parallel([os.getpid] * 3) == [os.getpid()] * 3
+        assert evaluation._in_parallel([os.getpid] * 3, [1, 3, 2]) == [os.getpid()] * 3
+
+    @pytest.mark.parametrize("cores", ["forked", "one core"])
+    def test_unequal_costs_keep_task_order_and_the_first_failure(self, cores, monkeypatch):
+        if cores == "one core":
+            one_core(monkeypatch)
+        costs = [1, 5, 2, 9, 3]
+        assert evaluation._in_parallel([lambda k=k: k for k in range(5)], costs) == list(range(5))
+
+        def fail(k):
+            raise ValueError(f"task {k}")
+
+        # task 3 is the longest, so a worker starts it first; task 1 still wins
+        tasks = [lambda k=k: fail(k) if k in (1, 3) else k for k in range(5)]
+        with pytest.raises(ValueError, match="^task 1$"):
+            evaluation._in_parallel(tasks, costs)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2
+        or "fork" not in multiprocessing.get_all_start_methods(),
+        reason="needs two usable cores and fork",
+    )
+    def test_forked_tasks_are_handed_out_longest_first(self, monkeypatch):
+        from concurrent.futures import ProcessPoolExecutor
+
+        submitted = []
+        submit = ProcessPoolExecutor.submit
+
+        def recording(pool, fn, *args, **kwargs):
+            submitted.extend(args)
+            return submit(pool, fn, *args, **kwargs)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", recording)
+        results = evaluation._in_parallel([lambda k=k: k for k in range(5)], [1, 5, 2, 5, 3])
+        assert results == list(range(5))
+        assert submitted == [1, 3, 4, 2, 0]  # ties in task order
 
 
 def sample_std(x) -> float:

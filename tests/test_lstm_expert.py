@@ -16,6 +16,7 @@ from moecast.lstm_expert import (
     forward_batch,
     init_params,
     predict_lstm,
+    recurse_lstm,
     train_early_stopping,
 )
 from moecast import lstm_expert
@@ -314,6 +315,46 @@ class TestForward:
         for bad in (np.zeros(5), np.zeros((3, 5)), np.zeros((2, 0))):
             with pytest.raises(FitError):
                 predict_lstm(stack, bad)
+
+    @pytest.mark.parametrize("seed", [1, (1, 2)], ids=["one firm", "stack"])
+    @pytest.mark.parametrize("width, h", [(4, 9), (6, 2), (1, 3), (3, 1)])
+    def test_recursion_feeds_each_prediction_back_bit_for_bit(self, seed, width, h):
+        # a window at a time: predict_lstm on the last width values, appended
+        p = init_params(5, seed=seed)
+        lead = p.theta.shape[:-1]
+        windows = np.random.default_rng(width * h).normal(size=lead + (3, width))
+        path = recurse_lstm(p, windows, h, lambda m, y: y)
+        assert path.shape == lead + (3, h)
+        stream = windows
+        for m in range(h):
+            y = predict_lstm(p, stream[..., -width:])
+            assert np.array_equal(path[..., m], y), m
+            stream = np.concatenate([stream, y[..., None]], axis=-1)
+
+    def test_recursion_feeds_back_what_feedback_returns(self):
+        p = init_params(4, seed=2)
+        window = np.array([0.5, -0.25, 1.0])
+        seen = []
+
+        def halve(m, y):
+            seen.append(m)
+            return y / 2
+
+        path = recurse_lstm(p, window[None], 5, halve)
+        assert seen == list(range(5))
+        stream = list(window)
+        for m in range(5):
+            assert path[0, m] == predict_lstm(p, np.array(stream[-3:])) / 2
+            stream.append(path[0, m])
+        assert recurse_lstm(p, window[None], 0, halve).shape == (1, 0)
+
+    def test_recursion_rejects_bad_shapes(self):
+        stack = init_params(3, (1, 2))
+        for bad in (np.zeros(5), np.zeros((3, 5)), np.zeros((2, 0))):
+            with pytest.raises(FitError):
+                recurse_lstm(stack, bad, 4, lambda m, y: y)
+        with pytest.raises(FitError):
+            recurse_lstm(stack, np.zeros((2, 5)), -1, lambda m, y: y)
 
     @pytest.mark.parametrize("seed", [1, (1, 2)], ids=["one firm", "stack"])
     def test_a_trailing_value_axis_is_rejected(self, seed):
