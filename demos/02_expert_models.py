@@ -30,18 +30,19 @@ from moecast.regime import label_for
 def main():
     series = generate_synthetic(SyntheticSpec(n_stable=0, n_volatile=1, length=200), seed=42)["VOL01"]
     w, train_end = 10, 160
-    dataset = make_windows(series, w, WindowMode.PRICE_LEVELS, train_end=train_end)
-    print(f"{series.ticker}: {len(dataset)} windows, scaler mean {dataset.scaler.mean:.2f} "
-          f"std {dataset.scaler.std:.2f}")
+    # window k holds the w standardized prices before price w + k, its target
+    windows, targets, scaler = make_windows(series, w, WindowMode.PRICE_LEVELS, train_end=train_end)
+    print(f"{series.ticker}: {len(targets)} windows, scaler mean {scaler.mean:.2f} "
+          f"std {scaler.std:.2f}")
 
     # LSTM expert: last fifth of the training samples drives early stopping
-    train = dataset.t_index < train_end
-    inputs, targets = dataset.inputs[train], dataset.targets[train]
-    split = len(targets) - len(targets) // 5
+    inputs, train_targets = windows[:train_end - w], targets[:train_end - w]
+    split = len(train_targets) - len(train_targets) // 5
     # the trainer fits a stack of firms, one seed each: here a stack of one
     cfg = TrainConfig(max_epochs=25, patience=5)
     stack, (history,) = train_early_stopping(
-        inputs[None, :split], targets[None, :split], inputs[None, split:], targets[None, split:],
+        inputs[None, :split], train_targets[None, :split],
+        inputs[None, split:], train_targets[None, split:],
         cfg, seeds=(1,), hidden=20,
     )
     lstm = stack.firm(0)
@@ -56,7 +57,7 @@ def main():
     report = fit_ols(
         [float(t) for t in rows],
         [sigma_at(t) for t in rows],
-        [float(dataset.targets[t - w]) for t in rows],
+        [float(targets[t - w]) for t in rows],
     )
     linear = report.params
     print(f"linear expert: beta0 {linear.beta0:+.4f}, beta1 {linear.beta1:+.5f}, "
@@ -70,13 +71,13 @@ def main():
     rows = {"LSTM": [], "Linear": [], "MoE": []}
     actual = []
     for t in range(train_end, len(series)):
-        window = dataset.inputs[t - w]
+        window = windows[t - w]
         rnn = predict_lstm(lstm, window)
         lm = predict_linear(linear, float(t), sigma_frozen)
         rows["LSTM"].append(rnn)
         rows["Linear"].append(lm)
         rows["MoE"].append(blend(weights, rnn, lm))
-        actual.append(float(dataset.targets[t - w]))
+        actual.append(float(targets[t - w]))
     print(f"{'model':<8}{'MSE':>10}{'MAE':>10}   (standardized, one-step, "
           f"{len(actual)} points)")
     for name, preds in rows.items():

@@ -7,7 +7,6 @@ from .market_data import (
     Scaler,
     SyntheticSpec,
     WindowMode,
-    WindowedDataset,
     fit_scaler,
     generate_synthetic,
     load_csv,

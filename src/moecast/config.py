@@ -6,10 +6,11 @@ walk-forward geometry).  Unknown keys and out-of-domain values are rejected
 with the offending key named.  The canonical serialization of a resolved
 configuration is hashed into a fingerprint that every output file embeds.
 
-``vol.policy`` and ``vol.window`` are contextual: left unset, single-shot
-classification uses the 30-day threshold rule while the walk-forward backtest
-uses the 21-day cross-sectional median rule, and the keys stay out of the
-canonical serialization so that behaviour survives a round trip.
+``vol.policy`` and ``vol.window`` are contextual: left unset, they are None,
+single-shot classification uses the 30-day threshold rule while the
+walk-forward backtest uses the 21-day cross-sectional median rule, and the
+keys stay out of the canonical serialization so that behaviour survives a
+round trip.  No set value parses to None, so None is what marks them unset.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ class _Key:
     domain: str
     check: Callable[[Any], bool]
     fmt: Callable[[Any], str] = lambda v: str(v)
-    contextual: bool = False  # omitted from serialization when not explicitly set
+    contextual: bool = False  # default None, and omitted from serialization while None
 
 
 def _enum_key(name: str, kind: type[enum.Enum], default: str | None, contextual=False) -> _Key:
@@ -121,8 +122,8 @@ _REGISTRY: tuple[_Key, ...] = (
         lambda v: 0 <= v <= 1, fmt=repr,
     ),
     _Key(
-        "horizons", _parse_horizons, (5, 20, 60), "comma-separated integers >= 1",
-        lambda v: all(h >= 1 for h in v),
+        "horizons", _parse_horizons, (5, 20, 60), "comma-separated integers >= 2",
+        lambda v: all(h >= 2 for h in v),
         fmt=lambda v: ",".join(str(h) for h in v),
     ),
     _Key("holdout.k", _parse_int, 10, "integer >= 0", lambda v: v >= 0),
@@ -137,10 +138,9 @@ _BY_NAME = {key.name: key for key in _REGISTRY}
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved configuration plus the set of keys the user actually wrote."""
+    """Fully resolved configuration: every key's value, set or default."""
 
     values: dict[str, Any]
-    explicit: frozenset[str]
 
     def __getitem__(self, name: str) -> Any:
         return self.values[name]
@@ -209,13 +209,13 @@ class RunConfig:
     def serialize(self) -> str:
         """Canonical text: registry order, one ``key = value`` per line.
 
-        Contextual keys are emitted only when the user set them, so parsing
-        the serialization reproduces this configuration exactly, including
-        its context-dependent defaults.
+        Contextual keys are emitted only when set (a set one never parses to
+        None), so parsing the serialization reproduces this configuration
+        exactly, including its context-dependent defaults.
         """
         lines = []
         for key in _REGISTRY:
-            if key.contextual and key.name not in self.explicit:
+            if key.contextual and self.values[key.name] is None:
                 continue
             lines.append(f"{key.name} = {key.fmt(self.values[key.name])}")
         return "\n".join(lines) + "\n"
@@ -234,7 +234,7 @@ def parse_config_text(
 ) -> RunConfig:
     """Parse ``key = value`` lines; blank lines and ``#`` comments are ignored.
 
-    ``seed_override`` replaces the seed when given, and counts as set explicitly.
+    ``seed_override`` replaces the seed when given.
     """
     raw: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -265,10 +265,9 @@ def parse_config_text(
             values[key.name] = value
         else:
             values[key.name] = key.default
-    explicit = frozenset(raw)
     if seed_override is not None:
-        values["seed"], explicit = seed_override, explicit | {"seed"}
-    return RunConfig(values=values, explicit=explicit)
+        values["seed"] = seed_override
+    return RunConfig(values)
 
 
 def parse_config(path, seed_override: int | None = None) -> RunConfig:

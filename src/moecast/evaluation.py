@@ -166,13 +166,15 @@ class FoldSpec:
 
 @dataclass(frozen=True)
 class HorizonSpec:
-    """Recursive forecast horizons, all at least one step."""
+    """Recursive forecast horizons, all at least two steps: horizon 1 is
+    always scored, on every validation window, so a recursive one would be a
+    second, different record of it."""
 
     horizons: tuple[int, ...] = (5, 20, 60)
 
     def __post_init__(self) -> None:
-        if any(h < 1 for h in self.horizons):
-            raise EvaluationError(f"horizons must all be >= 1, got {self.horizons}")
+        if any(h < 2 for h in self.horizons):
+            raise EvaluationError(f"horizons must all be >= 2, got {self.horizons}")
         object.__setattr__(self, "horizons", tuple(sorted(set(self.horizons))))
 
 
@@ -493,6 +495,18 @@ class _FoldFirmData:
         """The last training target's σ, which labels the firm and every forecast reads."""
         return float(self.sigma[self.train_rows - 1])
 
+    @property
+    def launch_t(self) -> int:
+        """The time index of the first validation target, where forecasts launch."""
+        return self.t_offset + self.inputs.shape[1] + self.train_rows
+
+    def models(
+        self, lstm: LstmParams, linear: LinearParams, regime: RegimeLabel, mode: WindowMode
+    ) -> FoldModels:
+        """The firm's frozen experts with the context to predict again."""
+        return FoldModels(lstm, linear, self.scaler, self.sigma_frozen, regime,
+                          self.launch_t, self.inputs.shape[1], mode)
+
 
 def _prepare_fold_firm(
     series: PriceSeries,
@@ -504,15 +518,15 @@ def _prepare_fold_firm(
     # the prices behind the values [ts, val end); a log return also needs the price after it
     end = fold.val_range.stop + settings.mode.offset
     slice_series = PriceSeries(series.ticker, series.dates[ts:end], series.prices[ts:end])
-    dataset = make_windows(slice_series, settings.window, settings.mode, train_end=te - ts)
+    inputs, targets, scaler = make_windows(slice_series, settings.window, settings.mode, te - ts)
     vol = policy.volatility(slice_series)
     # The one place a target meets its σ: the target at local index t sits at
     # price t + offset and reads the volatility window ending with return
     # t + offset - 1, the return into that price (for a log return, the
     # target itself).  ``vol[j]`` ends with return j, NaN until the window fills.
-    sigma = vol[dataset.t_index + settings.mode.offset - 1]
+    sigma = vol[settings.window + settings.mode.offset - 1:]
     data = _FoldFirmData(
-        series.ticker, dataset.inputs, dataset.targets, sigma, dataset.scaler,
+        series.ticker, inputs, targets, sigma, scaler,
         train_rows=te - ts - settings.window, t_offset=ts,
     )
     if math.isnan(data.sigma_frozen):
@@ -652,16 +666,7 @@ def _run_fold(
         settings,
     )
     fms = [
-        FoldModels(
-            lstm=lstm.firm(k),
-            linear=linears[k],
-            scaler=data.scaler,
-            sigma=data.sigma_frozen,
-            regime=labels[data.ticker],
-            launch_t=fold.val_range.start,
-            window=settings.window,
-            mode=settings.mode,
-        )
+        data.models(lstm.firm(k), linears[k], labels[data.ticker], settings.mode)
         for k, data in enumerate(firms)
     ]
     gates = [gate_for_regime(fm.regime, settings.gate_table) for fm in fms]
@@ -886,16 +891,8 @@ def _holdout_firm(
         raise EvaluationError(f"{series.ticker}: too short to evaluate at launch index {launch}")
     fold = FoldSpec(HOLDOUT_FOLD_ID, range(0, launch), range(launch, n_vals))
     data = _prepare_fold_firm(series, fold, policy, settings)
-    return data, FoldModels(
-        lstm=experts.lstm,
-        linear=experts.linear,
-        scaler=data.scaler,
-        sigma=data.sigma_frozen,
-        regime=policy.label_unseen(data.sigma_frozen, experts.decision_sigma),
-        launch_t=launch,
-        window=settings.window,
-        mode=settings.mode,
-    )
+    regime = policy.label_unseen(data.sigma_frozen, experts.decision_sigma)
+    return data, data.models(experts.lstm, experts.linear, regime, settings.mode)
 
 
 def holdout_models(

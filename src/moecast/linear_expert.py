@@ -29,9 +29,6 @@ class LinearParams:
     beta1: float
     beta2: float
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.beta0, self.beta1, self.beta2])
-
 
 @dataclass(frozen=True)
 class LinearFitReport:

@@ -26,7 +26,6 @@ __all__ = [
     "PriceSeries",
     "ReturnSeries",
     "Scaler",
-    "WindowedDataset",
     "SyntheticSpec",
     "load_csv",
     "write_csv",
@@ -142,30 +141,6 @@ class Scaler:
 
     def invert(self, values: np.ndarray | float) -> np.ndarray | float:
         return np.asarray(values, dtype=float) * self.std + self.mean
-
-
-@dataclass(frozen=True)
-class WindowedDataset:
-    """Overlapping supervised windows over one firm's standardized values.
-
-    ``inputs[k]`` holds the ``w`` standardized values preceding position
-    ``t_index[k]`` and ``targets[k]`` the standardized value at that position.
-    """
-
-    inputs: np.ndarray
-    targets: np.ndarray
-    t_index: np.ndarray
-    scaler: Scaler
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "inputs", _frozen(self.inputs))
-        object.__setattr__(self, "targets", _frozen(self.targets))
-        idx = np.array(self.t_index, dtype=int)
-        idx.setflags(write=False)
-        object.__setattr__(self, "t_index", idx)
-
-    def __len__(self) -> int:
-        return len(self.targets)
 
 
 def load_csv(path) -> dict[str, PriceSeries]:
@@ -294,8 +269,12 @@ def make_windows(
     w: int,
     mode: WindowMode,
     train_end: int,
-) -> WindowedDataset:
-    """Build every overlapping ``(w inputs, next value)`` pair over a firm's values.
+) -> tuple[np.ndarray, np.ndarray, Scaler]:
+    """Every overlapping ``(w inputs, next value)`` pair over a firm's values,
+    as read-only ``(inputs, targets, scaler)``.
+
+    ``inputs[k]`` holds the ``w`` standardized values before value ``w + k``
+    and ``targets[k]`` that value, standardized.
 
     Parameters
     ----------
@@ -324,7 +303,7 @@ def make_windows(
     standardized = scaler.apply(values)
     inputs = np.lib.stride_tricks.sliding_window_view(standardized, w)[:-1]
     targets = standardized[w:]
-    return WindowedDataset(inputs, targets, np.arange(w, n), scaler)
+    return _frozen(inputs), _frozen(targets), scaler
 
 
 # The ranges each synthetic firm draws its parameters from, uniformly, and

@@ -26,16 +26,20 @@ __all__ = ["ModelStore"]
 _FORMAT_VERSION = 1
 
 
-def _lstm_to_entry(params: LstmParams, arrays: list[np.ndarray]) -> dict:
+def _experts_entry(lstm: LstmParams, linear: LinearParams, arrays: list[np.ndarray]) -> dict:
+    """The manifest fields of one pair of experts; the LSTM's arrays are
+    appended to ``arrays`` and named by their indices there."""
     fields = {}
-    for name, arr in params.arrays().items():
+    for name, arr in lstm.arrays().items():
         fields[name] = len(arrays)
         arrays.append(arr)
-    return fields
+    return {"lstm": fields, "linear": [linear.beta0, linear.beta1, linear.beta2]}
 
 
-def _lstm_from_entry(fields: dict, arrays) -> LstmParams:
-    return LstmParams.from_arrays({name: arrays[f"a{fields[name]}"] for name in PARAM_FIELDS})
+def _experts_from_entry(entry: dict, archive) -> tuple[LstmParams, LinearParams]:
+    fields = entry["lstm"]
+    lstm = LstmParams.from_arrays({name: archive[f"a{fields[name]}"] for name in PARAM_FIELDS})
+    return lstm, LinearParams(*entry["linear"])
 
 
 @dataclass
@@ -55,8 +59,7 @@ class ModelStore:
                 {
                     "ticker": ticker,
                     "fold": fold_id,
-                    "lstm": _lstm_to_entry(fm.lstm, arrays),
-                    "linear": [fm.linear.beta0, fm.linear.beta1, fm.linear.beta2],
+                    **_experts_entry(fm.lstm, fm.linear, arrays),
                     "scaler": [fm.scaler.mean, fm.scaler.std],
                     "sigma": fm.sigma,
                     "regime": fm.regime.value,
@@ -68,12 +71,7 @@ class ModelStore:
         pooled_entry = None
         if self.pooled is not None:
             pooled_entry = {
-                "lstm": _lstm_to_entry(self.pooled.lstm, arrays),
-                "linear": [
-                    self.pooled.linear.beta0,
-                    self.pooled.linear.beta1,
-                    self.pooled.linear.beta2,
-                ],
+                **_experts_entry(self.pooled.lstm, self.pooled.linear, arrays),
                 "launch_t": self.pooled.launch_t,
                 "training_tickers": list(self.pooled.training_tickers),
                 "decision_sigma": self.pooled.decision_sigma,
@@ -121,9 +119,10 @@ class ModelStore:
     def _from_manifest(cls, manifest: dict, archive) -> "ModelStore":
         fold_models: dict[tuple[str, int], FoldModels] = {}
         for entry in manifest["entries"]:
+            lstm, linear = _experts_from_entry(entry, archive)
             fold_models[(entry["ticker"], entry["fold"])] = FoldModels(
-                lstm=_lstm_from_entry(entry["lstm"], archive),
-                linear=LinearParams(*entry["linear"]),
+                lstm=lstm,
+                linear=linear,
                 scaler=Scaler(*entry["scaler"]),
                 sigma=entry["sigma"],
                 regime=RegimeLabel(entry["regime"]),
@@ -134,9 +133,10 @@ class ModelStore:
         pooled = None
         if manifest["pooled"] is not None:
             pe = manifest["pooled"]
+            lstm, linear = _experts_from_entry(pe, archive)
             pooled = PooledExperts(
-                lstm=_lstm_from_entry(pe["lstm"], archive),
-                linear=LinearParams(*pe["linear"]),
+                lstm=lstm,
+                linear=linear,
                 launch_t=pe["launch_t"],
                 training_tickers=tuple(pe["training_tickers"]),
                 decision_sigma=pe["decision_sigma"],

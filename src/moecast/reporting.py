@@ -15,6 +15,7 @@ from typing import Iterable, Mapping, Sequence
 from .errors import DataError
 from .evaluation import (
     HOLDOUT_SPLIT,
+    METRIC_NAMES,
     MODELS,
     WALK_FORWARD_SPLIT,
     CellStats,
@@ -35,10 +36,7 @@ __all__ = [
     "tables_to_csv",
 ]
 
-RECORD_COLUMNS = (
-    "ticker", "fold_id", "split", "regime", "horizon", "model",
-    "mse", "mae", "rmse", "raw_mse", "raw_mae", "raw_rmse", "mase",
-)
+RECORD_COLUMNS = ("ticker", "fold_id", "split", "regime", "horizon", "model") + METRIC_NAMES
 
 DISPLAY_NAMES = {
     "Linear": "Linear Regression",
@@ -65,13 +63,10 @@ def records_to_csv(records: Iterable[MetricRecord], fingerprint: str, seed: int)
         records, key=lambda r: (r.split, r.ticker, r.fold_id, r.horizon, r.model)
     )
     for r in ordered:
+        metrics = (getattr(r, name) for name in METRIC_NAMES)
         writer.writerow(
-            [
-                r.ticker, r.fold_id, r.split, r.regime.value, r.horizon, r.model,
-                repr(r.mse), repr(r.mae), repr(r.rmse),
-                repr(r.raw_mse), repr(r.raw_mae), repr(r.raw_rmse),
-                "" if r.mase is None else repr(r.mase),
-            ]
+            [r.ticker, r.fold_id, r.split, r.regime.value, r.horizon, r.model]
+            + ["" if value is None else repr(value) for value in metrics]
         )
     return out.getvalue()
 
@@ -92,23 +87,12 @@ def records_from_csv(text: str) -> list[MetricRecord]:
             raise DataError(f"records line {line}: expected {len(RECORD_COLUMNS)} fields, "
                             f"got {len(row)}")
         try:
-            records.append(
-                MetricRecord(
-                    ticker=row[0],
-                    fold_id=int(row[1]),
-                    split=row[2],
-                    regime=RegimeLabel(row[3]),
-                    horizon=int(row[4]),
-                    model=row[5],
-                    mse=float(row[6]),
-                    mae=float(row[7]),
-                    rmse=float(row[8]),
-                    raw_mse=float(row[9]),
-                    raw_mae=float(row[10]),
-                    raw_rmse=float(row[11]),
-                    mase=float(row[12]) if row[12] else None,
-                )
-            )
+            records.append(MetricRecord(
+                row[0], int(row[1]), row[2], RegimeLabel(row[3]), int(row[4]), row[5],
+                # only mase may be blank: a constant training series has none
+                **{name: float(text) if text or name != "mase" else None
+                   for name, text in zip(METRIC_NAMES, row[6:])},
+            ))
         except ValueError as exc:  # a bad number, an unknown regime, or a record's own check
             raise DataError(f"records line {line}: {exc}") from exc
     return records

@@ -7,6 +7,7 @@ the convexity and regime-ordering criteria through a module fixture.
 
 import time
 from contextlib import contextmanager
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -125,8 +126,8 @@ def test_criterion_2_ols_exactness():
             X = np.column_stack([np.ones(n), t, sigma])
             y = X @ beta_true
             report = fit_ols(t, sigma, y)
-            assert np.abs(report.params.as_array() - beta_true).max() < 1e-8
-            resid = y - X @ report.params.as_array()
+            assert np.abs(astuple(report.params) - beta_true).max() < 1e-8
+            resid = y - X @ astuple(report.params)
             assert np.abs(X.T @ resid).max() < 1e-8 * np.linalg.norm(y)
         elapsed = time.monotonic() - started
         assert elapsed < 1.0, f"OLS check took {elapsed:.2f}s"

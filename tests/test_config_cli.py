@@ -44,6 +44,11 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="gate.volatile.w_rnn"):
             parse_config_text("gate.volatile.w_rnn = 1.5")
 
+    @pytest.mark.parametrize("text", ["1", "1,5", "5, 0", "-2"])
+    def test_horizons_below_two_rejected_naming_the_key(self, text):
+        with pytest.raises(ConfigError, match=r"key horizons: .* \(comma-separated integers >= 2\)"):
+            parse_config_text(f"horizons = {text}")
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config_text("wf.bogus = 3")
@@ -414,9 +419,11 @@ class TestCli:
              "error: records line 3: invalid literal for int() with base 10: 'zero'\n"),
             (b"STB01,0,walk_forward,Calm,1,LSTM,0.1,0.2,0.3,0.1,0.2,0.3,",
              "error: records line 3: 'Calm' is not a valid RegimeLabel\n"),
+            (b"STB01,0,walk_forward,Stable,1,LSTM,,0.2,0.3,0.1,0.2,0.3,",
+             "error: records line 3: could not convert string to float: ''\n"),
             (b"\xff\xfe", "error: cannot read records {path}: 'utf-8' codec can't decode"),
         ],
-        ids=["seven_fields", "fold_id_zero", "unknown_regime", "not_utf8"],
+        ids=["seven_fields", "fold_id_zero", "unknown_regime", "blank_mse", "not_utf8"],
     )
     def test_malformed_records_fail_naming_the_line(self, cli_workspace, capsys, row, message):
         cfg, _, reports = cli_workspace
@@ -543,6 +550,5 @@ def test_seed_flag_without_config_is_an_explicit_seed(monkeypatch):
     assert main(["--seed", "5", "classify"]) == 0
     (config,) = resolved
     assert config["seed"] == 5
-    assert "seed" in config.explicit
     assert config.fingerprint == parse_config_text("seed = 5").fingerprint
     assert config == parse_config_text("", seed_override=5)

@@ -3,7 +3,8 @@
 import itertools
 import multiprocessing
 import os
-from dataclasses import replace
+import re
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -131,6 +132,19 @@ class TestImprovementPct:
     def test_nonpositive_baseline(self):
         with pytest.raises(EvaluationError):
             improvement_pct(1.0, 0.0)
+
+
+class TestHorizonSpec:
+    @pytest.mark.parametrize("horizons", [(1,), (1, 5), (5, 0), (-3,)])
+    def test_horizons_below_two_rejected_naming_them(self, horizons):
+        # horizon 1 is always scored on every validation window; a recursive
+        # horizon 1 would be a second, different record of the same cell
+        with pytest.raises(EvaluationError, match=re.escape(f">= 2, got {horizons}")):
+            HorizonSpec(horizons)
+
+    def test_empty_is_valid_and_horizons_are_sorted_and_distinct(self):
+        assert HorizonSpec(()).horizons == ()
+        assert HorizonSpec((20, 2, 5, 20)).horizons == (2, 5, 20)
 
 
 class TestPlanWalkForward:
@@ -935,7 +949,7 @@ def test_fold_models_match_own_sigma_regime_and_least_squares(tiny_universe, mod
             design = np.column_stack([np.ones(len(rows)), rows, [sigma_at(g) for g in rows]])
             y = (values[rows] - train.mean()) / train.std(ddof=1)
             beta = np.linalg.lstsq(design, y, rcond=None)[0]
-            np.testing.assert_allclose(fm.linear.as_array(), beta, rtol=1e-6, atol=1e-9)
+            np.testing.assert_allclose(astuple(fm.linear), beta, rtol=1e-6, atol=1e-9)
 
         if policy.kind is PolicyKind.THRESHOLD:
             boundary = policy.tau

@@ -3,7 +3,10 @@
 import ast
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -32,3 +35,16 @@ def test_package_root_names_are_their_modules_objects():
         for alias in node.names:
             name = alias.asname or alias.name
             assert getattr(moecast, name) is getattr(module, alias.name), name
+
+
+def test_import_loads_no_process_pool():
+    # _in_parallel imports both only when it forks, so that ``import moecast``,
+    # which every command and benchmark run pays, stays without them
+    src = os.path.dirname(os.path.dirname(moecast.__file__))
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import moecast; "
+        "print(sorted(m for m in sys.modules "
+        "if m.split('.')[0] in ('multiprocessing', 'concurrent')))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"

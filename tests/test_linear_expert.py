@@ -1,5 +1,7 @@
 """Normal-equation least squares: exact recovery, orthogonality, rank guard."""
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
@@ -19,13 +21,13 @@ class TestFitOls:
         t, sigma = random_problem(rng)
         y = 2.0 + 3.0 * t + 0.0 * sigma
         report = fit_ols(t, sigma, y)
-        np.testing.assert_allclose(report.params.as_array(), [2.0, 3.0, 0.0], atol=1e-8)
+        np.testing.assert_allclose(astuple(report.params), [2.0, 3.0, 0.0], atol=1e-8)
 
     def test_constant_target(self):
         rng = np.random.default_rng(1)
         t, sigma = random_problem(rng, n=20)
         report = fit_ols(t, sigma, np.full(20, 7.5))
-        np.testing.assert_allclose(report.params.as_array(), [7.5, 0.0, 0.0], atol=1e-8)
+        np.testing.assert_allclose(astuple(report.params), [7.5, 0.0, 0.0], atol=1e-8)
         assert report.rss == pytest.approx(0.0, abs=1e-12)
 
     def test_random_coefficients_recovered(self):
@@ -36,7 +38,7 @@ class TestFitOls:
             beta_true = rng.normal(size=3) * np.array([5.0, 0.1, 10.0])
             y = beta_true[0] + beta_true[1] * t + beta_true[2] * sigma
             report = fit_ols(t, sigma, y)
-            np.testing.assert_allclose(report.params.as_array(), beta_true, atol=1e-8)
+            np.testing.assert_allclose(astuple(report.params), beta_true, atol=1e-8)
 
     def test_residual_orthogonality(self):
         rng = np.random.default_rng(3)
@@ -45,7 +47,7 @@ class TestFitOls:
             y = rng.normal(size=60) * 2.0 + 0.01 * t
             report = fit_ols(t, sigma, y)
             X = np.column_stack([np.ones(60), t, sigma])
-            resid = y - X @ report.params.as_array()
+            resid = y - X @ astuple(report.params)
             assert np.abs(X.T @ resid).max() < 1e-8 * np.linalg.norm(y)
 
     def test_agrees_with_lstsq_oracle(self):
@@ -53,7 +55,7 @@ class TestFitOls:
         for trial in range(10):
             t, sigma = random_problem(rng, n=50)
             y = rng.normal(size=50)
-            mine = fit_ols(t, sigma, y).params.as_array()
+            mine = astuple(fit_ols(t, sigma, y).params)
             X = np.column_stack([np.ones(50), t, sigma])
             reference = np.linalg.lstsq(X, y, rcond=None)[0]
             np.testing.assert_allclose(mine, reference, rtol=1e-6, atol=1e-9)

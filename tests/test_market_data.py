@@ -329,32 +329,43 @@ class TestScaler:
 
 class TestMakeWindows:
     def test_boundary_single_sample(self):
-        ds = make_windows(series_from_prices(np.linspace(100, 110, 11)), 10,
-                          WindowMode.PRICE_LEVELS, train_end=11)
-        assert len(ds) == 1
-        assert ds.t_index[0] == 10
+        prices = np.linspace(100, 110, 11)
+        inputs, targets, scaler = make_windows(series_from_prices(prices), 10,
+                                               WindowMode.PRICE_LEVELS, train_end=11)
+        assert len(inputs) == len(targets) == 1
+        assert targets[0] == scaler.apply(prices[10])
+
+    def test_arrays_are_read_only(self):
+        inputs, targets, _ = make_windows(series_from_prices(np.linspace(100, 110, 30)), 10,
+                                          WindowMode.PRICE_LEVELS, train_end=20)
+        assert not inputs.flags.writeable and not targets.flags.writeable
 
     def test_enumeration_counts(self):
         # oracle: enumerate starts 0..n-w-1, one sample per start
         prices = np.linspace(100, 150, 100)
         for w, expected in ((10, 90), (20, 80)):
-            ds = make_windows(series_from_prices(prices), w, WindowMode.PRICE_LEVELS, train_end=80)
-            assert len(ds) == expected
+            _, targets, _ = make_windows(series_from_prices(prices), w,
+                                         WindowMode.PRICE_LEVELS, train_end=80)
+            assert len(targets) == expected
             starts = [k for k in range(100) if k + w < 100 + 1 and k + w <= 99]
-            assert len(ds) == len([s for s in starts if s + w <= 99])
+            assert len(targets) == len([s for s in starts if s + w <= 99])
 
     def test_windows_overlap_by_w_minus_one(self):
         prices = np.arange(100.0, 130.0)
-        ds = make_windows(series_from_prices(prices), 10, WindowMode.PRICE_LEVELS, train_end=20)
-        for k in range(len(ds) - 1):
-            np.testing.assert_array_equal(ds.inputs[k][1:], ds.inputs[k + 1][:-1])
+        inputs, _, _ = make_windows(series_from_prices(prices), 10,
+                                    WindowMode.PRICE_LEVELS, train_end=20)
+        for k in range(len(inputs) - 1):
+            np.testing.assert_array_equal(inputs[k][1:], inputs[k + 1][:-1])
 
     def test_targets_follow_inputs(self):
         prices = np.arange(100.0, 120.0)
-        ds = make_windows(series_from_prices(prices), 5, WindowMode.PRICE_LEVELS, train_end=10)
-        standardized = ds.scaler.apply(prices)
-        for inputs, target, t in zip(ds.inputs, ds.targets, ds.t_index):
-            np.testing.assert_array_equal(inputs, standardized[t - 5:t])
+        inputs, targets, scaler = make_windows(series_from_prices(prices), 5,
+                                               WindowMode.PRICE_LEVELS, train_end=10)
+        standardized = scaler.apply(prices)
+        assert len(inputs) == len(targets) == len(prices) - 5
+        for k, (window, target) in enumerate(zip(inputs, targets)):
+            t = 5 + k
+            np.testing.assert_array_equal(window, standardized[t - 5:t])
             assert target == standardized[t]
 
     def test_scaler_sees_only_pre_train_end_values(self):
@@ -362,15 +373,17 @@ class TestMakeWindows:
         rng = np.random.default_rng(4)
         prices = 100.0 + np.cumsum(rng.normal(0, 1, size=60))
         prices = np.abs(prices) + 1.0
-        ds = make_windows(series_from_prices(prices), 10, WindowMode.PRICE_LEVELS, train_end=40)
+        _, _, scaler = make_windows(series_from_prices(prices), 10,
+                                    WindowMode.PRICE_LEVELS, train_end=40)
         train_slice = prices[:40]
-        assert ds.scaler.mean == pytest.approx(train_slice.mean(), rel=1e-15)
-        assert ds.scaler.std == pytest.approx(train_slice.std(ddof=1), rel=1e-15)
+        assert scaler.mean == pytest.approx(train_slice.mean(), rel=1e-15)
+        assert scaler.std == pytest.approx(train_slice.std(ddof=1), rel=1e-15)
 
     def test_log_return_mode_from_prices(self):
         prices = 100.0 * np.exp(np.linspace(0, 0.5, 42))
-        ds = make_windows(series_from_prices(prices), 20, WindowMode.LOG_RETURNS, train_end=30)
-        assert len(ds) == (42 - 1) - 20
+        _, targets, _ = make_windows(series_from_prices(prices), 20,
+                                     WindowMode.LOG_RETURNS, train_end=30)
+        assert len(targets) == (42 - 1) - 20
 
     def test_too_short_series_rejected(self):
         with pytest.raises(DataError):
