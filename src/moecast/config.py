@@ -265,6 +265,11 @@ def parse_config_text(
             values[key.name] = value
         else:
             values[key.name] = key.default
+    if values["train.patience"] > values["train.max_epochs"]:
+        raise ConfigError(
+            f"{source}: key train.patience: value {values['train.patience']} exceeds "
+            f"train.max_epochs = {values['train.max_epochs']}"
+        )
     if seed_override is not None:
         values["seed"] = seed_override
     return RunConfig(values)

@@ -282,6 +282,11 @@ def forecast_paths(
     ...`` since that expert never reads the window.
     """
     windows = np.asarray(windows, dtype=float)
+    if not len(linear) == len(weights) == len(sigma) == windows.shape[0]:
+        raise EvaluationError(
+            f"{windows.shape[0]} windows need one linear fit, gate and sigma each, "
+            f"got {len(linear)}, {len(weights)} and {len(sigma)}"
+        )
     lin = np.array([predict_linear(p, t0 + np.arange(h), s) for p, s in zip(linear, sigma)])
     w_rnn = np.array([w.w_rnn for w in weights])
     w_lm = np.array([w.w_lm for w in weights])

@@ -69,16 +69,14 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
-def _field_shapes(hidden: int) -> tuple[tuple[int, ...], ...]:
-    gate, bias = (hidden, hidden + 1), (hidden,)
-    return (gate,) * 4 + (bias,) * 4 + ((1, hidden), (1,))
-
-
 @functools.lru_cache(maxsize=None)
 def _layout(hidden: int) -> tuple[int, tuple[tuple[str, int, int, tuple], ...]]:
     """``theta``'s size and each field's ``(name, start, stop, shape)`` in it."""
+    if hidden < 1:
+        raise FitError(f"hidden must be positive, got {hidden}")
+    gate, bias = (hidden, hidden + 1), (hidden,)
     fields, offset = [], 0
-    for name, shape in zip(PARAM_FIELDS, _field_shapes(hidden)):
+    for name, shape in zip(PARAM_FIELDS, (gate,) * 4 + (bias,) * 4 + ((1, hidden), (1,))):
         fields.append((name, offset, offset + math.prod(shape), shape))
         offset += math.prod(shape)
     return offset, tuple(fields)
@@ -89,14 +87,12 @@ class LstmParams:
 
     ``theta`` has shape ``(P,)`` for one firm, or leading firm axes before
     ``P`` for a stack, which every view then carries too.  A write through a
-    view, such as ``p.b_f[...] = 0``, writes ``theta``.  :meth:`from_arrays`
-    builds one firm's parameters from named arrays and checks their shapes;
-    the constructor wraps a ``theta`` of the right size.
+    view, such as ``p.b_f[...] = 0``, writes ``theta``, which is how
+    :func:`init_params` and :meth:`from_arrays` fill a zero ``theta``.  The
+    constructor wraps a ``theta`` of the right size.
     """
 
     def __init__(self, theta: np.ndarray, hidden: int) -> None:
-        if hidden < 1:
-            raise FitError(f"hidden must be positive, got {hidden}")
         size, fields = _layout(hidden)
         if theta.dtype != np.float64 or theta.ndim < 1 or theta.shape[-1] != size:
             raise FitError(f"theta must be float64 of shape (..., {size}), got {theta.shape}")
@@ -106,24 +102,15 @@ class LstmParams:
             setattr(self, name, theta[..., start:stop].reshape(lead + shape))
         # the four gates' matrices and biases, f, i, C, o, on a leading gate
         # axis: W_f..W_o, then b_f..b_o, lie back to back in theta
-        n = len(lead)
         W_end, b_end = fields[3][2], fields[7][2]  # where W_o and b_o stop
-        self.W_gates = theta[..., :W_end].reshape(lead + (4,) + fields[0][3]).transpose(
-            (n,) + tuple(range(n)) + (n + 1, n + 2)
-        )
-        self.b_gates = theta[..., W_end:b_end].reshape(lead + (4, hidden)).transpose(
-            (n,) + tuple(range(n)) + (n + 1,)
-        )
+        W = theta[..., :W_end].reshape(lead + (4,) + fields[0][3])
+        b = theta[..., W_end:b_end].reshape(lead + (4, hidden))
+        self.W_gates, self.b_gates = np.moveaxis(W, len(lead), 0), np.moveaxis(b, len(lead), 0)
 
     def __reduce__(self):
         # pickle theta alone: the views are rebuilt over it, so they still
         # share its memory after a round trip
         return LstmParams, (self.theta, self.hidden)
-
-    @classmethod
-    def stack(cls, firms: Sequence["LstmParams"]) -> "LstmParams":
-        """The firms' parameters as one stack, in order, along a new leading axis."""
-        return cls(np.stack([p.theta for p in firms]), firms[0].hidden)
 
     def firm(self, k: int) -> "LstmParams":
         """Firm ``k`` of a stack, as a view."""
@@ -135,14 +122,13 @@ class LstmParams:
         gate_shape = np.shape(arrays["W_f"])
         if len(gate_shape) != 2 or gate_shape[1] != gate_shape[0] + 1:
             raise FitError(f"W_f must have shape (H, H + 1), got {gate_shape}")
-        hidden = gate_shape[0]
-        parts = []
-        for name, shape in zip(PARAM_FIELDS, _field_shapes(hidden)):
+        params = cls(np.zeros(_layout(gate_shape[0])[0]), gate_shape[0])
+        for name, view in params.arrays().items():
             arr = np.asarray(arrays[name], dtype=float)
-            if arr.shape != shape:
-                raise FitError(f"{name} must have shape {shape}, got {arr.shape}")
-            parts.append(arr.reshape(-1))
-        return cls(np.concatenate(parts), hidden)
+            if arr.shape != view.shape:
+                raise FitError(f"{name} must have shape {view.shape}, got {arr.shape}")
+            view[...] = arr
+        return params
 
     def with_theta(self, theta: np.ndarray) -> "LstmParams":
         """Parameters of the same shapes over another ``theta``, firm axes and all."""
@@ -190,35 +176,21 @@ def init_params(hidden: int, seed: int | tuple[int, ...]) -> LstmParams:
     """Uniform fan-scaled weights, zero biases except a forget bias of one.
 
     Each matrix draws from ``U(-b, b)`` with ``b = sqrt(6 / (fan_in +
-    fan_out))``; the forget bias starts at one so early training does not
-    erase the cell state.  Deterministic for a fixed seed; a tuple of seeds
-    gives the stack of each seed's parameters.
+    fan_out))`` (Glorot & Bengio 2010); the forget bias starts at one so
+    early training does not erase the cell state (Jozefowicz et al. 2015).
+    Seed ``k`` of a tuple draws ``W_f, W_i, W_C, W_o, W_y``, in that order,
+    from ``default_rng(seed[k])`` straight into firm ``k``'s views of one
+    zero ``(F, P)`` stack; an int seed gives that stack's one firm.
     """
-    if hidden < 1:
-        raise FitError(f"hidden must be positive, got {hidden}")
-    if isinstance(seed, tuple):
-        return LstmParams.stack([init_params(hidden, s) for s in seed])
-    rng = np.random.default_rng(seed)
-
-    def draw(rows: int, cols: int) -> np.ndarray:
-        bound = math.sqrt(6.0 / (rows + cols))
-        return rng.uniform(-bound, bound, size=(rows, cols))
-
-    gate_cols = hidden + 1
-    return LstmParams.from_arrays(
-        dict(
-            W_f=draw(hidden, gate_cols),
-            W_i=draw(hidden, gate_cols),
-            W_C=draw(hidden, gate_cols),
-            W_o=draw(hidden, gate_cols),
-            b_f=np.ones(hidden),
-            b_i=np.zeros(hidden),
-            b_C=np.zeros(hidden),
-            b_o=np.zeros(hidden),
-            W_y=draw(1, hidden),
-            b_y=np.zeros(1),
-        )
-    )
+    seeds = seed if isinstance(seed, tuple) else (seed,)
+    params = LstmParams(np.zeros((len(seeds), _layout(hidden)[0])), hidden)
+    params.b_f[...] = 1.0
+    for k, s in enumerate(seeds):
+        rng, firm = np.random.default_rng(s), params.firm(k)
+        for w in (firm.W_f, firm.W_i, firm.W_C, firm.W_o, firm.W_y):
+            bound = math.sqrt(6.0 / sum(w.shape))
+            w[...] = rng.uniform(-bound, bound, size=w.shape)
+    return params if isinstance(seed, tuple) else params.firm(0)
 
 
 def _as_batch(params: LstmParams, inputs: np.ndarray) -> np.ndarray:
@@ -381,10 +353,9 @@ def _validation_mae(params: LstmParams, val_inputs: np.ndarray, val_targets: np.
     """Mean absolute validation error of each firm of the stack.
 
     The validation split runs as one batch, as :func:`forward_batch` would,
-    but keeps no tape.
+    but keeps no tape; :func:`train_early_stopping` checked its shapes.
     """
-    preds = _run(params, _as_batch(params, val_inputs))
-    return np.abs(preds - val_targets).mean(axis=-1)
+    return np.abs(_run(params, val_inputs) - val_targets).mean(axis=-1)
 
 
 def train_early_stopping(
@@ -427,6 +398,9 @@ def train_early_stopping(
     val_x = np.asarray(val_inputs, dtype=float)
     if train_x.ndim != 3 or train_x.shape[:-1] != train_y.shape:
         raise FitError(f"inputs {train_x.shape} do not match targets {train_y.shape}")
+    if val_x.shape != val_y.shape + train_x.shape[-1:]:
+        raise FitError(f"validation inputs {val_x.shape} do not match validation targets "
+                       f"{val_y.shape} and {train_x.shape[-1]}-step training windows")
 
     params = init_params(hidden, seeds)
     moments = (np.zeros_like(params.theta), np.zeros_like(params.theta))

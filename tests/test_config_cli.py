@@ -505,6 +505,17 @@ class TestCli:
         assert main(["--config", str(cfg), "classify"]) == 1
         assert "gate.volatile.w_rnn" in capsys.readouterr().err
 
+    def test_patience_above_max_epochs_fails_before_any_command_runs(self, tmp_path, capsys):
+        cfg, data = tmp_path / "short.cfg", tmp_path / "prices.csv"
+        cfg.write_text(f"data.path = {data}\ntrain.max_epochs = 3\n", encoding="utf-8")
+        assert main(["--config", str(cfg), "synth"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "train.patience: value 5 exceeds train.max_epochs = 3" in err
+        assert not data.exists()
+        # patience may equal the epoch ceiling
+        assert parse_config_text("train.max_epochs = 3\ntrain.patience = 3")["train.patience"] == 3
+
     def test_seed_flag_overrides_config(self, cli_workspace, capsys):
         cfg, data, reports = cli_workspace
         main(["--config", str(cfg), "synth"])

@@ -345,6 +345,21 @@ class TestForecastPaths:
                 expected = recursive_forecast(fn, windows[k], t0, sigmas[k], h)
                 assert np.array_equal(paths[model][k], expected), (k, model)
 
+    @pytest.mark.parametrize("count", [1, 3])
+    @pytest.mark.parametrize("field", ["linear", "weights", "sigma"])
+    def test_one_linear_fit_gate_and_sigma_per_window(self, field, count):
+        per_firm = {
+            "linear": [LinearParams(0.25, -0.0125, 3.5)] * 2,
+            "weights": [GateWeights(0.7, 0.3)] * 2,
+            "sigma": [0.031] * 2,
+        }
+        per_firm[field] = per_firm[field][:1] * count
+        with pytest.raises(EvaluationError, match="2 windows"):
+            forecast_paths(
+                init_params(hidden=3, seed=(3, 4)), per_firm["linear"], per_firm["weights"],
+                np.zeros((2, 5)), 41.0, per_firm["sigma"], 6,
+            )
+
     @pytest.mark.parametrize(
         "horizons", [(3, 25), (3, 5, 10)], ids=["val_len<max_h", "val_len>=max_h"]
     )

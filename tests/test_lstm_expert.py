@@ -2,6 +2,7 @@
 
 import math
 import pickle
+import re
 import tracemalloc
 
 import numpy as np
@@ -139,6 +140,27 @@ class TestInitParams:
     def test_rejects_nonpositive_dims(self):
         with pytest.raises(FitError):
             init_params(0, seed=0)
+
+    @pytest.mark.parametrize("seed", [7, (3, 17, 99)], ids=["one firm", "stack"])
+    def test_draws_match_an_independent_reference_bit_for_bit(self, seed):
+        # each seed draws W_f, W_i, W_C, W_o, then W_y, from its own generator,
+        # every matrix from U(-b, b) with b = sqrt(6 / (rows + cols))
+        hidden = 5
+
+        def reference(s):
+            rng = np.random.default_rng(s)
+            draws = [
+                rng.uniform(-math.sqrt(6.0 / sum(shape)), math.sqrt(6.0 / sum(shape)), shape)
+                for shape in [(hidden, hidden + 1)] * 4 + [(1, hidden)]
+            ]
+            biases = [np.ones(hidden), np.zeros(3 * hidden)]
+            return np.concatenate([d.ravel() for d in draws[:4]] + biases + [draws[4][0], [0.0]])
+
+        if isinstance(seed, tuple):
+            expected = np.stack([reference(s) for s in seed])
+        else:
+            expected = reference(seed)
+        assert np.array_equal(init_params(hidden, seed).theta, expected)
 
 
 class TestLstmParams:
@@ -580,6 +602,22 @@ class TestTrainEarlyStopping:
                 TrainConfig(), (0,), hidden=3,
             )
 
+    @pytest.mark.parametrize(
+        "val_x_shape, val_y_shape",
+        [((1, 1, 4), (1, 5)), ((1, 5, 3), (1, 5)), ((1, 6, 4), (1, 5))],
+        ids=["one input row", "shorter windows", "more input rows"],
+    )
+    def test_mismatched_validation_split_rejected_naming_both_shapes(
+        self, val_x_shape, val_y_shape
+    ):
+        # the training split is 8 windows of 4 steps
+        with pytest.raises(FitError, match=rf"{re.escape(str(val_x_shape))}.*"
+                                           rf"{re.escape(str(val_y_shape))}"):
+            train_early_stopping(
+                np.zeros((1, 8, 4)), np.zeros((1, 8)), np.zeros(val_x_shape), np.zeros(val_y_shape),
+                TrainConfig(max_epochs=1, patience=1), (0,), hidden=3,
+            )
+
 
 def stacked_problem():
     """Three firms' windows of phase-shifted sine waves: 18 training samples
@@ -605,7 +643,7 @@ class TestStackedFirms:
             firm = stack.firm(k)
             assert np.array_equal(firm.theta, init_params(3, seed).theta)
             assert np.shares_memory(firm.W_o, stack.theta)
-        again = LstmParams.stack([stack.firm(k) for k in range(3)])
+        again = LstmParams(np.stack([stack.firm(k).theta for k in range(3)]), 3)
         assert np.array_equal(again.theta, stack.theta)
 
     def test_forward_backward_adam_equal_separate_calls(self):
