@@ -63,7 +63,6 @@ from .evaluation import (
     plan_walk_forward,
     recursive_forecast,
     rmse,
-    run_backtest,
     run_holdout,
     run_walk_forward,
 )

@@ -20,7 +20,7 @@ from .evaluation import (
     forecast_paths,
     holdout_models,
     plan_walk_forward,
-    run_backtest,
+    run_walk_forward,
     HoldoutSpec,
 )
 from .market_data import PriceSeries, generate_synthetic, load_csv, write_csv
@@ -130,25 +130,24 @@ def cmd_backtest(config: RunConfig) -> int:
         n, config["wf.init_train"], config["wf.val_len"], config["wf.step"],
         config.train_mode(),
     )
-    result, pooled, holdout_records = run_backtest(universe, plan, policy, settings, holdout)
-    records = list(result.records) + list(holdout_records)
+    result = run_walk_forward(universe, plan, policy, settings, holdout)
 
     fingerprint, seed = config.fingerprint, config["seed"]
     config_path = _write_config_echo(config)
     records_path = _artifact(config, "records", "csv")
-    _write_text(records_path, records_to_csv(records, fingerprint, seed))
+    _write_text(records_path, records_to_csv(result.records, fingerprint, seed))
     predictions_path = _artifact(config, "predictions", "csv")
     _write_text(
         predictions_path,
         predictions_to_csv(result.predictions, universe, settings.mode, fingerprint, seed),
     )
-    store = ModelStore(fingerprint, dict(result.models), pooled)
+    store = ModelStore(fingerprint, dict(result.models), result.pooled)
     store_path = _artifact(config, "models", "npz")
     with _writing(store_path):
         store.save(store_path)
 
     print(f"backtest: {len(train_universe)} firms, {len(plan)} folds, "
-          f"{len(records)} metric records")
+          f"{len(result.records)} metric records")
     if holdout is not None:
         print(f"holdout: {len(holdout.volatile_holdout)} volatile + "
               f"{len(holdout.stable_holdout)} stable firms")

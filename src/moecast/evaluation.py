@@ -22,12 +22,12 @@ pass over every validation window of every firm, and one recursion for all
 firms' forecasts.  Each equals the per-firm computation bit for bit.
 
 Folds share nothing else: each reads only its own slices and its firms'
-seeds, and the pooled holdout fit reads no fold.  :func:`run_backtest` runs
-each as a task on up to one forked process per core this process may use,
-and gathers the results in task order, so they are the same bits for any
-number of workers; the workers take the tasks longest first, by training
-observations times firms.  On one core (``taskset -c 0``) the same tasks
-run in-process, in task order.
+seeds, and the pooled holdout fit reads no fold.  :func:`run_walk_forward`
+runs each as a task returning a :class:`WalkForwardResult`, on up to one
+forked process per core this process may use, and merges them in task
+order, so they are the same bits for any number of workers; the workers
+take the tasks longest first, by training observations times firms.  On one
+core (``taskset -c 0``) the same tasks run in-process, in task order.
 
 Recursive horizons share one path per model: a length-``h`` recursion is
 exactly the first ``h`` steps of a longer one, so :func:`forecast_paths` runs
@@ -85,7 +85,6 @@ __all__ = [
     "linear_one_step",
     "moe_one_step",
     "forecast_paths",
-    "run_backtest",
     "run_walk_forward",
     "fit_pooled_experts",
     "holdout_models",
@@ -313,7 +312,8 @@ class MetricRecord:
     models predict in; the ``raw_*`` triple is the same comparison after
     undoing the firm's scaler.  ``mase`` is scale-free so a single value
     covers both.  Every metric must be finite and non-negative, so a diverged
-    fit fails here instead of being averaged into a table.
+    fit fails here instead of being averaged into a table, as does a split or
+    a horizon (below 1) that no table would read.
     """
 
     ticker: str
@@ -333,6 +333,10 @@ class MetricRecord:
     def __post_init__(self) -> None:
         if self.model not in MODELS:
             raise EvaluationError(f"unknown model {self.model!r}")
+        if self.split not in (WALK_FORWARD_SPLIT, HOLDOUT_SPLIT):
+            raise EvaluationError(f"unknown split {self.split!r}")
+        if self.horizon < 1:
+            raise EvaluationError(f"horizon must be >= 1, got {self.horizon}")
         for name in METRIC_NAMES:
             value = getattr(self, name)
             if value is None and name == "mase":
@@ -423,7 +427,7 @@ class HoldoutSpec:
 
 @dataclass(frozen=True)
 class BacktestSettings:
-    """Everything run_walk_forward needs besides the universe, plan, and policy."""
+    """Everything run_walk_forward needs besides the universe, plan, policy and holdout."""
 
     window: int = 10
     mode: WindowMode = WindowMode.PRICE_LEVELS
@@ -465,9 +469,15 @@ class PredictionPoint:
 
 @dataclass(frozen=True)
 class WalkForwardResult:
+    """A backtest's output, or one task's.  ``records`` hold the holdout
+    records first, then each fold's in fold order, each part firm by firm in
+    ticker order, then by horizon, then by model; ``pooled`` are the experts
+    that scored the holdout, None without one."""
+
     records: tuple[MetricRecord, ...]
     models: dict[tuple[str, int], FoldModels]
     predictions: tuple[PredictionPoint, ...]
+    pooled: PooledExperts | None = None
 
 
 def task_seed(global_seed: int, ticker: str, fold_id: int) -> int:
@@ -659,7 +669,7 @@ def _run_fold(
     fold: FoldSpec,
     policy: RegimePolicy,
     settings: BacktestSettings,
-) -> tuple[list[MetricRecord], dict[tuple[str, int], FoldModels], list[PredictionPoint]]:
+) -> WalkForwardResult:
     """One fold of the walk-forward: its records, models and predictions."""
     firms = [_prepare_fold_firm(universe[t], fold, policy, settings) for t in sorted(universe)]
     labels = policy.labels({data.ticker: data.sigma_frozen for data in firms})
@@ -700,7 +710,7 @@ def _run_fold(
             for j in range(len(actual))
         ]
     models = {(data.ticker, fold.fold_id): fm for data, fm in zip(firms, fms)}
-    return records, models, predictions
+    return WalkForwardResult(tuple(records), models, tuple(predictions))
 
 
 _TASKS: Sequence[Callable[[], object]] = ()  # what forked workers of _in_parallel run
@@ -753,28 +763,38 @@ def _in_parallel(tasks: Sequence[Callable[[], object]], costs: Sequence[float]) 
     return [task() for task in tasks]
 
 
-def run_backtest(
+def run_walk_forward(
     universe: Mapping[str, PriceSeries],
     plan: Sequence[FoldSpec],
     policy: RegimePolicy,
     settings: BacktestSettings,
     holdout: HoldoutSpec | None = None,
-) -> tuple[WalkForwardResult, PooledExperts | None, tuple[MetricRecord, ...]]:
-    """The walk-forward result, the pooled experts, and the holdout records.
+) -> WalkForwardResult:
+    """Re-train, re-classify, and score every firm inside every fold, then
+    score the holdout firms, if any, against pooled experts.
 
     The folds cover every firm of ``universe`` that ``holdout`` does not
-    name.  With a holdout, :func:`fit_pooled_experts` fits those same firms
+    name.  Horizon-1 records score single-step predictions across the whole
+    validation window; each configured horizon adds a record scoring the
+    recursive forecast launched at the validation start against the first
+    ``h`` validation observations (truncated when fewer remain).  Every firm
+    and fold trains from freshly initialized parameters with a seed derived
+    from ``(settings.seed, ticker, fold)``, so reruns are bit-identical.
+    With a holdout, :func:`fit_pooled_experts` fits the walk-forward firms
     up to the last fold's validation start and :func:`run_holdout` scores
-    the held-out firms; without one the pooled experts are None and there
-    are no holdout records.  Every firm, held out or not, must carry the
-    first walk-forward firm's dates up to the plan's end (or its own), else
-    :class:`DataError`; firms are never re-aligned.
+    the held-out firms.  A plan with no folds is an :class:`EvaluationError`.
+    Every firm, held out or not, must carry the first walk-forward firm's
+    dates up to the plan's end (or its own), else :class:`DataError`; firms
+    are never re-aligned.
 
     Every fold, and the pooled fit with its holdout scoring, reads only its
     own inputs, so each is one task of :func:`_in_parallel`: they run on up
-    to one forked process per usable core and are gathered in task order.
-    The results are the same bits for any number of workers.
+    to one forked process per usable core and are merged in task order, the
+    pooled task first.  The results are the same bits for any number of
+    workers.
     """
+    if not plan:
+        raise EvaluationError("the plan has no folds")
     excluded = set(holdout.tickers) if holdout is not None else set()
     train = {t: s for t, s in universe.items() if t not in excluded}
     if not train:
@@ -804,41 +824,22 @@ def run_backtest(
     if holdout is not None:
         launch_t = plan[-1].val_range.start
 
-        def pooled_phase() -> tuple[PooledExperts, tuple[MetricRecord, ...]]:
+        def pooled_phase() -> WalkForwardResult:
             pooled = fit_pooled_experts(train, policy, settings, launch_t)
-            return pooled, run_holdout(universe, holdout, pooled, policy, settings)
+            records = run_holdout(universe, holdout, pooled, policy, settings)
+            return WalkForwardResult(records, {}, (), pooled)
 
+        # first in task order, so that when it and a fold both fail, its error is raised
         tasks.insert(0, pooled_phase)
         costs.insert(0, launch_t * len(train))
     results = _in_parallel(tasks, costs)
-    pooled, holdout_records = results.pop(0) if holdout is not None else (None, ())
-
-    records, models, predictions = zip(*results)
-    result = WalkForwardResult(
-        records=tuple(r for fold_records in records for r in fold_records),
-        models={key: fm for fold_models in models for key, fm in fold_models.items()},
-        predictions=tuple(p for fold_predictions in predictions for p in fold_predictions),
+    return WalkForwardResult(
+        records=tuple(r for part in results for r in part.records),
+        models={key: fm for part in results for key, fm in part.models.items()},
+        predictions=tuple(p for part in results for p in part.predictions),
+        # only the pooled task, first when there is one, carries pooled experts
+        pooled=results[0].pooled,
     )
-    return result, pooled, holdout_records
-
-
-def run_walk_forward(
-    universe: Mapping[str, PriceSeries],
-    plan: Sequence[FoldSpec],
-    policy: RegimePolicy,
-    settings: BacktestSettings,
-) -> WalkForwardResult:
-    """Re-train, re-classify, and score every firm inside every fold.
-
-    Horizon-1 records score single-step predictions across the whole
-    validation window; each configured horizon adds a record scoring the
-    recursive forecast launched at the validation start against the first
-    ``h`` validation observations (truncated when fewer remain).  Every firm
-    and fold trains from freshly initialized parameters with a seed derived
-    from ``(settings.seed, ticker, fold)``, so reruns are bit-identical.
-    This is :func:`run_backtest` with no holdout.
-    """
-    return run_backtest(universe, plan, policy, settings)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -421,9 +421,14 @@ class TestCli:
              "error: records line 3: 'Calm' is not a valid RegimeLabel\n"),
             (b"STB01,0,walk_forward,Stable,1,LSTM,,0.2,0.3,0.1,0.2,0.3,",
              "error: records line 3: could not convert string to float: ''\n"),
+            (b"STB01,0,walkforward,Stable,1,LSTM,0.1,0.2,0.3,0.1,0.2,0.3,",
+             "error: records line 3: unknown split 'walkforward'\n"),
+            (b"STB01,0,walk_forward,Stable,0,LSTM,0.1,0.2,0.3,0.1,0.2,0.3,",
+             "error: records line 3: horizon must be >= 1, got 0\n"),
             (b"\xff\xfe", "error: cannot read records {path}: 'utf-8' codec can't decode"),
         ],
-        ids=["seven_fields", "fold_id_zero", "unknown_regime", "blank_mse", "not_utf8"],
+        ids=["seven_fields", "fold_id_zero", "unknown_regime", "blank_mse", "unknown_split",
+             "horizon_zero", "not_utf8"],
     )
     def test_malformed_records_fail_naming_the_line(self, cli_workspace, capsys, row, message):
         cfg, _, reports = cli_workspace

@@ -33,7 +33,6 @@ from moecast.evaluation import (
     plan_walk_forward,
     recursive_forecast,
     rmse,
-    run_backtest,
     run_holdout,
     run_walk_forward,
     task_seed,
@@ -400,6 +399,12 @@ class TestRunWalkForward:
         assert all(r.horizon == 1 for r in result.records)
         assert len(result.predictions) == 3 * 10
 
+    def test_a_plan_with_no_folds_is_rejected_first(self, tiny_universe):
+        holdout = HoldoutSpec(volatile_holdout=(sorted(tiny_universe)[-1],), stable_holdout=())
+        for universe, spec in itertools.product((tiny_universe, {}), (None, holdout)):
+            with pytest.raises(EvaluationError, match="^the plan has no folds$"):
+                run_walk_forward(universe, (), small_policy(), fast_settings(), spec)
+
     def test_a_diverged_fit_names_its_ticker_and_fold(self, tiny_universe):
         plan = plan_walk_forward(50, 40, 10, 10)
         train = TrainConfig(batch_size=8, max_epochs=2, patience=2, learning_rate=1e300)
@@ -510,7 +515,7 @@ class TestCalendarAlignment:
         universe[shifted] = PriceSeries(shifted, series.dates + 1, series.prices)
         want = f"{shifted}: date 2015-01-03 at index 0 differs from {first}'s 2015-01-02"
         with pytest.raises(DataError, match=want):
-            run_backtest(universe, plan, small_policy(), fast_settings())
+            run_walk_forward(universe, plan, small_policy(), fast_settings())
 
     def test_a_misaligned_holdout_firm_is_rejected(self, pooled_setup):
         universe, holdout, _, policy, settings = pooled_setup
@@ -521,7 +526,7 @@ class TestCalendarAlignment:
         dates[30:] += 1
         universe = {**universe, ticker: PriceSeries(ticker, dates, series.prices)}
         with pytest.raises(DataError, match=f"{ticker}: date .* at index 30 differs"):
-            run_backtest(universe, plan, policy, settings, holdout)
+            run_walk_forward(universe, plan, policy, settings, holdout)
 
     def test_a_longer_firm_sharing_the_prefix_passes(self, tiny_universe):
         plan = plan_walk_forward(50, 40, 10, 10)
@@ -530,7 +535,7 @@ class TestCalendarAlignment:
             t: PriceSeries(t, s.dates[:50], s.prices[:50]) for t, s in tiny_universe.items()
         }
         universe[longer] = tiny_universe[longer]
-        result, _, _ = run_backtest(universe, plan, small_policy(), fast_settings())
+        result = run_walk_forward(universe, plan, small_policy(), fast_settings())
         assert {t for t, _ in result.models} == set(tiny_universe)
 
 
@@ -614,7 +619,7 @@ class TestHoldout:
         with np.errstate(all="ignore"), pytest.raises(
             FitError, match="^pooled fit: firm 0: the fit diverged"
         ):
-            run_backtest(universe, plan, policy, settings, holdout)
+            run_walk_forward(universe, plan, policy, settings, holdout)
         assert multiprocessing.active_children() == []
 
     def test_ten_plus_ten_firms_three_horizons_yield_180_records(self):
@@ -653,6 +658,18 @@ class TestMetricRecord:
     def test_non_finite_or_negative_metric_rejected(self, name, value):
         with pytest.raises(EvaluationError, match=name):
             self.record(**{name: value})
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (dict(split="walkforward"), "unknown split 'walkforward'"),
+            (dict(horizon=0), "horizon must be >= 1, got 0"),
+        ],
+        ids=["unknown_split", "horizon_zero"],
+    )
+    def test_a_record_the_tables_would_drop_is_rejected(self, overrides, message):
+        with pytest.raises(EvaluationError, match=f"^{message}$"):
+            self.record(**overrides)
 
 
 class TestAggregateStratified:
@@ -820,22 +837,25 @@ class TestParallelBacktest:
             }
             assert_same_models(there.models, here.models)
 
-    def test_run_backtest_equals_its_three_parts(self, pooled_setup, monkeypatch):
+    def test_a_holdout_run_adds_the_pooled_experts_and_their_records(
+        self, pooled_setup, monkeypatch
+    ):
         universe, holdout, experts, policy, settings = pooled_setup
         plan = plan_walk_forward(60, 40, 10, 10)  # the last fold launches at 50
-        result, pooled, records = run_backtest(universe, plan, policy, settings, holdout)
+        result = run_walk_forward(universe, plan, policy, settings, holdout)
         train = {t: s for t, s in universe.items() if t not in holdout.tickers}
         one_core(monkeypatch)
         alone = run_walk_forward(train, plan, policy, settings)
-        assert result.records == alone.records
+        # the holdout records first, then the walk-forward records
+        holdout_records = run_holdout(universe, holdout, experts, policy, settings)
+        assert holdout_records and all(r.split == "holdout" for r in holdout_records)
+        assert result.records == holdout_records + alone.records
         assert result.predictions == alone.predictions
         assert_same_models(result.models, alone.models)
-        assert np.array_equal(pooled.lstm.theta, experts.lstm.theta)
-        assert replace(pooled, lstm=None) == replace(experts, lstm=None)
-        assert records == run_holdout(universe, holdout, experts, policy, settings)
-        no_holdout = run_backtest(train, plan, policy, settings)
-        assert no_holdout[1:] == (None, ())
-        assert no_holdout[0].records == alone.records
+        assert np.array_equal(result.pooled.lstm.theta, experts.lstm.theta)
+        assert replace(result.pooled, lstm=None) == replace(experts, lstm=None)
+        assert alone.pooled is None
+        assert all(r.split == "walk_forward" for r in alone.records)
 
     def test_a_diverged_fit_in_a_later_fold_raises_from_the_pool(
         self, tiny_universe, monkeypatch
