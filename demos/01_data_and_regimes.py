@@ -13,11 +13,11 @@ from moecast import (
     SyntheticSpec,
     classify_median,
     generate_synthetic,
+    label_for,
     log_returns,
     rolling_volatility,
     simple_returns,
 )
-from moecast.regime import label_for
 
 
 def main():

@@ -12,19 +12,20 @@ from moecast import (
     SyntheticSpec,
     TrainConfig,
     WindowMode,
+    blend,
     fit_ols,
     gate_for_regime,
     generate_synthetic,
+    label_for,
+    mae,
     make_windows,
+    mse,
     predict_linear,
     predict_lstm,
     rolling_volatility,
     simple_returns,
     train_early_stopping,
 )
-from moecast.evaluation import mae, mse
-from moecast.moe import blend
-from moecast.regime import label_for
 
 
 def main():

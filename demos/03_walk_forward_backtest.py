@@ -9,14 +9,14 @@ step and recursive multi-horizon scoring, and the per-regime summary tables.
 from moecast import (
     BacktestSettings,
     HorizonSpec,
+    RegimePolicy,
     SyntheticSpec,
     TrainConfig,
     generate_synthetic,
     plan_walk_forward,
+    render_tables_text,
     run_walk_forward,
 )
-from moecast.regime import RegimePolicy
-from moecast.reporting import render_tables_text
 
 
 def main():

@@ -1,8 +1,11 @@
 """Run configuration: a line-oriented ``section.key = value`` text format.
 
-Absent keys fall back to the published defaults (10-day windows, Adam at
-0.001, batch size 16, 50 epochs with patience 5, 0.7/0.3 gates, 80/20/20
-walk-forward geometry).  Unknown keys and out-of-domain values are rejected
+Absent keys fall back to the published defaults, each read from the type
+or constant that uses it (``BacktestSettings``, ``TrainConfig``,
+``HorizonSpec``, ``DEFAULT_GATE_TABLE``, ``SyntheticSpec``, ``regime``'s
+rule constants); the registry holds only the rest (the 80/20/20
+walk-forward geometry, ``holdout.k``, ``report.dir``, the synthetic firm
+counts).  Unknown keys and out-of-domain values are rejected
 with the offending key named.  The canonical serialization of a resolved
 configuration is hashed into a fingerprint that every output file embeds.
 
@@ -15,6 +18,7 @@ round trip.  No set value parses to None, so None is what marks them unset.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import hashlib
 from dataclasses import dataclass
@@ -24,6 +28,7 @@ from .errors import ConfigError
 from .evaluation import BacktestSettings, HorizonSpec, TrainMode
 from .lstm_expert import TrainConfig
 from .market_data import SyntheticSpec, WindowMode
+from .moe import DEFAULT_GATE_TABLE
 from .regime import (
     DEFAULT_MEDIAN_WINDOW,
     DEFAULT_TAU,
@@ -57,7 +62,8 @@ def _parse_horizons(text: str) -> tuple[int, ...]:
         raise ConfigError(f"not a comma-separated integer list: {text!r}")
     if not values:
         raise ConfigError("horizon list is empty")
-    return values
+    # HorizonSpec's rule, so that equal runs get one spelling and one fingerprint
+    return tuple(sorted(set(values)))
 
 
 def _parse_clip(text: str) -> float | None:
@@ -89,10 +95,13 @@ def _enum_key(name: str, kind: type[enum.Enum], default: str | None, contextual=
     )
 
 
+_SETTINGS = BacktestSettings()
+_TRAIN = TrainConfig()
+
 _REGISTRY: tuple[_Key, ...] = (
     _Key("data.path", str.strip, "", "file path", lambda v: True),
-    _enum_key("data.mode", WindowMode, WindowMode.PRICE_LEVELS.value),
-    _Key("window.length", _parse_int, 10, "integer >= 1", lambda v: v >= 1),
+    _enum_key("data.mode", WindowMode, _SETTINGS.mode.value),
+    _Key("window.length", _parse_int, _SETTINGS.window, "integer >= 1", lambda v: v >= 1),
     _enum_key("vol.policy", PolicyKind, None, contextual=True),
     _Key("vol.window", _parse_int, None, "integer >= 2", lambda v: v >= 2, contextual=True),
     _Key("vol.tau", _parse_float, DEFAULT_TAU, "real > 0", lambda v: v > 0, fmt=repr),
@@ -100,38 +109,47 @@ _REGISTRY: tuple[_Key, ...] = (
     _Key("wf.val_len", _parse_int, 20, "integer >= 1", lambda v: v >= 1),
     _Key("wf.step", _parse_int, 20, "integer >= 1", lambda v: v >= 1),
     _enum_key("wf.mode", TrainMode, TrainMode.SLIDING.value),
-    _Key("train.learning_rate", _parse_float, 0.001, "real > 0", lambda v: v > 0, fmt=repr),
-    _Key("train.batch_size", _parse_int, 16, "integer >= 1", lambda v: v >= 1),
-    _Key("train.max_epochs", _parse_int, 50, "integer >= 1", lambda v: v >= 1),
-    _Key("train.patience", _parse_int, 5, "integer >= 1", lambda v: v >= 1),
-    _Key("train.adam_beta1", _parse_float, 0.9, "real in (0, 1)", lambda v: 0 < v < 1, fmt=repr),
-    _Key("train.adam_beta2", _parse_float, 0.999, "real in (0, 1)", lambda v: 0 < v < 1, fmt=repr),
-    _Key("train.adam_eps", _parse_float, 1e-8, "real > 0", lambda v: v > 0, fmt=repr),
-    _Key("train.hidden_units", _parse_int, 50, "integer >= 1", lambda v: v >= 1),
     _Key(
-        "train.clip_norm", _parse_clip, None, "real > 0 or 'off'",
+        "train.learning_rate", _parse_float, _TRAIN.learning_rate, "real > 0",
+        lambda v: v > 0, fmt=repr,
+    ),
+    _Key("train.batch_size", _parse_int, _TRAIN.batch_size, "integer >= 1", lambda v: v >= 1),
+    _Key("train.max_epochs", _parse_int, _TRAIN.max_epochs, "integer >= 1", lambda v: v >= 1),
+    _Key("train.patience", _parse_int, _TRAIN.patience, "integer >= 1", lambda v: v >= 1),
+    _Key(
+        "train.adam_beta1", _parse_float, _TRAIN.adam_beta1, "real in (0, 1)",
+        lambda v: 0 < v < 1, fmt=repr,
+    ),
+    _Key(
+        "train.adam_beta2", _parse_float, _TRAIN.adam_beta2, "real in (0, 1)",
+        lambda v: 0 < v < 1, fmt=repr,
+    ),
+    _Key("train.adam_eps", _parse_float, _TRAIN.adam_eps, "real > 0", lambda v: v > 0, fmt=repr),
+    _Key("train.hidden_units", _parse_int, _SETTINGS.hidden, "integer >= 1", lambda v: v >= 1),
+    _Key(
+        "train.clip_norm", _parse_clip, _TRAIN.clip_norm, "real > 0 or 'off'",
         lambda v: v is None or v > 0,
         fmt=lambda v: "off" if v is None else repr(v),
     ),
     _Key(
-        "gate.volatile.w_rnn", _parse_float, 0.7, "real in [0, 1]",
-        lambda v: 0 <= v <= 1, fmt=repr,
+        "gate.volatile.w_rnn", _parse_float, DEFAULT_GATE_TABLE[RegimeLabel.VOLATILE],
+        "real in [0, 1]", lambda v: 0 <= v <= 1, fmt=repr,
     ),
     _Key(
-        "gate.stable.w_rnn", _parse_float, 0.3, "real in [0, 1]",
-        lambda v: 0 <= v <= 1, fmt=repr,
+        "gate.stable.w_rnn", _parse_float, DEFAULT_GATE_TABLE[RegimeLabel.STABLE],
+        "real in [0, 1]", lambda v: 0 <= v <= 1, fmt=repr,
     ),
     _Key(
-        "horizons", _parse_horizons, (5, 20, 60), "comma-separated integers >= 2",
+        "horizons", _parse_horizons, _SETTINGS.horizons.horizons, "comma-separated integers >= 2",
         lambda v: all(h >= 2 for h in v),
         fmt=lambda v: ",".join(str(h) for h in v),
     ),
     _Key("holdout.k", _parse_int, 10, "integer >= 0", lambda v: v >= 0),
-    _Key("seed", _parse_int, 42, "integer", lambda v: True),
+    _Key("seed", _parse_int, _SETTINGS.seed, "integer >= 0", lambda v: v >= 0),
     _Key("report.dir", str.strip, "reports", "directory path", lambda v: True),
     _Key("synth.stable_firms", _parse_int, 15, "integer >= 0", lambda v: v >= 0),
     _Key("synth.volatile_firms", _parse_int, 15, "integer >= 0", lambda v: v >= 0),
-    _Key("synth.length", _parse_int, 300, "integer >= 1", lambda v: v >= 1),
+    _Key("synth.length", _parse_int, SyntheticSpec().length, "integer >= 1", lambda v: v >= 1),
 )
 
 _BY_NAME = {key.name: key for key in _REGISTRY}
@@ -169,16 +187,9 @@ class RunConfig:
         return TrainMode(self.values["wf.mode"])
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            learning_rate=self.values["train.learning_rate"],
-            batch_size=self.values["train.batch_size"],
-            max_epochs=self.values["train.max_epochs"],
-            patience=self.values["train.patience"],
-            adam_beta1=self.values["train.adam_beta1"],
-            adam_beta2=self.values["train.adam_beta2"],
-            adam_eps=self.values["train.adam_eps"],
-            clip_norm=self.values["train.clip_norm"],
-        )
+        return TrainConfig(**{
+            f.name: self.values[f"train.{f.name}"] for f in dataclasses.fields(TrainConfig)
+        })
 
     def gate_table(self) -> dict[RegimeLabel, float]:
         return {
@@ -271,6 +282,10 @@ def parse_config_text(
             f"train.max_epochs = {values['train.max_epochs']}"
         )
     if seed_override is not None:
+        if not _BY_NAME["seed"].check(seed_override):
+            raise ConfigError(
+                f"--seed: value {seed_override} outside domain ({_BY_NAME['seed'].domain})"
+            )
         values["seed"] = seed_override
     return RunConfig(values)
 

@@ -5,6 +5,8 @@ Every contract violation raised by this package derives from
 distinguish input/contract failures from genuine bugs.
 """
 
+__all__ = ["MoecastError", "DataError", "FitError", "ConfigError", "EvaluationError"]
+
 
 class MoecastError(ValueError):
     """Base class for all input and contract violations."""

@@ -179,9 +179,9 @@ class HorizonSpec:
 
 def plan_walk_forward(
     n: int,
-    init_train: int = 80,
-    val_len: int = 20,
-    step: int = 20,
+    init_train: int,
+    val_len: int,
+    step: int,
     mode: TrainMode = TrainMode.SLIDING,
 ) -> tuple[FoldSpec, ...]:
     """The folds over a length-``n`` observation sequence, in order.
@@ -189,7 +189,9 @@ def plan_walk_forward(
     Fold ``k`` validates on ``[init_train + k*step, init_train + k*step +
     val_len)``; sliding mode keeps a fixed-length training window ending at
     the validation start, expanding mode anchors training at zero.  Folds are
-    generated while the validation window fits in the series.
+    generated while the validation window fits in the series.  The geometry
+    has no defaults here: the published 80/20/20 lives in the configuration
+    (``wf.init_train``, ``wf.val_len``, ``wf.step``).
     """
     if init_train < 1 or val_len < 1 or step < 1:
         raise EvaluationError("init_train, val_len, and step must be positive")
@@ -525,13 +527,15 @@ class _FoldFirmData:
 
 def _prepare_fold_firm(
     series: PriceSeries,
-    fold: FoldSpec,
+    train: range,
+    stop: int,
     policy: RegimePolicy,
     settings: BacktestSettings,
 ) -> _FoldFirmData:
-    ts, te = fold.train_range.start, fold.train_range.stop
-    # the prices behind the values [ts, val end); a log return also needs the price after it
-    end = fold.val_range.stop + settings.mode.offset
+    """The firm's values ``[train.start, stop)``; those in ``train`` train, the rest validate."""
+    ts, te = train.start, train.stop
+    # the prices behind the values [ts, stop); a log return also needs the price after it
+    end = stop + settings.mode.offset
     slice_series = PriceSeries(series.ticker, series.dates[ts:end], series.prices[ts:end])
     inputs, targets, scaler = make_windows(slice_series, settings.window, settings.mode, te - ts)
     vol = policy.volatility(slice_series)
@@ -671,7 +675,10 @@ def _run_fold(
     settings: BacktestSettings,
 ) -> WalkForwardResult:
     """One fold of the walk-forward: its records, models and predictions."""
-    firms = [_prepare_fold_firm(universe[t], fold, policy, settings) for t in sorted(universe)]
+    firms = [
+        _prepare_fold_firm(universe[t], fold.train_range, fold.val_range.stop, policy, settings)
+        for t in sorted(universe)
+    ]
     labels = policy.labels({data.ticker: data.sigma_frozen for data in firms})
 
     lstm, linears = _fit_experts(
@@ -728,10 +735,11 @@ def _in_parallel(tasks: Sequence[Callable[[], object]], costs: Sequence[float]) 
     result cross the process boundary.  They are handed the tasks longest
     first, by ``costs`` (ties in task order), so no long task starts last
     while the other workers sit idle (Graham 1969).  With fewer than two
-    workers (one task, or one usable core, as under ``taskset -c 0``), or
-    without ``fork``, the same tasks run here, in task order.  The first
-    task to raise, in task order, cancels the ones not started, and its
-    exception is re-raised.
+    workers (one task, or one usable core, as under ``taskset -c 0``), the
+    same tasks run here, in task order; a platform without
+    ``os.sched_getaffinity`` counts as one core, and every one with it can
+    fork.  The first task to raise, in task order, cancels the ones not
+    started, and its exception is re-raised.
     """
     global _TASKS
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
@@ -745,21 +753,20 @@ def _in_parallel(tasks: Sequence[Callable[[], object]], costs: Sequence[float]) 
         # and spawned workers would re-import everything and need pickled
         # tasks.  Forking is safe here: the pool forks every worker before it
         # starts a thread, and OpenBLAS stops its own threads at a fork.
-        if "fork" in multiprocessing.get_all_start_methods():
-            _TASKS = tasks
-            try:
-                with ProcessPoolExecutor(
-                    workers, mp_context=multiprocessing.get_context("fork")
-                ) as pool:
-                    longest_first = sorted(range(len(tasks)), key=lambda k: -costs[k])
-                    futures = {k: pool.submit(_run_task, k) for k in longest_first}
-                    try:
-                        return [futures[k].result() for k in range(len(tasks))]
-                    except BaseException:
-                        pool.shutdown(cancel_futures=True)
-                        raise
-            finally:
-                _TASKS = ()
+        _TASKS = tasks
+        try:
+            with ProcessPoolExecutor(
+                workers, mp_context=multiprocessing.get_context("fork")
+            ) as pool:
+                longest_first = sorted(range(len(tasks)), key=lambda k: -costs[k])
+                futures = {k: pool.submit(_run_task, k) for k in longest_first}
+                try:
+                    return [futures[k].result() for k in range(len(tasks))]
+                except BaseException:
+                    pool.shutdown(cancel_futures=True)
+                    raise
+        finally:
+            _TASKS = ()
     return [task() for task in tasks]
 
 
@@ -877,8 +884,10 @@ def fit_pooled_experts(
     for ticker in tickers:
         if len(train_universe[ticker]) - settings.mode.offset < launch_t + 1:
             raise EvaluationError(f"{ticker}: too short for launch index {launch_t}")
-    fold = FoldSpec(0, range(0, launch_t), range(launch_t, launch_t + 1))
-    firms = [_prepare_fold_firm(train_universe[t], fold, policy, settings) for t in tickers]
+    firms = [
+        _prepare_fold_firm(train_universe[t], range(launch_t), launch_t + 1, policy, settings)
+        for t in tickers
+    ]
     seed = task_seed(settings.seed, "__pooled__", HOLDOUT_FOLD_ID)
     lstm, (linear,) = _fit_experts([firms], [seed], ["pooled fit"], settings)
     decision = policy.frozen_boundary([data.sigma_frozen for data in firms])
@@ -895,8 +904,7 @@ def _holdout_firm(
     n_vals = len(series) - settings.mode.offset
     if n_vals < launch + 1:
         raise EvaluationError(f"{series.ticker}: too short to evaluate at launch index {launch}")
-    fold = FoldSpec(HOLDOUT_FOLD_ID, range(0, launch), range(launch, n_vals))
-    data = _prepare_fold_firm(series, fold, policy, settings)
+    data = _prepare_fold_firm(series, range(launch), n_vals, policy, settings)
     regime = policy.label_unseen(data.sigma_frozen, experts.decision_sigma)
     return data, data.models(experts.lstm, experts.linear, regime, settings.mode)
 

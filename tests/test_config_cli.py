@@ -2,6 +2,8 @@
 
 import json
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -112,6 +114,14 @@ class TestParseConfig:
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             parse_config(tmp_path / "absent.cfg")
+
+    def test_equivalent_horizon_lists_are_one_configuration(self):
+        # HorizonSpec reduces both to (5, 20), so both runs are the same run
+        spelled = parse_config_text("horizons = 20,5,5")
+        canonical = parse_config_text("horizons = 5,20")
+        assert spelled.values == canonical.values
+        assert spelled.fingerprint == canonical.fingerprint
+        assert HorizonSpec(spelled["horizons"]).horizons == spelled["horizons"] == (5, 20)
 
     def test_gate_table_resolution(self):
         config = parse_config_text("gate.volatile.w_rnn = 0.8\ngate.stable.w_rnn = 0.2\n")
@@ -521,6 +531,20 @@ class TestCli:
         # patience may equal the epoch ceiling
         assert parse_config_text("train.max_epochs = 3\ntrain.patience = 3")["train.patience"] == 3
 
+    @pytest.mark.parametrize(
+        "config_text, flags, named",
+        [("", ["--seed", "-1"], "--seed"), ("seed = -3\n", [], "key seed")],
+        ids=["flag", "key"],
+    )
+    def test_negative_seed_fails_naming_it(self, tmp_path, capsys, config_text, flags, named):
+        cfg, out = tmp_path / "run.cfg", tmp_path / "prices.csv"
+        cfg.write_text(config_text, encoding="utf-8")
+        assert main(["--config", str(cfg), *flags, "synth", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err and "integer >= 0" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_seed_flag_overrides_config(self, cli_workspace, capsys):
         cfg, data, reports = cli_workspace
         main(["--config", str(cfg), "synth"])
@@ -568,3 +592,15 @@ def test_seed_flag_without_config_is_an_explicit_seed(monkeypatch):
     assert config["seed"] == 5
     assert config.fingerprint == parse_config_text("seed = 5").fingerprint
     assert config == parse_config_text("", seed_override=5)
+
+
+def test_readme_configuration_table_matches_the_registry():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Configuration format", 1)[1].split("\n### ", 1)[0]
+    rows = dict(re.findall(r"^\| `([\w.]+)` \| ([^|]*) \|", section, flags=re.M))
+    defaults = parse_config_text("")
+    assert sorted(rows) == sorted(defaults.values)
+    serialized = dict(line.split(" = ", 1) for line in defaults.serialize().splitlines())
+    # data.path shows "(unset)"; vol.policy and vol.window depend on the command
+    for key in sorted(set(rows) - {"data.path", "vol.policy", "vol.window"}):
+        assert rows[key].strip() == f"`{serialized[key]}`", key

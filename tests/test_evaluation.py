@@ -162,6 +162,11 @@ class TestPlanWalkForward:
         with pytest.raises(EvaluationError):
             plan_walk_forward(99, 80, 20, 20)
 
+    def test_geometry_has_no_default(self):
+        # the published 80/20/20 lives in the configuration's wf.* keys alone
+        with pytest.raises(TypeError):
+            plan_walk_forward(200)
+
     def test_sliding_vs_expanding_train_ranges(self):
         sliding = plan_walk_forward(140, 80, 20, 20, TrainMode.SLIDING)
         expanding = plan_walk_forward(140, 80, 20, 20, TrainMode.EXPANDING)
