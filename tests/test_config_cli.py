@@ -51,6 +51,34 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=r"key horizons: .* \(comma-separated integers >= 2\)"):
             parse_config_text(f"horizons = {text}")
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("window.length = 1.5", "not an integer: '1.5'"),
+            ("vol.tau = big", "not a number: 'big'"),
+            ("train.clip_norm = none", "not a number: 'none'"),
+            ("horizons = 5, x", "not a comma-separated integer list: '5, x'"),
+            ("horizons = , ", "horizon list is empty"),
+            # one value per domain, so that each domain's wording is pinned
+            ("holdout.k = -1", "value '-1' outside domain (integer >= 0)"),
+            ("wf.step = 0", "value '0' outside domain (integer >= 1)"),
+            ("vol.window = 1", "value '1' outside domain (integer >= 2)"),
+            ("train.adam_eps = 0", "value '0' outside domain (real > 0)"),
+            ("train.adam_beta2 = 1.0", "value '1.0' outside domain (real in (0, 1))"),
+            ("gate.stable.w_rnn = nan", "value 'nan' outside domain (real in [0, 1])"),
+            ("train.clip_norm = -2", "value '-2' outside domain (real > 0 or 'off')"),
+            ("vol.policy = Median", "value 'Median' outside domain (threshold | median)"),
+            ("data.mode = prices",
+             "value 'prices' outside domain (price_levels | log_returns)"),
+            ("wf.mode = rolling", "value 'rolling' outside domain (sliding | expanding)"),
+        ],
+    )
+    def test_bad_value_rejected_naming_the_key_and_cause(self, line, message):
+        key = line.split(" = ")[0]
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config_text(line)
+        assert str(excinfo.value) == f"<config>: key {key}: {message}"
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config_text("wf.bogus = 3")
