@@ -63,12 +63,6 @@ def _artifact(config: RunConfig, kind: str, suffix: str) -> Path:
     return directory / f"{kind}_{config.short_fingerprint}.{suffix}"
 
 
-def _write_config_echo(config: RunConfig) -> Path:
-    path = _artifact(config, "config", "cfg")
-    _write_text(path, stamp(config.fingerprint, config["seed"]) + config.serialize())
-    return path
-
-
 def _load_universe(config: RunConfig) -> dict[str, PriceSeries]:
     data_path = config["data.path"]
     if not data_path:
@@ -76,8 +70,8 @@ def _load_universe(config: RunConfig) -> dict[str, PriceSeries]:
     return load_csv(data_path)
 
 
-def cmd_synth(config: RunConfig, out_path: str | None) -> int:
-    target = out_path or config["data.path"]
+def cmd_synth(config: RunConfig, args: argparse.Namespace) -> int:
+    target = args.out or config["data.path"]
     if not target:
         raise ConfigError("no output path: pass --out or set data.path")
     universe = generate_synthetic(config.synthetic_spec(), config["seed"])
@@ -88,7 +82,7 @@ def cmd_synth(config: RunConfig, out_path: str | None) -> int:
     return 0
 
 
-def cmd_classify(config: RunConfig) -> int:
+def cmd_classify(config: RunConfig, args: argparse.Namespace) -> int:
     universe = _load_universe(config)
     policy = config.policy_for_classify()
     sigmas = {t: float(policy.volatility(universe[t])[-1]) for t in sorted(universe)}
@@ -120,7 +114,7 @@ def _select_holdout(
     return train, holdout
 
 
-def cmd_backtest(config: RunConfig) -> int:
+def cmd_backtest(config: RunConfig, args: argparse.Namespace) -> int:
     universe = _load_universe(config)
     settings = config.backtest_settings()
     policy = config.policy_for_backtest()
@@ -133,7 +127,8 @@ def cmd_backtest(config: RunConfig) -> int:
     result = run_walk_forward(universe, plan, policy, settings, holdout)
 
     fingerprint, seed = config.fingerprint, config["seed"]
-    config_path = _write_config_echo(config)
+    config_path = _artifact(config, "config", "cfg")
+    _write_text(config_path, stamp(fingerprint, seed) + config.serialize())
     records_path = _artifact(config, "records", "csv")
     _write_text(records_path, records_to_csv(result.records, fingerprint, seed))
     predictions_path = _artifact(config, "predictions", "csv")
@@ -156,7 +151,8 @@ def cmd_backtest(config: RunConfig) -> int:
     return 0
 
 
-def cmd_forecast(config: RunConfig, ticker: str, horizon: int) -> int:
+def cmd_forecast(config: RunConfig, args: argparse.Namespace) -> int:
+    ticker, horizon = args.ticker, args.horizon
     if horizon < 1:
         raise ConfigError(f"horizon must be >= 1, got {horizon}")
     store_path = _artifact(config, "models", "npz")
@@ -175,21 +171,20 @@ def cmd_forecast(config: RunConfig, ticker: str, horizon: int) -> int:
     if ticker not in universe:
         raise DataError(f"ticker {ticker!r} missing from {config['data.path']}")
     series = universe[ticker]
+    settings = config.backtest_settings()
     if folds:
         fm = store.fold_models[(ticker, folds[-1])]
         source = f"fold {folds[-1]}"
     else:
         # a holdout firm: the pooled experts under its own scaler, sigma and regime
-        fm = holdout_models(
-            series, store.pooled, config.policy_for_backtest(), config.backtest_settings()
-        )
+        fm = holdout_models(series, store.pooled, config.policy_for_backtest(), settings)
         source = "pooled experts"
     values = fm.mode.values(series)
     if len(values) < fm.launch_t:
         raise DataError(f"{ticker}: series shorter than the stored launch index")
     standardized = fm.scaler.apply(values)
     window = standardized[fm.launch_t - fm.window:fm.launch_t]
-    weights = gate_for_regime(fm.regime, config.gate_table())
+    weights = gate_for_regime(fm.regime, settings.gate_table)
     paths = {
         model: fm.scaler.invert(path[0])
         for model, path in forecast_paths(
@@ -207,7 +202,7 @@ def cmd_forecast(config: RunConfig, ticker: str, horizon: int) -> int:
     return 0
 
 
-def cmd_report(config: RunConfig) -> int:
+def cmd_report(config: RunConfig, args: argparse.Namespace) -> int:
     records_path = _artifact(config, "records", "csv")
     if not records_path.exists():
         raise DataError(f"no records at {records_path}; run backtest first")
@@ -235,15 +230,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", help="path to a 'key = value' configuration file")
     parser.add_argument("--seed", type=int, help="override the configured random seed")
+    # the dest only names the missing subcommand in argparse's usage error
     sub = parser.add_subparsers(dest="command", required=True)
     synth = sub.add_parser("synth", help="generate a synthetic two-regime universe CSV")
     synth.add_argument("--out", help="output CSV path (defaults to data.path)")
-    sub.add_parser("classify", help="print the per-ticker volatility regime table")
-    sub.add_parser("backtest", help="run the walk-forward backtest and persist results")
+    synth.set_defaults(run=cmd_synth)
+    sub.add_parser(
+        "classify", help="print the per-ticker volatility regime table"
+    ).set_defaults(run=cmd_classify)
+    sub.add_parser(
+        "backtest", help="run the walk-forward backtest and persist results"
+    ).set_defaults(run=cmd_backtest)
     forecast = sub.add_parser("forecast", help="recursive multi-step forecast for one ticker")
     forecast.add_argument("--ticker", required=True)
     forecast.add_argument("--horizon", type=int, required=True)
-    sub.add_parser("report", help="render tables from persisted backtest records")
+    forecast.set_defaults(run=cmd_forecast)
+    sub.add_parser(
+        "report", help="render tables from persisted backtest records"
+    ).set_defaults(run=cmd_report)
     return parser
 
 
@@ -254,17 +258,7 @@ def main(argv: list[str] | None = None) -> int:
             config = parse_config(args.config, seed_override=args.seed)
         else:
             config = parse_config_text("", seed_override=args.seed)
-        if args.command == "synth":
-            return cmd_synth(config, args.out)
-        if args.command == "classify":
-            return cmd_classify(config)
-        if args.command == "backtest":
-            return cmd_backtest(config)
-        if args.command == "forecast":
-            return cmd_forecast(config, args.ticker, args.horizon)
-        if args.command == "report":
-            return cmd_report(config)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return args.run(config, args)
     except MoecastError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -73,83 +73,80 @@ def _parse_clip(text: str) -> float | None:
 
 
 @dataclass(frozen=True)
-class _Key:
-    name: str
+class _Kind:
+    """How one kind of value is read, bounded and written back."""
+
     parse: Callable[[str], Any]
-    default: Any
     domain: str
     check: Callable[[Any], bool]
-    fmt: Callable[[Any], str] = lambda v: str(v)
-    contextual: bool = False  # default None, and omitted from serialization while None
+    fmt: Callable[[Any], str] = str
 
 
-def _enum_key(name: str, kind: type[enum.Enum], default: str | None, contextual=False) -> _Key:
+def _integer(low: int) -> _Kind:
+    return _Kind(_parse_int, f"integer >= {low}", lambda v: v >= low)
+
+
+def _choice(kind: type[enum.Enum]) -> _Kind:
     choices = tuple(member.value for member in kind)
-    return _Key(
-        name=name,
-        parse=lambda text: text.strip(),
-        default=default,
-        domain=" | ".join(choices),
-        check=lambda v: v in choices,
-        contextual=contextual,
-    )
+    return _Kind(str.strip, " | ".join(choices), lambda v: v in choices)
+
+
+_INT_GE_0, _INT_GE_1, _INT_GE_2 = _integer(0), _integer(1), _integer(2)
+_POSITIVE = _Kind(_parse_float, "real > 0", lambda v: v > 0, repr)
+_OPEN_UNIT = _Kind(_parse_float, "real in (0, 1)", lambda v: 0 < v < 1, repr)
+_UNIT = _Kind(_parse_float, "real in [0, 1]", lambda v: 0 <= v <= 1, repr)
+_CLIP = _Kind(
+    _parse_clip, "real > 0 or 'off'", lambda v: v is None or v > 0,
+    lambda v: "off" if v is None else repr(v),
+)
+_HORIZONS = _Kind(
+    _parse_horizons, "comma-separated integers >= 2", lambda v: all(h >= 2 for h in v),
+    lambda v: ",".join(str(h) for h in v),
+)
+_FILE = _Kind(str.strip, "file path", lambda v: True)
+_DIRECTORY = _Kind(str.strip, "directory path", lambda v: True)
+
+
+@dataclass(frozen=True)
+class _Key:
+    name: str
+    kind: _Kind
+    default: Any
+    contextual: bool = False  # default None, and omitted from serialization while None
 
 
 _SETTINGS = BacktestSettings()
 _TRAIN = TrainConfig()
 
 _REGISTRY: tuple[_Key, ...] = (
-    _Key("data.path", str.strip, "", "file path", lambda v: True),
-    _enum_key("data.mode", WindowMode, _SETTINGS.mode.value),
-    _Key("window.length", _parse_int, _SETTINGS.window, "integer >= 1", lambda v: v >= 1),
-    _enum_key("vol.policy", PolicyKind, None, contextual=True),
-    _Key("vol.window", _parse_int, None, "integer >= 2", lambda v: v >= 2, contextual=True),
-    _Key("vol.tau", _parse_float, DEFAULT_TAU, "real > 0", lambda v: v > 0, fmt=repr),
-    _Key("wf.init_train", _parse_int, 80, "integer >= 1", lambda v: v >= 1),
-    _Key("wf.val_len", _parse_int, 20, "integer >= 1", lambda v: v >= 1),
-    _Key("wf.step", _parse_int, 20, "integer >= 1", lambda v: v >= 1),
-    _enum_key("wf.mode", TrainMode, TrainMode.SLIDING.value),
-    _Key(
-        "train.learning_rate", _parse_float, _TRAIN.learning_rate, "real > 0",
-        lambda v: v > 0, fmt=repr,
-    ),
-    _Key("train.batch_size", _parse_int, _TRAIN.batch_size, "integer >= 1", lambda v: v >= 1),
-    _Key("train.max_epochs", _parse_int, _TRAIN.max_epochs, "integer >= 1", lambda v: v >= 1),
-    _Key("train.patience", _parse_int, _TRAIN.patience, "integer >= 1", lambda v: v >= 1),
-    _Key(
-        "train.adam_beta1", _parse_float, _TRAIN.adam_beta1, "real in (0, 1)",
-        lambda v: 0 < v < 1, fmt=repr,
-    ),
-    _Key(
-        "train.adam_beta2", _parse_float, _TRAIN.adam_beta2, "real in (0, 1)",
-        lambda v: 0 < v < 1, fmt=repr,
-    ),
-    _Key("train.adam_eps", _parse_float, _TRAIN.adam_eps, "real > 0", lambda v: v > 0, fmt=repr),
-    _Key("train.hidden_units", _parse_int, _SETTINGS.hidden, "integer >= 1", lambda v: v >= 1),
-    _Key(
-        "train.clip_norm", _parse_clip, _TRAIN.clip_norm, "real > 0 or 'off'",
-        lambda v: v is None or v > 0,
-        fmt=lambda v: "off" if v is None else repr(v),
-    ),
-    _Key(
-        "gate.volatile.w_rnn", _parse_float, DEFAULT_GATE_TABLE[RegimeLabel.VOLATILE],
-        "real in [0, 1]", lambda v: 0 <= v <= 1, fmt=repr,
-    ),
-    _Key(
-        "gate.stable.w_rnn", _parse_float, DEFAULT_GATE_TABLE[RegimeLabel.STABLE],
-        "real in [0, 1]", lambda v: 0 <= v <= 1, fmt=repr,
-    ),
-    _Key(
-        "horizons", _parse_horizons, _SETTINGS.horizons.horizons, "comma-separated integers >= 2",
-        lambda v: all(h >= 2 for h in v),
-        fmt=lambda v: ",".join(str(h) for h in v),
-    ),
-    _Key("holdout.k", _parse_int, 10, "integer >= 0", lambda v: v >= 0),
-    _Key("seed", _parse_int, _SETTINGS.seed, "integer >= 0", lambda v: v >= 0),
-    _Key("report.dir", str.strip, "reports", "directory path", lambda v: True),
-    _Key("synth.stable_firms", _parse_int, 15, "integer >= 0", lambda v: v >= 0),
-    _Key("synth.volatile_firms", _parse_int, 15, "integer >= 0", lambda v: v >= 0),
-    _Key("synth.length", _parse_int, SyntheticSpec().length, "integer >= 1", lambda v: v >= 1),
+    _Key("data.path", _FILE, ""),
+    _Key("data.mode", _choice(WindowMode), _SETTINGS.mode.value),
+    _Key("window.length", _INT_GE_1, _SETTINGS.window),
+    _Key("vol.policy", _choice(PolicyKind), None, contextual=True),
+    _Key("vol.window", _INT_GE_2, None, contextual=True),
+    _Key("vol.tau", _POSITIVE, DEFAULT_TAU),
+    _Key("wf.init_train", _INT_GE_1, 80),
+    _Key("wf.val_len", _INT_GE_1, 20),
+    _Key("wf.step", _INT_GE_1, 20),
+    _Key("wf.mode", _choice(TrainMode), TrainMode.SLIDING.value),
+    _Key("train.learning_rate", _POSITIVE, _TRAIN.learning_rate),
+    _Key("train.batch_size", _INT_GE_1, _TRAIN.batch_size),
+    _Key("train.max_epochs", _INT_GE_1, _TRAIN.max_epochs),
+    _Key("train.patience", _INT_GE_1, _TRAIN.patience),
+    _Key("train.adam_beta1", _OPEN_UNIT, _TRAIN.adam_beta1),
+    _Key("train.adam_beta2", _OPEN_UNIT, _TRAIN.adam_beta2),
+    _Key("train.adam_eps", _POSITIVE, _TRAIN.adam_eps),
+    _Key("train.hidden_units", _INT_GE_1, _SETTINGS.hidden),
+    _Key("train.clip_norm", _CLIP, _TRAIN.clip_norm),
+    _Key("gate.volatile.w_rnn", _UNIT, DEFAULT_GATE_TABLE[RegimeLabel.VOLATILE]),
+    _Key("gate.stable.w_rnn", _UNIT, DEFAULT_GATE_TABLE[RegimeLabel.STABLE]),
+    _Key("horizons", _HORIZONS, _SETTINGS.horizons.horizons),
+    _Key("holdout.k", _INT_GE_0, 10),
+    _Key("seed", _INT_GE_0, _SETTINGS.seed),
+    _Key("report.dir", _DIRECTORY, "reports"),
+    _Key("synth.stable_firms", _INT_GE_0, 15),
+    _Key("synth.volatile_firms", _INT_GE_0, 15),
+    _Key("synth.length", _INT_GE_1, SyntheticSpec().length),
 )
 
 _BY_NAME = {key.name: key for key in _REGISTRY}
@@ -180,16 +177,8 @@ class RunConfig:
     def policy_for_classify(self) -> RegimePolicy:
         return self._policy("threshold")
 
-    def window_mode(self) -> WindowMode:
-        return WindowMode(self.values["data.mode"])
-
     def train_mode(self) -> TrainMode:
         return TrainMode(self.values["wf.mode"])
-
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(**{
-            f.name: self.values[f"train.{f.name}"] for f in dataclasses.fields(TrainConfig)
-        })
 
     def gate_table(self) -> dict[RegimeLabel, float]:
         return {
@@ -200,8 +189,10 @@ class RunConfig:
     def backtest_settings(self) -> BacktestSettings:
         return BacktestSettings(
             window=self.values["window.length"],
-            mode=self.window_mode(),
-            train=self.train_config(),
+            mode=WindowMode(self.values["data.mode"]),
+            train=TrainConfig(**{
+                f.name: self.values[f"train.{f.name}"] for f in dataclasses.fields(TrainConfig)
+            }),
             hidden=self.values["train.hidden_units"],
             gate_table=self.gate_table(),
             horizons=HorizonSpec(self.values["horizons"]),
@@ -228,7 +219,7 @@ class RunConfig:
         for key in _REGISTRY:
             if key.contextual and self.values[key.name] is None:
                 continue
-            lines.append(f"{key.name} = {key.fmt(self.values[key.name])}")
+            lines.append(f"{key.name} = {key.kind.fmt(self.values[key.name])}")
         return "\n".join(lines) + "\n"
 
     @property
@@ -265,13 +256,13 @@ def parse_config_text(
     for key in _REGISTRY:
         if key.name in raw:
             try:
-                value = key.parse(raw[key.name])
+                value = key.kind.parse(raw[key.name])
             except ConfigError as exc:
                 raise ConfigError(f"{source}: key {key.name}: {exc}")
-            if not key.check(value):
+            if not key.kind.check(value):
                 raise ConfigError(
                     f"{source}: key {key.name}: value {raw[key.name]!r} "
-                    f"outside domain ({key.domain})"
+                    f"outside domain ({key.kind.domain})"
                 )
             values[key.name] = value
         else:
@@ -282,10 +273,9 @@ def parse_config_text(
             f"train.max_epochs = {values['train.max_epochs']}"
         )
     if seed_override is not None:
-        if not _BY_NAME["seed"].check(seed_override):
-            raise ConfigError(
-                f"--seed: value {seed_override} outside domain ({_BY_NAME['seed'].domain})"
-            )
+        seed = _BY_NAME["seed"].kind
+        if not seed.check(seed_override):
+            raise ConfigError(f"--seed: value {seed_override} outside domain ({seed.domain})")
         values["seed"] = seed_override
     return RunConfig(values)
 

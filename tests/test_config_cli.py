@@ -614,7 +614,7 @@ def test_forecast_past_trading_days_skips_weekends(tmp_path, monkeypatch, capsys
 
 def test_seed_flag_without_config_is_an_explicit_seed(monkeypatch):
     resolved = []
-    monkeypatch.setattr(cli, "cmd_classify", lambda config: resolved.append(config) or 0)
+    monkeypatch.setattr(cli, "cmd_classify", lambda config, args: resolved.append(config) or 0)
     assert main(["--seed", "5", "classify"]) == 0
     (config,) = resolved
     assert config["seed"] == 5
