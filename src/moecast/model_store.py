@@ -36,6 +36,14 @@ def _experts_entry(lstm: LstmParams, linear: LinearParams, arrays: list[np.ndarr
     return {"lstm": fields, "linear": [linear.beta0, linear.beta1, linear.beta2]}
 
 
+def _typed(record: dict, name: str, kind: type):
+    """``record[name]``, which must be a ``kind``; a bool is not an int here."""
+    value = record[name]
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise TypeError(f"{name} must be {kind.__name__}, got {value!r}")
+    return value
+
+
 def _experts_from_entry(entry: dict, archive) -> tuple[LstmParams, LinearParams]:
     fields = entry["lstm"]
     lstm = LstmParams.from_arrays({name: archive[f"a{fields[name]}"] for name in PARAM_FIELDS})
@@ -120,14 +128,15 @@ class ModelStore:
         fold_models: dict[tuple[str, int], FoldModels] = {}
         for entry in manifest["entries"]:
             lstm, linear = _experts_from_entry(entry, archive)
-            fold_models[(entry["ticker"], entry["fold"])] = FoldModels(
+            key = (_typed(entry, "ticker", str), _typed(entry, "fold", int))
+            fold_models[key] = FoldModels(
                 lstm=lstm,
                 linear=linear,
                 scaler=Scaler(*entry["scaler"]),
                 sigma=entry["sigma"],
                 regime=RegimeLabel(entry["regime"]),
-                launch_t=entry["launch_t"],
-                window=entry["window"],
+                launch_t=_typed(entry, "launch_t", int),
+                window=_typed(entry, "window", int),
                 mode=WindowMode(entry["mode"]),
             )
         pooled = None
@@ -137,11 +146,11 @@ class ModelStore:
             pooled = PooledExperts(
                 lstm=lstm,
                 linear=linear,
-                launch_t=pe["launch_t"],
+                launch_t=_typed(pe, "launch_t", int),
                 training_tickers=tuple(pe["training_tickers"]),
                 decision_sigma=pe["decision_sigma"],
             )
-        return cls(manifest["fingerprint"], fold_models, pooled)
+        return cls(_typed(manifest, "fingerprint", str), fold_models, pooled)
 
     def folds_for(self, ticker: str) -> list[int]:
         return sorted(fold for (t, fold) in self.fold_models if t == ticker)

@@ -386,13 +386,28 @@ class TestCli:
     @pytest.mark.parametrize(
         "case",
         ["truncated", "not_an_archive", "bare_array", "empty", "no_manifest",
-         "two_values_per_step"],
+         "two_values_per_step", "unsupported_version", "fingerprint_not_a_string",
+         "fold_not_an_int", "launch_t_not_an_int", "window_a_bool"],
     )
     def test_unreadable_model_store_fails_naming_the_path(self, cli_workspace, capsys, case):
         cfg, _, reports = cli_workspace
         reports.mkdir()
         store = reports / f"models_{parse_config(cfg).short_fingerprint}.npz"
-        if case == "truncated":
+        ticker = "STB01"
+        if case in self.MANIFEST_EDITS:
+            # a stored backtest's own manifest with one field of the wrong type
+            assert main(["--config", str(cfg), "synth"]) == 0
+            assert main(["--config", str(cfg), "backtest"]) == 0
+            with np.load(store) as archive:
+                arrays = dict(archive)
+            manifest = json.loads(str(arrays.pop("manifest")))
+            self.MANIFEST_EDITS[case](manifest)
+            ticker = manifest["entries"][0]["ticker"]
+            np.savez(store, manifest=np.array(json.dumps(manifest)), **arrays)
+            capsys.readouterr()
+        elif case == "unsupported_version":
+            np.savez(store, manifest=np.array(json.dumps({"version": 2})))
+        elif case == "truncated":
             ModelStore("f" * 64, {}).save(store)
             store.write_bytes(store.read_bytes()[:-30])
         elif case == "not_an_archive":
@@ -416,12 +431,26 @@ class TestCli:
                         "entries": [entry]}
             np.savez(store, manifest=np.array(json.dumps(manifest)),
                      **{f"a{k}": np.zeros(shape) for k, shape in enumerate(shapes)})
-        code = main(["--config", str(cfg), "forecast", "--ticker", "STB01", "--horizon", "3"])
+        code = main(["--config", str(cfg), "forecast", "--ticker", ticker, "--horizon", "3"])
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: cannot read model store ") and str(store) in err
+        assert err.count("\n") == 1 and "Traceback" not in err
         if case == "two_values_per_step":
             assert f"{store}: malformed manifest (FitError: W_f must have shape" in err
+        elif case == "unsupported_version":
+            assert err.endswith(f"{store}: unsupported version 2\n")
+        elif case in self.MANIFEST_EDITS:
+            assert f"{store}: malformed manifest (TypeError: " in err
+
+    MANIFEST_EDITS = {
+        "fingerprint_not_a_string": lambda m: m.update(fingerprint=5),
+        # one of the first ticker's folds, so that its folds no longer sort
+        "fold_not_an_int": lambda m: m["entries"][0].update(fold="0"),
+        "launch_t_not_an_int": lambda m: [e.update(launch_t=e["launch_t"] + 0.5)
+                                          for e in m["entries"]],
+        "window_a_bool": lambda m: [e.update(window=True) for e in m["entries"]],
+    }
 
     @pytest.mark.parametrize(
         "manifest",
