@@ -350,6 +350,57 @@ class TestCli:
         assert code == 1
         assert "model store" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "case",
+        ["horizon_zero", "other_configuration", "no_models_and_no_pool",
+         "ticker_missing_from_prices", "series_shorter_than_launch"],
+    )
+    def test_forecast_error_fails_naming_the_cause(self, cli_workspace, capsys, case):
+        cfg, data, reports = cli_workspace
+        if case == "no_models_and_no_pool":
+            text = cfg.read_text(encoding="utf-8")
+            cfg.write_text(text.replace("holdout.k = 1", "holdout.k = 0"), encoding="utf-8")
+        assert main(["--config", str(cfg), "synth"]) == 0
+        assert main(["--config", str(cfg), "backtest"]) == 0
+        fp =parse_config(cfg).short_fingerprint
+        store = ModelStore.load(reports / f"models_{fp}.npz")
+        ticker, _ = min(store.fold_models)
+        horizon = "0" if case == "horizon_zero" else "3"
+        if case == "horizon_zero":
+            message = "horizon must be >= 1, got 0"
+        elif case == "other_configuration":
+            # a store written under another seed, under this configuration's file name
+            assert main(["--config", str(cfg), "--seed", "10", "backtest"]) == 0
+            other = parse_config(cfg, seed_override=10).short_fingerprint
+            (reports / f"models_{fp}.npz").write_bytes(
+                (reports / f"models_{other}.npz").read_bytes())
+            message = ("model store was produced under a different configuration "
+                       f"(stored fingerprint {other}, current {fp})")
+        elif case == "no_models_and_no_pool":
+            assert store.pooled is None
+            ticker = "NOPE"
+            message = "no stored models for ticker 'NOPE'"
+        else:
+            universe = load_csv(data)
+            if case == "ticker_missing_from_prices":
+                del universe[ticker]
+                message = f"ticker {ticker!r} missing from {data}"
+            else:
+                series = universe[ticker]
+                launch = store.fold_models[(ticker, max(store.folds_for(ticker)))].launch_t
+                universe[ticker] = PriceSeries(
+                    ticker, series.dates[:launch - 1], series.prices[:launch - 1])
+                message = f"{ticker}: series shorter than the stored launch index"
+            write_csv(universe, data)
+        before = {p.name: p.read_bytes() for p in reports.iterdir()}
+        capsys.readouterr()
+        code = main(["--config", str(cfg), "forecast", "--ticker", ticker, "--horizon", horizon])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+        assert {p.name: p.read_bytes() for p in reports.iterdir()} == before
+
     @pytest.mark.parametrize("command", ["classify", "backtest", "forecast"])
     @pytest.mark.parametrize(
         "content", [None, b"ticker,date,adj_close\nST\xe9B01,2015-01-02,100.0\n"],
