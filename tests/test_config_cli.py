@@ -219,6 +219,14 @@ class TestRecordsCsv:
         assert "Mixture of Experts" in text
         assert "horizon breakdown" in text
 
+    def test_tables_name_a_regime_without_records(self, small_result):
+        _, result = small_result
+        stable = [r for r in result.records if r.regime is RegimeLabel.STABLE]
+        assert stable and len(stable) < len(result.records)
+        text = render_tables_text(stable, "d" * 64, 5)
+        assert text.count("(no horizon-1 records for Volatile firms)") == 2  # both scales
+        assert "(no horizon-1 records for Stable firms)" not in text
+
 
 @pytest.fixture()
 def cli_workspace(tmp_path):

@@ -35,6 +35,12 @@ class TestGateForRegime:
         table = {RegimeLabel.VOLATILE: 0.9, RegimeLabel.STABLE: 0.1}
         assert gate_for_regime(RegimeLabel.VOLATILE, table).w_rnn == 0.9
 
+    def test_non_complementary_table_derives_the_complement(self):
+        table = {RegimeLabel.VOLATILE: 0.6, RegimeLabel.STABLE: 0.3}
+        w = gate_for_regime(RegimeLabel.VOLATILE, table)
+        assert (w.w_rnn, w.w_lm) == (0.6, 0.4)
+        assert w == GateWeights.from_rnn_weight(0.6)
+
     def test_out_of_range_weight_rejected(self):
         with pytest.raises(EvaluationError):
             GateWeights.from_rnn_weight(1.5)
