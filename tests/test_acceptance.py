@@ -181,6 +181,29 @@ def test_criterion_4_regime_ordering_and_published_improvements(full_backtest):
         assert improvement_pct(0.026333, 0.03236) == pytest.approx(18.62, abs=0.01)
 
 
+def test_reproduction_statement_moe_wins_one_cell_of_eight(full_backtest):
+    # the README's "Does the headline reproduce?" table: per (regime, horizon)
+    # cell, whether the MoE's mean MSE beats the better single model's
+    result, _ = full_backtest
+    cells = aggregate_stratified(result.records)
+    wins, better = {}, {}
+    for regime in RegimeLabel:
+        for horizon in (1, 5, 20, 60):
+            mse = {m: cells[(regime, m, horizon)]["mse"] for m in ("Linear", "LSTM", "MoE")}
+            assert {stats.count for stats in mse.values()} == {88}  # 11 folds x 8 firms
+            better[(regime, horizon)] = min(("Linear", "LSTM"), key=lambda m: mse[m].mean)
+            wins[(regime, horizon)] = mse["MoE"].mean < mse[better[(regime, horizon)]].mean
+    assert [cell for cell, won in wins.items() if won] == [(RegimeLabel.VOLATILE, 1)]
+    assert [cell for cell, m in better.items() if m == "LSTM"] == [(RegimeLabel.VOLATILE, 1)]
+    # a 20-observation validation window holds 20 steps of the 60-step path,
+    # so the "h = 60" records are the 20-step records under another label
+    by_horizon = {
+        h: [(r.ticker, r.fold_id, r.model, r.mse) for r in result.records if r.horizon == h]
+        for h in (20, 60)
+    }
+    assert by_horizon[60] == by_horizon[20]
+
+
 def test_criterion_5_walk_forward_geometry():
     with criterion(5, "fold plans match brute-force enumeration for n in [100, 1000]"):
         started = time.monotonic()
