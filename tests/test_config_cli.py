@@ -442,11 +442,20 @@ class TestCli:
         err = capsys.readouterr().err
         assert err == f"error: {data}: no price rows after the header\n"
 
+    # edits of a stored backtest's own manifest, each giving one field the wrong type
+    MANIFEST_EDITS = {
+        "fingerprint_not_a_string": lambda m: m.update(fingerprint=5),
+        # one of the first ticker's folds, so that its folds no longer sort
+        "fold_not_an_int": lambda m: m["entries"][0].update(fold="0"),
+        "launch_t_not_an_int": lambda m: [e.update(launch_t=e["launch_t"] + 0.5)
+                                          for e in m["entries"]],
+        "window_a_bool": lambda m: [e.update(window=True) for e in m["entries"]],
+    }
+
     @pytest.mark.parametrize(
         "case",
         ["truncated", "not_an_archive", "bare_array", "empty", "no_manifest",
-         "two_values_per_step", "unsupported_version", "fingerprint_not_a_string",
-         "fold_not_an_int", "launch_t_not_an_int", "window_a_bool"],
+         "two_values_per_step", "unsupported_version", *MANIFEST_EDITS],
     )
     def test_unreadable_model_store_fails_naming_the_path(self, cli_workspace, capsys, case):
         cfg, _, reports = cli_workspace
@@ -454,7 +463,6 @@ class TestCli:
         store = reports / f"models_{parse_config(cfg).short_fingerprint}.npz"
         ticker = "STB01"
         if case in self.MANIFEST_EDITS:
-            # a stored backtest's own manifest with one field of the wrong type
             assert main(["--config", str(cfg), "synth"]) == 0
             assert main(["--config", str(cfg), "backtest"]) == 0
             with np.load(store) as archive:
@@ -501,15 +509,6 @@ class TestCli:
             assert err.endswith(f"{store}: unsupported version 2\n")
         elif case in self.MANIFEST_EDITS:
             assert f"{store}: malformed manifest (TypeError: " in err
-
-    MANIFEST_EDITS = {
-        "fingerprint_not_a_string": lambda m: m.update(fingerprint=5),
-        # one of the first ticker's folds, so that its folds no longer sort
-        "fold_not_an_int": lambda m: m["entries"][0].update(fold="0"),
-        "launch_t_not_an_int": lambda m: [e.update(launch_t=e["launch_t"] + 0.5)
-                                          for e in m["entries"]],
-        "window_a_bool": lambda m: [e.update(window=True) for e in m["entries"]],
-    }
 
     @pytest.mark.parametrize(
         "manifest",
