@@ -3,11 +3,22 @@
 None of these is part of moecast's API: the package never calls them.
 """
 
+import math
+
 import numpy as np
 
 from moecast.errors import FitError
 from moecast.evaluation import METRIC_NAMES, CellStats
-from moecast.lstm_expert import LstmParams, _sigmoid
+from moecast.lstm_expert import (
+    EpochRecord,
+    LstmParams,
+    _clipped,
+    _sigmoid,
+    adam_step,
+    backward_bptt,
+    forward_batch,
+    init_params,
+)
 
 
 def cell_step(
@@ -67,3 +78,47 @@ def aggregate_stratified(records) -> dict:
             stats[metric] = CellStats(float(arr.mean()), std, arr.size)
         cells[key] = stats
     return cells
+
+
+def train_early_stopping(train_x, train_y, val_x, val_y, cfg, seeds, hidden):
+    """The early-stopping fit of ``lstm_expert.train_early_stopping``, one firm at a time.
+
+    A plain loop over the public ``forward_batch``, ``backward_bptt`` and
+    ``adam_step`` (and the trainer's ``_clipped``), each called without a
+    workspace, so every step works on fresh arrays.  Each firm trains as a
+    stack of one: its own shuffle per ``(seed, epoch)``, the same mini-batch
+    partition (the trailing partial batch included), validation as one batch
+    and patience counted per firm.  Returns the ``(F, P)`` best parameters
+    and one ``EpochRecord`` history per firm.
+    """
+    n = train_y.shape[-1]
+    best_thetas, histories = [], []
+    for k, seed in enumerate(seeds):
+        x, y, vx, vy = train_x[k:k + 1], train_y[k:k + 1], val_x[k:k + 1], val_y[k:k + 1]
+        params = init_params(hidden, (seed,))
+        moments = (np.zeros_like(params.theta), np.zeros_like(params.theta))
+        best, best_mae, since, history, step = params.theta.copy(), math.inf, 0, [], 0
+        for epoch in range(1, cfg.max_epochs + 1):
+            order = np.random.default_rng([seed, epoch]).permutation(n)
+            ex, ey = x[:, order], y[:, order]
+            sse = 0.0
+            for start in range(0, n, cfg.batch_size):
+                batch_y = ey[:, start:start + cfg.batch_size]
+                preds, tape = forward_batch(params, ex[:, start:start + cfg.batch_size])
+                grads = backward_bptt(params, batch_y, tape)
+                if cfg.clip_norm is not None:
+                    grads = _clipped(grads, cfg.clip_norm)
+                step += 1
+                params, moments = adam_step(params, grads, moments, step, cfg)
+                sse = sse + ((preds - batch_y) ** 2).sum(axis=-1)
+            val_mae = float(np.abs(forward_batch(params, vx)[0] - vy).mean(axis=-1)[0])
+            if val_mae < best_mae:
+                best, best_mae, since = params.theta.copy(), val_mae, 0
+            else:
+                since += 1
+            history.append(EpochRecord(epoch, float(sse[0] / n), val_mae, best_mae))
+            if since >= cfg.patience:
+                break
+        best_thetas.append(best[0])
+        histories.append(history)
+    return LstmParams(np.stack(best_thetas), hidden), histories

@@ -21,6 +21,7 @@ from moecast.lstm_expert import (
     train_early_stopping,
 )
 from moecast import lstm_expert
+import reference
 from reference import cell_step, loss_mse
 
 PARAM_FIELDS = lstm_expert.PARAM_FIELDS
@@ -680,6 +681,22 @@ class TestStackedFirms:
             assert np.array_equal(stack.theta[k], alone.theta[0])
             assert histories[k] == history
         # patience runs out at a different epoch for every firm
+        assert len({len(h) for h in histories}) == 3
+
+    @pytest.mark.parametrize("clip_norm", [None, 0.05], ids=["unclipped", "clipped"])
+    def test_fit_equals_the_reference_loop_bit_for_bit(self, clip_norm):
+        # the reference calls the public step functions on fresh arrays, one
+        # firm at a time: three firms, a trailing batch of 2, and firms that
+        # leave the stack at different epochs
+        problem = stacked_problem()
+        cfg = TrainConfig(learning_rate=0.05, batch_size=8, max_epochs=30, patience=2,
+                          clip_norm=clip_norm)
+        stack, histories = train_early_stopping(*problem, cfg, STACK_SEEDS, hidden=5)
+        expected, expected_histories = reference.train_early_stopping(
+            *problem, cfg, STACK_SEEDS, hidden=5
+        )
+        assert np.array_equal(stack.theta, expected.theta)
+        assert histories == expected_histories
         assert len({len(h) for h in histories}) == 3
 
     def test_scripted_validation_stops_each_firm_after_its_patience(self, monkeypatch):
