@@ -33,6 +33,18 @@ call.  Each slice of such a call is the same BLAS call as one gate of one
 firm alone, so a stack reproduces F separate fits bit for bit.  Every fit is
 such a stack: :func:`train_early_stopping` trains F >= 1 firms from one seed
 each, and a fit of one firm is a stack of one.
+
+Every pass runs the one cell kernel, :func:`_cell`, which writes into
+buffers its caller holds, and the buffers follow one rule.  A pass owns its
+buffers: it takes them once, not once per step, from a :class:`_Workspace`,
+a fresh one unless it is handed one.  A fit owns its workspace, which holds
+the tape, the gradient and the Adam temporaries of every mini-batch, and it
+updates ``theta`` and the Adam moments in place.  Nothing returned aliases
+a buffer that a later call overwrites: predictions and fitted parameters
+are fresh arrays, and a tape aliases only the workspace it was written to,
+a fresh one for a public caller.  Each buffer is laid out as a fresh array
+of its shape would be, and every element goes through the same operations
+in the same order, so the buffers change no bit.
 """
 
 from __future__ import annotations
@@ -63,10 +75,25 @@ __all__ = [
 PARAM_FIELDS = ("W_f", "W_i", "W_C", "W_o", "b_f", "b_i", "b_C", "b_o", "W_y", "b_y")
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # exp only ever sees a non-positive argument, so neither branch overflows
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+def _sigmoid(x: np.ndarray, out: np.ndarray | None = None, work=None) -> np.ndarray:
+    """The logistic function of ``x``, written to ``out`` (which may be ``x``).
+
+    ``work`` is two scratch arrays of ``x``'s shape; they and ``out`` are
+    fresh when left out.
+    """
+    # 1 / (1 + e) where x >= 0, else e / (1 + e), with e = exp(-|x|): exp only
+    # ever sees a non-positive argument, so neither branch overflows.  The
+    # numerator is max(e, sign x): as e <= 1, that is 1 where x > 0, e where
+    # x < 0, and 1 = e at x = 0
+    out = np.empty_like(x) if out is None else out
+    den, sign = (np.empty_like(x), np.empty_like(x)) if work is None else work
+    np.sign(x, out=sign)
+    np.abs(x, out=out)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    np.add(1.0, out, out=den)
+    np.maximum(out, sign, out=out)
+    return np.divide(out, den, out=out)
 
 
 @functools.lru_cache(maxsize=None)
@@ -160,16 +187,54 @@ class TrainConfig:
             raise FitError(f"clip_norm must be positive when set, got {self.clip_norm}")
 
 
-@dataclass(frozen=True)
-class Tape:
-    """Per-step activations cached by the forward pass for exact BPTT.
+class _Workspace:
+    """Named float64 buffers that a pass, or a fit, reuses (module docstring).
 
-    ``steps[t]`` is ``(z, C_prev, f, i, cbar, o, C, tanh_C, h)``: the step's
-    ``[h, x]`` rows and incoming cell state, then :func:`_cell`'s outputs.
+    ``take(name, shape)`` lays a C-contiguous array of ``shape`` over the
+    front of the buffer ``name``, which is rebuilt, larger, only when it is
+    too small.  So a smaller batch or stack, such as the trailing partial
+    batch or the firms left training, reuses the memory of a larger one, with
+    the layout a fresh array of its shape would have.
     """
 
-    steps: tuple[tuple[np.ndarray, ...], ...]
+    def __init__(self) -> None:
+        self._flat: dict[str, np.ndarray] = {}
+
+    def take(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+        size = math.prod(shape)
+        flat = self._flat.get(name)
+        if flat is None or flat.size < size:
+            flat = self._flat[name] = np.empty(size)
+        return flat[:size].reshape(shape)
+
+
+@dataclass(frozen=True)
+class Tape:
+    """Every step's activations, kept by the forward pass for exact BPTT.
+
+    ``z``, ``C_cbar`` and ``gates`` are :func:`_cell`'s buffers with a
+    leading step axis: ``z[t]`` is step t's ``[h, x]`` rows, ``C_cbar[t]``
+    its incoming cell state and its ``cbar`` (``C_cbar[t + 1, 0]`` is its
+    outgoing state, ``C_cbar[0, 0]`` zero), and ``gates[t]`` its ``f, i``,
+    an unused row, ``o`` and ``tanh C'``.  ``h`` is the last step's hidden
+    state; each earlier one is the ``h`` part of the next step's rows.
+    """
+
+    z: np.ndarray
+    C_cbar: np.ndarray
+    gates: np.ndarray
+    h: np.ndarray
     predictions: np.ndarray
+
+    @property
+    def steps(self) -> tuple[tuple[np.ndarray, ...], ...]:
+        """``steps[t]`` is ``(z, C_prev, f, i, cbar, o, C, tanh_C, h)``, views into the buffers."""
+        last, hidden = len(self.z) - 1, self.h.shape[-1]
+        return tuple(
+            (self.z[t], self.C_cbar[t, 0], g[0], g[1], self.C_cbar[t, 1], g[3],
+             self.C_cbar[t + 1, 0], g[4], self.h if t == last else self.z[t + 1, ..., :hidden])
+            for t, g in enumerate(self.gates)
+        )
 
 
 def init_params(hidden: int, seed: int | tuple[int, ...]) -> LstmParams:
@@ -203,23 +268,48 @@ def _as_batch(params: LstmParams, inputs: np.ndarray) -> np.ndarray:
 
 
 def _cell(
-    weights: tuple[np.ndarray, np.ndarray], z: np.ndarray, C: np.ndarray
-) -> tuple[np.ndarray, ...]:
-    """One step on the ``[h, x]`` rows ``z``: ``(f, i, cbar, o, C', tanh C', h')``.
+    weights: tuple[np.ndarray, np.ndarray],
+    z: np.ndarray,
+    C_cbar: np.ndarray,
+    C_new: np.ndarray,
+    gates: np.ndarray,
+    h: np.ndarray,
+    scratch: tuple[np.ndarray, ...],
+) -> None:
+    """One step on the ``[h, x]`` rows ``z`` from the cell state ``C_cbar[0]``.
+
+    Writes ``cbar`` to ``C_cbar[1]``, ``C'`` to ``C_new`` (which may be
+    ``C_cbar[0]``), ``f, i, o`` to rows 0, 1 and 3 of ``gates`` and ``tanh C'``
+    to its row 4, and ``h'`` to ``h`` (which may be the ``h`` part of ``z``).
+    ``scratch`` is the gate pre-activations, the sigmoid's two work arrays
+    and two states' worth more, all the caller's.  Each pair of arrays that
+    meets in a product lies on one leading axis, so that the pair is one call:
+    ``f, i`` times ``C, cbar`` here, and ``o, tanh C'`` times ``dh`` in BPTT.
 
     ``weights`` are the gate matrices transposed and the gate biases as rows,
-    so that both broadcast over the rows of every firm.  One matmul call forms the four gates, but each gate (and each firm) is
-    its own slice of it, the same BLAS call as a lone ``z @ W_f.T``: one fused
-    ``(4H, H + 1)`` matrix would round differently.  The three sigmoid gates
-    share one elementwise call.
+    so that both broadcast over the rows of every firm.  One matmul call
+    forms the four gates, but each gate (and each firm) is its own slice of
+    it, the same BLAS call as a lone ``z @ W_f.T``: one fused ``(4H, H + 1)``
+    matrix would round differently.  The sigmoid runs over the four stacked
+    gates in one call each; row 2, the sigmoid of ``cbar``'s pre-activation,
+    is not used.
     """
     W_T, b = weights
-    pre = z @ W_T + b
-    f, i, o = _sigmoid(pre[[0, 1, 3]])
-    cbar = np.tanh(pre[2])
-    C_new = f * C + i * cbar
-    tanh_C = np.tanh(C_new)
-    return f, i, cbar, o, C_new, tanh_C, o * tanh_C
+    pre, den, sign, products = scratch
+    np.matmul(z, W_T, out=pre)
+    np.add(pre, b, out=pre)
+    _sigmoid(pre, gates[:4], (den, sign))
+    np.tanh(pre[2], out=C_cbar[1])
+    np.multiply(gates[:2], C_cbar, out=products)  # f * C and i * cbar
+    np.add(products[0], products[1], out=C_new)
+    np.tanh(C_new, out=gates[4])
+    np.multiply(gates[3], gates[4], out=h)
+
+
+def _cell_scratch(work: _Workspace, state: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """:func:`_cell`'s scratch for states of shape ``state``, from ``work``."""
+    return (work.take("pre", (4,) + state), work.take("den", (4,) + state),
+            work.take("sign", (4,) + state), work.take("products", (2,) + state))
 
 
 def _head(params: LstmParams, h: np.ndarray) -> np.ndarray:
@@ -227,76 +317,116 @@ def _head(params: LstmParams, h: np.ndarray) -> np.ndarray:
     return (h @ params.W_y.swapaxes(-1, -2))[..., 0] + params.b_y
 
 
-def forward_batch(params: LstmParams, inputs: np.ndarray) -> tuple[np.ndarray, Tape]:
+def forward_batch(
+    params: LstmParams, inputs: np.ndarray, *, work: _Workspace | None = None
+) -> tuple[np.ndarray, Tape]:
     """Run a batch of sequences from a zero state and apply the output head.
 
     ``inputs`` has shape (batch, steps), after the firm axes of stacked
     ``params``.  Returns the per-sequence predictions, ``firm axes +
     (batch,)``, and the activation tape needed by :func:`backward_bptt`.
+    The tape is written to ``work``, the trainer's workspace, when it is
+    given, and to fresh buffers otherwise.
     """
-    caches: list[tuple[np.ndarray, ...]] = []
-    predictions = _run(params, _as_batch(params, inputs), caches)
-    return predictions, Tape(steps=tuple(caches), predictions=predictions)
+    return _run(params, _as_batch(params, inputs), _Workspace() if work is None else work, True)
 
 
 def _run(
-    params: LstmParams, X: np.ndarray, caches: list[tuple[np.ndarray, ...]] | None = None
-) -> np.ndarray:
-    """The predictions for the batch ``X`` (:func:`_as_batch`'s layout).
+    params: LstmParams, X: np.ndarray, work: _Workspace, keep: bool = False
+) -> tuple[np.ndarray, Tape | None]:
+    """The predictions for the batch ``X`` (:func:`_as_batch`'s layout), and
+    its :class:`Tape` when ``keep`` is set.
 
-    Each step's ``[h, x]`` rows, incoming cell state and :func:`_cell`
-    outputs are appended to ``caches`` when it is given; otherwise no step's
-    activations outlive the next step.
+    The buffers come from ``work``, taken once for the whole pass.  Without
+    a tape there is one step's worth of them, which every step overwrites.
     """
+    hidden, steps = params.hidden, X.shape[-1]
+    state = X.shape[:-1] + (hidden,)
+    kept = steps if keep else 1
+    Z = work.take("z", (kept,) + X.shape[:-1] + (hidden + 1,))
+    C_cbar = work.take("C_cbar", (kept + 1 if keep else 1, 2) + state)
+    gates = work.take("gates", (kept, 5) + state)
+    h = work.take("h", state)
+    scratch = _cell_scratch(work, state)
     weights = (params.W_gates.swapaxes(-1, -2), params.b_gates[..., None, :])
-    h = np.zeros(X.shape[:-1] + (params.hidden,))
-    C = np.zeros_like(h)
-    for t in range(X.shape[-1]):
-        z = np.concatenate([h, X[..., t, None]], axis=-1)
-        out = _cell(weights, z, C)
-        if caches is not None:
-            caches.append((z, C) + out)
-        *_, C, _, h = out
-    return _head(params, h)
+    Z[0, ..., :hidden] = 0.0
+    C_cbar[0, 0] = 0.0
+    for t in range(steps):
+        s = t if keep else 0
+        Z[s, ..., hidden] = X[..., t]
+        h_out = h if t == steps - 1 else Z[s + 1 if keep else 0, ..., :hidden]
+        C_new = C_cbar[s + 1 if keep else 0, 0]
+        _cell(weights, Z[s], C_cbar[s], C_new, gates[s], h_out, scratch)
+    predictions = _head(params, h)
+    return predictions, (Tape(Z, C_cbar, gates, h, predictions) if keep else None)
 
 
-def backward_bptt(params: LstmParams, targets: np.ndarray, tape: Tape) -> LstmParams:
+def backward_bptt(
+    params: LstmParams, targets: np.ndarray, tape: Tape, *, work: _Workspace | None = None
+) -> LstmParams:
     """Exact gradient of the batch MSE with respect to every parameter.
 
     The gradient comes back as an :class:`LstmParams` of the same layout, one
     per firm for a stack.  The tape must come from :func:`forward_batch` on
-    the batch the targets belong to.
+    the batch the targets belong to.  The gradient and the pass's buffers are
+    taken from ``work``, the trainer's workspace, when it is given, and are
+    fresh otherwise.
     """
     preds = tape.predictions
     targets = np.asarray(targets, dtype=float)
     if targets.size != preds.size:
         raise FitError(f"tape batch shape {preds.shape} does not match {targets.shape} targets")
     targets = targets.reshape(preds.shape)
-    hidden = params.hidden
-    grads = params.with_theta(np.zeros_like(params.theta))
+    work = _Workspace() if work is None else work
+    hidden, state = params.hidden, tape.h.shape
+    grads = params.with_theta(work.take("grad", params.theta.shape))
+    # the gate gradients accumulate step by step in contiguous arrays, and are
+    # copied into grads' strided views once
+    dW, db = work.take("dW", grads.W_gates.shape), work.take("db", grads.b_gates.shape)
+    dW_t, db_t = work.take("dW_t", dW.shape), work.take("db_t", db.shape)
+    dh, dC, w = (work.take(name, state) for name in ("dh", "dC", "w"))
+    dgate, da, one_minus = (work.take(name, (4,) + state) for name in ("dgate", "da", "one_minus"))
+    dz = work.take("dz", (4,) + state[:-1] + (hidden + 1,))
+    dW.fill(0.0)
+    db.fill(0.0)
+    dC.fill(0.0)
 
     dpred = 2.0 * (preds - targets) / preds.shape[-1]
-    grads.W_y[...] = dpred[..., None, :] @ tape.steps[-1][-1]
+    grads.W_y[...] = dpred[..., None, :] @ tape.h
     grads.b_y[...] = dpred.sum(axis=-1, keepdims=True)
-    dh = dpred[..., None] * params.W_y
-    dC = np.zeros_like(dh)
-    for z, C_prev, f, i, cbar, o, _, tanh_C, _ in reversed(tape.steps):
-        do = dh * tanh_C
-        dC = dC + dh * o * (1.0 - tanh_C**2)
-        df = dC * C_prev
-        di = dC * cbar
-        dcbar = dC * i
-        # the gates' pre-activation gradients, f, i, C, o, on a leading axis
-        da = np.empty((4,) + dC.shape)
-        np.multiply(df * f, 1.0 - f, out=da[0])
-        np.multiply(di * i, 1.0 - i, out=da[1])
-        np.multiply(dcbar, 1.0 - cbar**2, out=da[2])
-        np.multiply(do * o, 1.0 - o, out=da[3])
-        grads.W_gates += da.swapaxes(-1, -2) @ z
-        grads.b_gates += da.sum(axis=-2)
-        dz = da @ params.W_gates
-        dh = dz[0, ..., :hidden] + dz[1, ..., :hidden] + dz[2, ..., :hidden] + dz[3, ..., :hidden]
-        dC = dC * f
+    np.multiply(dpred[..., None], params.W_y, out=dh)
+    for t in reversed(range(len(tape.z))):
+        z, C_cbar, g = tape.z[t], tape.C_cbar[t], tape.gates[t]
+        # dgate ends as df, di, dcbar and do: what each gate's value receives;
+        # its row 2 holds dh * o until dC is updated
+        np.multiply(dh, g[3:], out=dgate[2:])  # dh * o and do = dh * tanh_C
+        np.square(g[4], out=w)
+        np.subtract(1.0, w, out=w)
+        np.multiply(dgate[2], w, out=w)
+        np.add(dC, w, out=dC)  # dC + dh * o * (1 - tanh_C**2)
+        np.multiply(dC, C_cbar, out=dgate[:2])  # df = dC * C_prev, di = dC * cbar
+        np.multiply(dC, g[1], out=dgate[2])  # dcbar = dC * i
+        # the gates' pre-activation gradients, f, i, C, o, on a leading axis:
+        # (d * g) * (1 - g) for the sigmoid gates, then dcbar * (1 - cbar**2)
+        np.multiply(dgate, g[:4], out=da)
+        np.subtract(1.0, g[:4], out=one_minus)
+        np.multiply(da, one_minus, out=da)
+        np.square(C_cbar[1], out=w)
+        np.subtract(1.0, w, out=w)
+        np.multiply(dgate[2], w, out=da[2])
+        np.matmul(da.swapaxes(-1, -2), z, out=dW_t)
+        np.add(dW, dW_t, out=dW)
+        np.add.reduce(da, axis=-2, out=db_t)
+        np.add(db, db_t, out=db)
+        if t == 0:  # nothing reads the gradient of the zero initial state
+            break
+        np.matmul(da, params.W_gates, out=dz)
+        np.add(dz[0, ..., :hidden], dz[1, ..., :hidden], out=dh)
+        np.add(dh, dz[2, ..., :hidden], out=dh)
+        np.add(dh, dz[3, ..., :hidden], out=dh)
+        np.multiply(dC, g[0], out=dC)
+    grads.W_gates[...] = dW
+    grads.b_gates[...] = db
     return grads
 
 
@@ -319,26 +449,46 @@ def adam_step(
     moments: tuple[np.ndarray, np.ndarray],
     t: int,
     cfg: TrainConfig,
+    *,
+    work: _Workspace | None = None,
 ) -> tuple[LstmParams, tuple[np.ndarray, np.ndarray]]:
-    """One bias-corrected Adam update of ``theta``; returns fresh params and moments.
+    """One bias-corrected Adam update of ``theta``; returns the params and moments.
 
     ``moments`` is the pair of first/second moment arrays, shaped like
-    ``theta`` and zeros before the first step.
+    ``theta`` and zeros before the first step.  Without ``work`` the params
+    and moments that come back are fresh.  With the trainer's workspace
+    ``work``, which also holds the update's temporaries, ``theta`` and the
+    moments, which the fit owns, are updated in place and come back.
     """
     if t < 1:
         raise FitError(f"Adam step counter must be >= 1, got {t}")
     g = grads.theta
     if g.shape != params.theta.shape:
         raise FitError(f"gradient has shape {g.shape}, expected {params.theta.shape}")
+    if work is None:
+        work = _Workspace()
+        theta, m, v = (np.empty_like(g) for _ in range(3))
+    else:
+        theta, (m, v) = params.theta, moments
+    step, tmp = work.take("adam_step", g.shape), work.take("adam_tmp", g.shape)
     b1, b2 = cfg.adam_beta1, cfg.adam_beta2
-    m = b1 * moments[0] + (1.0 - b1) * g
-    v = b2 * moments[1] + (1.0 - b2) * g * g
-    # lr * m_hat / (sqrt(v_hat) + eps), updated in place: at hidden 50 the
-    # fresh temporaries of the one-expression form cost twice the arithmetic
-    step = m / (1.0 - b1**t)
-    step *= cfg.learning_rate
-    step /= np.sqrt(v / (1.0 - b2**t)) + cfg.adam_eps
-    return params.with_theta(params.theta - step), (m, v)
+    # m = b1 * m + (1 - b1) * g and v = b2 * v + (1 - b2) * g * g
+    np.multiply(b1, moments[0], out=m)
+    np.multiply(1.0 - b1, g, out=tmp)
+    np.add(m, tmp, out=m)
+    np.multiply(b2, moments[1], out=v)
+    np.multiply(1.0 - b2, g, out=tmp)
+    np.multiply(tmp, g, out=tmp)
+    np.add(v, tmp, out=v)
+    # lr * m_hat / (sqrt(v_hat) + eps)
+    np.divide(m, 1.0 - b1**t, out=step)
+    np.multiply(step, cfg.learning_rate, out=step)
+    np.divide(v, 1.0 - b2**t, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    np.add(tmp, cfg.adam_eps, out=tmp)
+    np.divide(step, tmp, out=step)
+    np.subtract(params.theta, step, out=theta)
+    return (params if theta is params.theta else params.with_theta(theta)), (m, v)
 
 
 @dataclass(frozen=True)
@@ -355,7 +505,7 @@ def _validation_mae(params: LstmParams, val_inputs: np.ndarray, val_targets: np.
     The validation split runs as one batch, as :func:`forward_batch` would,
     but keeps no tape; :func:`train_early_stopping` checked its shapes.
     """
-    return np.abs(_run(params, val_inputs) - val_targets).mean(axis=-1)
+    return np.abs(_run(params, val_inputs, _Workspace())[0] - val_targets).mean(axis=-1)
 
 
 def train_early_stopping(
@@ -404,6 +554,7 @@ def train_early_stopping(
 
     params = init_params(hidden, seeds)
     moments = (np.zeros_like(params.theta), np.zeros_like(params.theta))
+    work = _Workspace()  # every mini-batch's tape, gradient and Adam temporaries
     step = 0
     n = train_y.shape[-1]
 
@@ -420,13 +571,14 @@ def train_early_stopping(
         epoch_sse = 0.0
         for start in range(0, n, cfg.batch_size):
             batch_y = epoch_y[..., start:start + cfg.batch_size]
-            preds, tape = forward_batch(params, epoch_x[..., start:start + cfg.batch_size, :])
-            grads = backward_bptt(params, batch_y, tape)
-            del tape  # freed now, so the next batch's tape reuses its memory
+            preds, tape = forward_batch(
+                params, epoch_x[..., start:start + cfg.batch_size, :], work=work
+            )
+            grads = backward_bptt(params, batch_y, tape, work=work)
             if cfg.clip_norm is not None:
                 grads = _clipped(grads, cfg.clip_norm)
             step += 1
-            params, moments = adam_step(params, grads, moments, step, cfg)
+            params, moments = adam_step(params, grads, moments, step, cfg, work=work)
             epoch_sse = epoch_sse + ((preds - batch_y) ** 2).sum(axis=-1)
         val_mae = _validation_mae(params, val_x, val_y)
         train_mse = epoch_sse / n
@@ -467,7 +619,7 @@ def predict_lstm(params: LstmParams, windows: np.ndarray) -> float | np.ndarray:
     windows would round differently).
     """
     params, X = _broadcast_windows(params, windows, 0)
-    out = _run(params, X[..., None, :])[..., 0]
+    out = _run(params, X[..., None, :], _Workspace())[0][..., 0]
     return float(out) if out.ndim == 0 else out
 
 
@@ -516,20 +668,30 @@ def recurse_lstm(
     if h < 0:
         raise FitError(f"a recursion takes h >= 0 steps, got {h}")
     params, X = _broadcast_windows(params, windows, 1)  # one more for the window axis
-    width = X.shape[-1]
-    weights = (params.W_gates.swapaxes(-1, -2), params.b_gates[..., None, :])
-    path = np.empty(X.shape[:-1] + (width + h,))
+    width, hidden = X.shape[-1], params.hidden
+    lead = X.shape[:-1]
+    path = np.empty(lead + (width + h,))
     path[..., :width] = X
-    start = np.zeros(X.shape[:-1] + (1, 1, params.hidden))  # one window's zero state
-    hs = Cs = start[..., :0, :, :]  # leading axes + (windows in flight, 1, H)
+    if h == 0:
+        return path[..., width:]
+    weights = (params.W_gates.swapaxes(-1, -2), params.b_gates[..., None, :])
+    # each window keeps its [h, x] rows and its cell state in its own slot on
+    # the window axis, zero until it starts; the windows in flight are a run
+    # of slots, and share the cell's other arrays, taken per run length
+    Z = np.zeros(lead + (h, 1, hidden + 1))
+    C_cbar = np.zeros((2,) + lead + (h, 1, hidden))
+    work, shared = _Workspace(), {}
     for tick in range(h + width - 1):
-        if tick < h:  # window ``tick`` starts
-            hs, Cs = (np.concatenate([s, start], axis=-3) for s in (hs, Cs))
-        x = np.broadcast_to(path[..., tick, None, None, None], hs.shape[:-1] + (1,))
-        *_, Cs, _, hs = _cell(weights, np.concatenate([hs, x], axis=-1), Cs)
+        lo, hi = max(tick - width + 1, 0), min(tick + 1, h)  # the windows in flight
+        if hi - lo not in shared:
+            state = lead + (hi - lo, 1, hidden)
+            shared[hi - lo] = work.take("gates", (5,) + state), _cell_scratch(work, state)
+        gates, scratch = shared[hi - lo]
+        z, c = Z[..., lo:hi, :, :], C_cbar[..., lo:hi, :, :]
+        z[..., hidden] = path[..., tick, None, None]
+        _cell(weights, z, c, c[0], gates, z[..., :hidden], scratch)
         m = tick - width + 1
         if m >= 0:  # window m took its last step
-            y = _head(params, hs[..., :1, :, :])[..., 0, 0]
+            y = _head(params, z[..., :1, :, :hidden])[..., 0, 0]
             path[..., width + m] = feedback(m, y)
-            hs, Cs = hs[..., 1:, :, :], Cs[..., 1:, :, :]
     return path[..., width:]

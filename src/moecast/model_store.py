@@ -44,10 +44,19 @@ def _typed(record: dict, name: str, kind: type):
     return value
 
 
+def _floats(record: dict, name: str, count: int) -> list[float]:
+    """``record[name]``, which must be a list of ``count`` floats, no int or bool."""
+    value = record[name]
+    if not (isinstance(value, list) and len(value) == count
+            and all(type(v) is float for v in value)):
+        raise TypeError(f"{name} must be {count} floats, got {value!r}")
+    return value
+
+
 def _experts_from_entry(entry: dict, archive) -> tuple[LstmParams, LinearParams]:
     fields = entry["lstm"]
     lstm = LstmParams.from_arrays({name: archive[f"a{fields[name]}"] for name in PARAM_FIELDS})
-    return lstm, LinearParams(*entry["linear"])
+    return lstm, LinearParams(*_floats(entry, "linear", 3))
 
 
 @dataclass
@@ -132,8 +141,8 @@ class ModelStore:
             fold_models[key] = FoldModels(
                 lstm=lstm,
                 linear=linear,
-                scaler=Scaler(*entry["scaler"]),
-                sigma=entry["sigma"],
+                scaler=Scaler(*_floats(entry, "scaler", 2)),
+                sigma=_typed(entry, "sigma", float),
                 regime=RegimeLabel(entry["regime"]),
                 launch_t=_typed(entry, "launch_t", int),
                 window=_typed(entry, "window", int),
@@ -148,7 +157,8 @@ class ModelStore:
                 linear=linear,
                 launch_t=_typed(pe, "launch_t", int),
                 training_tickers=tuple(pe["training_tickers"]),
-                decision_sigma=pe["decision_sigma"],
+                decision_sigma=(None if pe["decision_sigma"] is None
+                                else _typed(pe, "decision_sigma", float)),
             )
         return cls(_typed(manifest, "fingerprint", str), fold_models, pooled)
 

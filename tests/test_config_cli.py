@@ -450,6 +450,16 @@ class TestCli:
         "launch_t_not_an_int": lambda m: [e.update(launch_t=e["launch_t"] + 0.5)
                                           for e in m["entries"]],
         "window_a_bool": lambda m: [e.update(window=True) for e in m["entries"]],
+        "sigma_a_string": lambda m: [e.update(sigma=str(e["sigma"])) for e in m["entries"]],
+        # a bool is no float: true would read as sigma = 1 and run silently
+        "sigma_a_bool": lambda m: [e.update(sigma=True) for e in m["entries"]],
+        "scaler_strings": lambda m: [e.update(scaler=[str(v) for v in e["scaler"]])
+                                     for e in m["entries"]],
+        "linear_strings": lambda m: [e.update(linear=[str(v) for v in e["linear"]])
+                                     for e in m["entries"]],
+        "decision_sigma_a_string": lambda m: m["pooled"].update(
+            decision_sigma=str(m["pooled"]["decision_sigma"])
+        ),
     }
 
     @pytest.mark.parametrize(

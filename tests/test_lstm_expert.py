@@ -759,3 +759,67 @@ class TestStackedFirms:
         )
         with pytest.raises(FitError):
             predict_lstm(stack, windows[:2])
+
+
+class TestBuffers:
+    """A pass owns its buffers and a fit its workspace: nothing returned aliases
+    a buffer that a later call overwrites."""
+
+    def test_a_fitted_stack_is_unchanged_by_a_later_fit(self):
+        problem = stacked_problem()
+        cfg = TrainConfig(learning_rate=0.05, batch_size=8, max_epochs=3, patience=3)
+        first, _ = train_early_stopping(*problem, cfg, STACK_SEEDS, hidden=4)
+        kept = first.theta.copy()
+        second, _ = train_early_stopping(*problem, cfg, STACK_SEEDS[::-1], hidden=4)
+        assert np.array_equal(first.theta, kept)
+        assert not np.shares_memory(first.theta, second.theta)
+
+    def test_stacked_predictions_share_no_memory(self):
+        stack = init_params(4, STACK_SEEDS)
+        windows = np.random.default_rng(6).normal(size=(3, 5, 7))
+        first = predict_lstm(stack, windows)
+        kept = first.copy()
+        second = predict_lstm(stack, -windows)
+        assert not np.shares_memory(first, second)
+        assert np.array_equal(first, kept)
+
+    def test_a_tape_without_a_workspace_is_unchanged_by_a_later_call(self):
+        stack = init_params(4, STACK_SEEDS)
+        rng = np.random.default_rng(7)
+        inputs, targets = rng.normal(size=(3, 6, 5)), rng.normal(size=(3, 6))
+        preds, tape = forward_batch(stack, inputs)
+        kept = [[a.copy() for a in step] for step in tape.steps]
+        grads = backward_bptt(stack, targets, tape)
+        _, later = forward_batch(stack, -inputs)
+        backward_bptt(stack, -targets, later)
+        for step, copies in zip(tape.steps, kept):
+            for a, b in zip(step, copies):
+                assert np.array_equal(a, b)
+        assert np.array_equal(backward_bptt(stack, targets, tape).theta, grads.theta)
+        assert not np.shares_memory(later.z, tape.z)
+
+    def test_a_held_workspace_serves_smaller_batches_and_stacks_bit_for_bit(self):
+        # the trainer's workspace, reused for a partial batch of a smaller
+        # stack, gives what fresh buffers give
+        stack = init_params(5, STACK_SEEDS)
+        rng = np.random.default_rng(8)
+        inputs, targets = rng.normal(size=(3, 8, 6)), rng.normal(size=(3, 8))
+        cfg = TrainConfig()
+        work = lstm_expert._Workspace()
+        for firms, rows in ((slice(None), slice(None)), (slice(1, None), slice(0, 3))):
+            params = stack.with_theta(stack.theta[firms].copy())
+            x, y = inputs[firms, rows], targets[firms, rows]
+            zeros = (np.zeros_like(params.theta), np.zeros_like(params.theta))
+            preds, tape = forward_batch(params, x)
+            grads = backward_bptt(params, y, tape)
+            stepped, moments = adam_step(params, grads, zeros, 1, cfg)
+            held_preds, held_tape = forward_batch(params, x, work=work)
+            held_grads = backward_bptt(params, y, held_tape, work=work)
+            held_zeros = (np.zeros_like(params.theta), np.zeros_like(params.theta))
+            held, held_moments = adam_step(params, held_grads, held_zeros, 1, cfg, work=work)
+            assert np.array_equal(held_preds, preds)
+            assert np.array_equal(held_grads.theta, grads.theta)
+            # with a workspace, theta and the moments are updated in place
+            assert held is params and held_moments[0] is held_zeros[0]
+            assert np.array_equal(held.theta, stepped.theta)
+            assert all(np.array_equal(a, b) for a, b in zip(held_moments, moments))
