@@ -215,9 +215,9 @@ class Tape:
     ``z``, ``C_cbar`` and ``gates`` are :func:`_cell`'s buffers with a
     leading step axis: ``z[t]`` is step t's ``[h, x]`` rows, ``C_cbar[t]``
     its incoming cell state and its ``cbar`` (``C_cbar[t + 1, 0]`` is its
-    outgoing state, ``C_cbar[0, 0]`` zero), and ``gates[t]`` its ``f, i``,
-    an unused row, ``o`` and ``tanh C'``.  ``h`` is the last step's hidden
-    state; each earlier one is the ``h`` part of the next step's rows.
+    outgoing state, ``C_cbar[0, 0]`` zero), and ``gates[t]`` its ``f, i,
+    tanh C', o``.  ``h`` is the last step's hidden state; each earlier one
+    is the ``h`` part of the next step's rows.
     """
 
     z: np.ndarray
@@ -232,7 +232,7 @@ class Tape:
         last, hidden = len(self.z) - 1, self.h.shape[-1]
         return tuple(
             (self.z[t], self.C_cbar[t, 0], g[0], g[1], self.C_cbar[t, 1], g[3],
-             self.C_cbar[t + 1, 0], g[4], self.h if t == last else self.z[t + 1, ..., :hidden])
+             self.C_cbar[t + 1, 0], g[2], self.h if t == last else self.z[t + 1, ..., :hidden])
             for t, g in enumerate(self.gates)
         )
 
@@ -279,31 +279,32 @@ def _cell(
     """One step on the ``[h, x]`` rows ``z`` from the cell state ``C_cbar[0]``.
 
     Writes ``cbar`` to ``C_cbar[1]``, ``C'`` to ``C_new`` (which may be
-    ``C_cbar[0]``), ``f, i, o`` to rows 0, 1 and 3 of ``gates`` and ``tanh C'``
-    to its row 4, and ``h'`` to ``h`` (which may be the ``h`` part of ``z``).
-    ``scratch`` is the gate pre-activations, the sigmoid's two work arrays
-    and two states' worth more, all the caller's.  Each pair of arrays that
-    meets in a product lies on one leading axis, so that the pair is one call:
-    ``f, i`` times ``C, cbar`` here, and ``o, tanh C'`` times ``dh`` in BPTT.
+    ``C_cbar[0]``), ``f, i, tanh C', o`` to ``gates`` and ``h'`` to ``h``
+    (which may be the ``h`` part of ``z``).  ``scratch`` is the gate
+    pre-activations, the sigmoid's two work arrays and two states' worth
+    more, all the caller's.  Each pair of arrays that meets in a product
+    lies on one leading axis, so that the pair is one call: ``f, i`` times
+    ``C, cbar`` here, and ``tanh C', o`` and ``C, cbar`` times ``dh`` and
+    ``dC`` in BPTT.
 
     ``weights`` are the gate matrices transposed and the gate biases as rows,
     so that both broadcast over the rows of every firm.  One matmul call
     forms the four gates, but each gate (and each firm) is its own slice of
     it, the same BLAS call as a lone ``z @ W_f.T``: one fused ``(4H, H + 1)``
     matrix would round differently.  The sigmoid runs over the four stacked
-    gates in one call each; row 2, the sigmoid of ``cbar``'s pre-activation,
-    is not used.
+    gates in one call each; its row 2, the unused sigmoid of ``cbar``'s
+    pre-activation, then takes ``tanh C'``.
     """
     W_T, b = weights
     pre, den, sign, products = scratch
     np.matmul(z, W_T, out=pre)
     np.add(pre, b, out=pre)
-    _sigmoid(pre, gates[:4], (den, sign))
+    _sigmoid(pre, gates, (den, sign))
     np.tanh(pre[2], out=C_cbar[1])
     np.multiply(gates[:2], C_cbar, out=products)  # f * C and i * cbar
     np.add(products[0], products[1], out=C_new)
-    np.tanh(C_new, out=gates[4])
-    np.multiply(gates[3], gates[4], out=h)
+    np.tanh(C_new, out=gates[2])
+    np.multiply(gates[3], gates[2], out=h)
 
 
 def _cell_scratch(work: _Workspace, state: tuple[int, ...]) -> tuple[np.ndarray, ...]:
@@ -345,18 +346,17 @@ def _run(
     kept = steps if keep else 1
     Z = work.take("z", (kept,) + X.shape[:-1] + (hidden + 1,))
     C_cbar = work.take("C_cbar", (kept + 1 if keep else 1, 2) + state)
-    gates = work.take("gates", (kept, 5) + state)
+    gates = work.take("gates", (kept, 4) + state)
     h = work.take("h", state)
     scratch = _cell_scratch(work, state)
     weights = (params.W_gates.swapaxes(-1, -2), params.b_gates[..., None, :])
     Z[0, ..., :hidden] = 0.0
     C_cbar[0, 0] = 0.0
     for t in range(steps):
-        s = t if keep else 0
+        s, after = (t, t + 1) if keep else (0, 0)  # the slots of step t and of its outputs
         Z[s, ..., hidden] = X[..., t]
-        h_out = h if t == steps - 1 else Z[s + 1 if keep else 0, ..., :hidden]
-        C_new = C_cbar[s + 1 if keep else 0, 0]
-        _cell(weights, Z[s], C_cbar[s], C_new, gates[s], h_out, scratch)
+        h_out = h if t == steps - 1 else Z[after, ..., :hidden]
+        _cell(weights, Z[s], C_cbar[s], C_cbar[after, 0], gates[s], h_out, scratch)
     predictions = _head(params, h)
     return predictions, (Tape(Z, C_cbar, gates, h, predictions) if keep else None)
 
@@ -399,8 +399,8 @@ def backward_bptt(
         z, C_cbar, g = tape.z[t], tape.C_cbar[t], tape.gates[t]
         # dgate ends as df, di, dcbar and do: what each gate's value receives;
         # its row 2 holds dh * o until dC is updated
-        np.multiply(dh, g[3:], out=dgate[2:])  # dh * o and do = dh * tanh_C
-        np.square(g[4], out=w)
+        np.multiply(dh, g[3:1:-1], out=dgate[2:])  # dh * o and do = dh * tanh_C
+        np.square(g[2], out=w)
         np.subtract(1.0, w, out=w)
         np.multiply(dgate[2], w, out=w)
         np.add(dC, w, out=dC)  # dC + dh * o * (1 - tanh_C**2)
@@ -408,8 +408,8 @@ def backward_bptt(
         np.multiply(dC, g[1], out=dgate[2])  # dcbar = dC * i
         # the gates' pre-activation gradients, f, i, C, o, on a leading axis:
         # (d * g) * (1 - g) for the sigmoid gates, then dcbar * (1 - cbar**2)
-        np.multiply(dgate, g[:4], out=da)
-        np.subtract(1.0, g[:4], out=one_minus)
+        np.multiply(dgate, g, out=da)
+        np.subtract(1.0, g, out=one_minus)
         np.multiply(da, one_minus, out=da)
         np.square(C_cbar[1], out=w)
         np.subtract(1.0, w, out=w)
@@ -685,7 +685,7 @@ def recurse_lstm(
         lo, hi = max(tick - width + 1, 0), min(tick + 1, h)  # the windows in flight
         if hi - lo not in shared:
             state = lead + (hi - lo, 1, hidden)
-            shared[hi - lo] = work.take("gates", (5,) + state), _cell_scratch(work, state)
+            shared[hi - lo] = work.take("gates", (4,) + state), _cell_scratch(work, state)
         gates, scratch = shared[hi - lo]
         z, c = Z[..., lo:hi, :, :], C_cbar[..., lo:hi, :, :]
         z[..., hidden] = path[..., tick, None, None]

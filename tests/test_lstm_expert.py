@@ -410,17 +410,21 @@ def test_sigmoid_matches_two_branch_reference_bit_for_bit():
         [
             np.linspace(-800.0, 800.0, 4001),
             rng.normal(0.0, 3.0, 5000),
-            [0.0, -0.0, np.inf, -np.inf],
+            [0.0, -0.0, np.inf, -np.inf, np.nan],
         ]
     )
     got = lstm_expert._sigmoid(x)
-    assert np.array_equal(got, reference(x))
-    # the cell applies one call to the three stacked gate pre-activations
-    stacked = rng.normal(0.0, 4.0, size=(3, 16, 50))
+    assert np.array_equal(got, reference(x), equal_nan=True)
+    # the cell applies one call to the four stacked gate pre-activations,
+    # written in place into buffers it holds
+    stacked = rng.normal(0.0, 4.0, size=(4, 16, 50))
     got = lstm_expert._sigmoid(stacked)
     assert np.array_equal(got, reference(stacked.ravel()).reshape(stacked.shape))
-    for k in range(3):
+    for k in range(4):
         assert np.array_equal(got[k], lstm_expert._sigmoid(stacked[k]))
+    work = (np.empty_like(stacked), np.empty_like(stacked))
+    assert lstm_expert._sigmoid(stacked, stacked, work) is stacked
+    assert np.array_equal(stacked, got)
 
 
 class TestLossMse:
