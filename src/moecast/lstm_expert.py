@@ -52,7 +52,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -212,8 +212,8 @@ class _Workspace:
 class Tape:
     """Every step's activations, kept by the forward pass for exact BPTT.
 
-    ``z``, ``C_cbar`` and ``gates`` are :func:`_cell`'s buffers with a
-    leading step axis: ``z[t]`` is step t's ``[h, x]`` rows, ``C_cbar[t]``
+    ``z``, ``C_cbar`` and ``gates`` are the buffers of :func:`_cell`'s
+    :class:`_Slot` with a leading step axis: ``z[t]`` is step t's ``[h, x]`` rows, ``C_cbar[t]``
     its incoming cell state and its ``cbar`` (``C_cbar[t + 1, 0]`` is its
     outgoing state, ``C_cbar[0, 0]`` zero), and ``gates[t]`` its ``f, i,
     tanh C', o``.  ``h`` is the last step's hidden state; each earlier one
@@ -267,25 +267,35 @@ def _as_batch(params: LstmParams, inputs: np.ndarray) -> np.ndarray:
     return X
 
 
-def _cell(
-    weights: tuple[np.ndarray, np.ndarray],
-    z: np.ndarray,
-    C_cbar: np.ndarray,
-    C_new: np.ndarray,
-    gates: np.ndarray,
-    h: np.ndarray,
-    scratch: tuple[np.ndarray, ...],
-) -> None:
-    """One step on the ``[h, x]`` rows ``z`` from the cell state ``C_cbar[0]``.
+class _Slot(NamedTuple):
+    """The arrays one :func:`_cell` call reads and writes, with the views of
+    them it uses, taken once for every step that shares them."""
 
-    Writes ``cbar`` to ``C_cbar[1]``, ``C'`` to ``C_new`` (which may be
-    ``C_cbar[0]``), ``f, i, tanh C', o`` to ``gates`` and ``h'`` to ``h``
-    (which may be the ``h`` part of ``z``).  ``scratch`` is the gate
-    pre-activations, the sigmoid's two work arrays and two states' worth
-    more, all the caller's.  Each pair of arrays that meets in a product
-    lies on one leading axis, so that the pair is one call: ``f, i`` times
-    ``C, cbar`` here, and ``tanh C', o`` and ``C, cbar`` times ``dh`` and
-    ``dC`` in BPTT.
+    z: np.ndarray  # the [h, x] rows read
+    x: np.ndarray  # their x column
+    C_cbar: np.ndarray  # the cell state C read, and cbar written, on one axis
+    cbar: np.ndarray
+    C_new: np.ndarray  # C' written, which may be C_cbar[0]
+    gates: np.ndarray  # f, i, tanh C', o written
+    f_i: np.ndarray
+    tanh_C: np.ndarray
+    o: np.ndarray
+    h: np.ndarray  # h' written, which may be the h part of z
+
+
+def _slot(z: np.ndarray, C_cbar: np.ndarray, C_new: np.ndarray, gates: np.ndarray,
+          h: np.ndarray) -> _Slot:
+    return _Slot(z, z[..., -1], C_cbar, C_cbar[1], C_new, gates, gates[:2], gates[2], gates[3], h)
+
+
+def _cell(weights: tuple[np.ndarray, np.ndarray], slot: _Slot, scratch: tuple) -> None:
+    """One step on the ``[h, x]`` rows ``slot.z`` from the cell state ``slot.C_cbar[0]``.
+
+    Writes ``cbar``, ``C'``, the gates ``f, i, tanh C', o`` and ``h'`` into
+    ``slot``; ``scratch`` (:func:`_cell_scratch`) is the caller's too.  Each
+    pair of arrays that meets in a product lies on one leading axis, so that
+    the pair is one call: ``f, i`` times ``C, cbar`` here, and ``tanh C', o``
+    and ``C, cbar`` times ``dh`` and ``dC`` in BPTT.
 
     ``weights`` are the gate matrices transposed and the gate biases as rows,
     so that both broadcast over the rows of every firm.  One matmul call
@@ -296,21 +306,24 @@ def _cell(
     pre-activation, then takes ``tanh C'``.
     """
     W_T, b = weights
-    pre, den, sign, products = scratch
-    np.matmul(z, W_T, out=pre)
+    pre, pre_cbar, den, sign, products, f_C, i_cbar = scratch
+    np.matmul(slot.z, W_T, out=pre)
     np.add(pre, b, out=pre)
-    _sigmoid(pre, gates, (den, sign))
-    np.tanh(pre[2], out=C_cbar[1])
-    np.multiply(gates[:2], C_cbar, out=products)  # f * C and i * cbar
-    np.add(products[0], products[1], out=C_new)
-    np.tanh(C_new, out=gates[2])
-    np.multiply(gates[3], gates[2], out=h)
+    _sigmoid(pre, slot.gates, (den, sign))
+    np.tanh(pre_cbar, out=slot.cbar)
+    np.multiply(slot.f_i, slot.C_cbar, out=products)  # f * C and i * cbar
+    np.add(f_C, i_cbar, out=slot.C_new)
+    np.tanh(slot.C_new, out=slot.tanh_C)
+    np.multiply(slot.o, slot.tanh_C, out=slot.h)
 
 
 def _cell_scratch(work: _Workspace, state: tuple[int, ...]) -> tuple[np.ndarray, ...]:
-    """:func:`_cell`'s scratch for states of shape ``state``, from ``work``."""
-    return (work.take("pre", (4,) + state), work.take("den", (4,) + state),
-            work.take("sign", (4,) + state), work.take("products", (2,) + state))
+    """:func:`_cell`'s scratch for states of shape ``state``, from ``work``: the
+    gate pre-activations, the sigmoid's two work arrays and the two products
+    that sum to ``C'``, with the views of them it uses."""
+    pre, products = work.take("pre", (4,) + state), work.take("products", (2,) + state)
+    return (pre, pre[2], work.take("den", (4,) + state), work.take("sign", (4,) + state),
+            products, products[0], products[1])
 
 
 def _head(params: LstmParams, h: np.ndarray) -> np.ndarray:
@@ -343,20 +356,25 @@ def _run(
     """
     hidden, steps = params.hidden, X.shape[-1]
     state = X.shape[:-1] + (hidden,)
-    kept = steps if keep else 1
+    # a tape keeps step t in slot t and its outputs in slot t + 1, which the
+    # next step reads; without one, every step reads and writes slot 0
+    kept, ahead = (steps, 1) if keep else (1, 0)
     Z = work.take("z", (kept,) + X.shape[:-1] + (hidden + 1,))
-    C_cbar = work.take("C_cbar", (kept + 1 if keep else 1, 2) + state)
+    C_cbar = work.take("C_cbar", (kept + ahead, 2) + state)
     gates = work.take("gates", (kept, 4) + state)
     h = work.take("h", state)
     scratch = _cell_scratch(work, state)
     weights = (params.W_gates.swapaxes(-1, -2), params.b_gates[..., None, :])
     Z[0, ..., :hidden] = 0.0
     C_cbar[0, 0] = 0.0
+    slots = [_slot(Z[k], C_cbar[k], C_cbar[k + ahead, 0], gates[k], Z[k + ahead, ..., :hidden])
+             for k in range(kept - ahead)]
+    k = kept - 1
+    last = _slot(Z[k], C_cbar[k], C_cbar[k + ahead, 0], gates[k], h)  # the last step writes h
     for t in range(steps):
-        s, after = (t, t + 1) if keep else (0, 0)  # the slots of step t and of its outputs
-        Z[s, ..., hidden] = X[..., t]
-        h_out = h if t == steps - 1 else Z[after, ..., :hidden]
-        _cell(weights, Z[s], C_cbar[s], C_cbar[after, 0], gates[s], h_out, scratch)
+        slot = last if t == steps - 1 else slots[t if keep else 0]
+        slot.x[...] = X[..., t]
+        _cell(weights, slot, scratch)
     predictions = _head(params, h)
     return predictions, (Tape(Z, C_cbar, gates, h, predictions) if keep else None)
 
@@ -675,9 +693,9 @@ def recurse_lstm(
     if h == 0:
         return path[..., width:]
     weights = (params.W_gates.swapaxes(-1, -2), params.b_gates[..., None, :])
-    # each window keeps its [h, x] rows and its cell state in its own slot on
+    # each window keeps its [h, x] rows and its cell state at its own index on
     # the window axis, zero until it starts; the windows in flight are a run
-    # of slots, and share the cell's other arrays, taken per run length
+    # of indices, and share the cell's other arrays, taken per run length
     Z = np.zeros(lead + (h, 1, hidden + 1))
     C_cbar = np.zeros((2,) + lead + (h, 1, hidden))
     work, shared = _Workspace(), {}
@@ -688,8 +706,9 @@ def recurse_lstm(
             shared[hi - lo] = work.take("gates", (4,) + state), _cell_scratch(work, state)
         gates, scratch = shared[hi - lo]
         z, c = Z[..., lo:hi, :, :], C_cbar[..., lo:hi, :, :]
-        z[..., hidden] = path[..., tick, None, None]
-        _cell(weights, z, c, c[0], gates, z[..., :hidden], scratch)
+        slot = _slot(z, c, c[0], gates, z[..., :hidden])
+        slot.x[...] = path[..., tick, None, None]
+        _cell(weights, slot, scratch)
         m = tick - width + 1
         if m >= 0:  # window m took its last step
             y = _head(params, z[..., :1, :, :hidden])[..., 0, 0]
