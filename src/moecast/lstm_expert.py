@@ -75,7 +75,11 @@ __all__ = [
 PARAM_FIELDS = ("W_f", "W_i", "W_C", "W_o", "b_f", "b_i", "b_C", "b_o", "W_y", "b_y")
 
 
-def _sigmoid(x: np.ndarray, out: np.ndarray | None = None, work=None) -> np.ndarray:
+def _sigmoid(
+    x: np.ndarray,
+    out: np.ndarray | None = None,
+    work: tuple[np.ndarray, np.ndarray] | None = None,
+) -> np.ndarray:
     """The logistic function of ``x``, written to ``out`` (which may be ``x``).
 
     ``work`` is two scratch arrays of ``x``'s shape; they and ``out`` are
@@ -288,7 +292,9 @@ def _slot(z: np.ndarray, C_cbar: np.ndarray, C_new: np.ndarray, gates: np.ndarra
     return _Slot(z, z[..., -1], C_cbar, C_cbar[1], C_new, gates, gates[:2], gates[2], gates[3], h)
 
 
-def _cell(weights: tuple[np.ndarray, np.ndarray], slot: _Slot, scratch: tuple) -> None:
+def _cell(
+    weights: tuple[np.ndarray, np.ndarray], slot: _Slot, scratch: tuple[np.ndarray, ...]
+) -> None:
     """One step on the ``[h, x]`` rows ``slot.z`` from the cell state ``slot.C_cbar[0]``.
 
     Writes ``cbar``, ``C'``, the gates ``f, i, tanh C', o`` and ``h'`` into
