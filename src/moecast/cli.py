@@ -158,7 +158,7 @@ def cmd_forecast(config: RunConfig, args: argparse.Namespace) -> int:
     store_path = _artifact(config, "models", "npz")
     if not store_path.exists():
         raise DataError(f"model store {store_path} not found; run backtest first")
-    store = ModelStore.load(store_path)
+    store = ModelStore.load(store_path, ticker)
     if store.fingerprint != config.fingerprint:
         raise DataError(
             "model store was produced under a different configuration "

@@ -4,6 +4,10 @@ The store is a single ``.npz`` archive: large numeric payloads live as
 float64 arrays (preserved bit-exactly) and scalar context travels in a JSON
 manifest whose floats round-trip through ``repr``.  Loading a store therefore
 reproduces every prediction bit-for-bit, which the tests assert.
+
+``moecast forecast`` loads one ticker's part of the store: every manifest
+entry is checked, but only one fold's ten LSTM arrays are read, those of
+the ticker's last fold or, for a ticker without folds, the pooled experts.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import zipfile
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.npyio import NpzFile
 
 from .errors import DataError
 from .evaluation import FoldModels, PooledExperts
@@ -53,9 +58,14 @@ def _floats(record: dict, name: str, count: int) -> list[float]:
     return value
 
 
-def _experts_from_entry(entry: dict, archive) -> tuple[LstmParams, LinearParams]:
-    fields = entry["lstm"]
-    lstm = LstmParams.from_arrays({name: archive[f"a{fields[name]}"] for name in PARAM_FIELDS})
+def _experts_from_entry(entry: dict, archive, read: bool) -> tuple[LstmParams | None, LinearParams]:
+    """The entry's experts.  Its LSTM's members must exist either way, but
+    they are read only if ``read``; else the LSTM is None."""
+    members = {name: f"a{entry['lstm'][name]}" for name in PARAM_FIELDS}
+    for member in members.values():
+        if member not in archive:
+            raise KeyError(f"{member} is not a file in the archive")
+    lstm = LstmParams.from_arrays({n: archive[m] for n, m in members.items()}) if read else None
     return lstm, LinearParams(*_floats(entry, "linear", 3))
 
 
@@ -106,39 +116,50 @@ class ModelStore:
         np.savez(path, manifest=np.array(manifest), **payload)
 
     @classmethod
-    def load(cls, path) -> "ModelStore":
-        # what an unreadable file raises: a truncated archive BadZipFile, an
-        # empty file EOFError, a bare .npy array IndexError, any other file
-        # ValueError (numpy takes it for a pickle); no manifest, KeyError
+    def load(cls, path, ticker: str | None = None) -> "ModelStore":
+        """The store at ``path``; with a ``ticker``, only the experts that
+        forecasting it uses: its last fold, or the pooled experts when it has
+        no folds.  Every manifest entry is checked either way."""
+        # what an unreadable file raises: a missing one OSError, any other
+        # that is no zip archive (an empty, truncated or bare .npy file)
+        # BadZipFile; a missing manifest KeyError
         try:
-            archive = np.load(path, allow_pickle=False)
-            manifest = json.loads(str(archive["manifest"]))
-        except (OSError, EOFError, ValueError, LookupError, zipfile.BadZipFile) as exc:
+            archive = NpzFile(path)
+        except (OSError, zipfile.BadZipFile) as exc:
             raise DataError(f"cannot read model store {path}: {exc}")
-        if not isinstance(manifest, dict):
-            raise DataError(f"cannot read model store {path}: the manifest is not a JSON object")
-        if manifest.get("version") != _FORMAT_VERSION:
-            raise DataError(
-                f"cannot read model store {path}: unsupported version {manifest.get('version')!r}"
-            )
-        # a manifest of the right version but the wrong shape: a missing key
-        # raises KeyError, a field of the wrong type TypeError or
-        # AttributeError, a value out of its domain ValueError
-        try:
-            return cls._from_manifest(manifest, archive)
-        except (LookupError, TypeError, AttributeError, ValueError) as exc:
-            raise DataError(
-                f"cannot read model store {path}: malformed manifest "
-                f"({type(exc).__name__}: {exc})"
-            )
+        with archive:
+            try:
+                manifest = json.loads(str(archive["manifest"]))
+            except (ValueError, LookupError, zipfile.BadZipFile) as exc:
+                raise DataError(f"cannot read model store {path}: {exc}")
+            if not isinstance(manifest, dict):
+                raise DataError(
+                    f"cannot read model store {path}: the manifest is not a JSON object")
+            if manifest.get("version") != _FORMAT_VERSION:
+                raise DataError(f"cannot read model store {path}: "
+                                f"unsupported version {manifest.get('version')!r}")
+            # a manifest of the right version but the wrong shape: a missing key
+            # raises KeyError, a field of the wrong type TypeError or
+            # AttributeError, a value out of its domain ValueError
+            try:
+                return cls._from_manifest(manifest, archive, ticker)
+            except (LookupError, TypeError, AttributeError, ValueError) as exc:
+                raise DataError(
+                    f"cannot read model store {path}: malformed manifest "
+                    f"({type(exc).__name__}: {exc})"
+                )
 
     @classmethod
-    def _from_manifest(cls, manifest: dict, archive) -> "ModelStore":
+    def _from_manifest(cls, manifest: dict, archive, ticker: str | None) -> "ModelStore":
+        entries = manifest["entries"]
+        keys = [(_typed(entry, "ticker", str), _typed(entry, "fold", int)) for entry in entries]
+        # every entry is checked, but only the kept ones' LSTMs are read
+        last = max((key for key in keys if key[0] == ticker), default=None)
+        keep = set(keys) if ticker is None else {last}
         fold_models: dict[tuple[str, int], FoldModels] = {}
-        for entry in manifest["entries"]:
-            lstm, linear = _experts_from_entry(entry, archive)
-            key = (_typed(entry, "ticker", str), _typed(entry, "fold", int))
-            fold_models[key] = FoldModels(
+        for key, entry in zip(keys, entries):
+            lstm, linear = _experts_from_entry(entry, archive, key in keep)
+            fm = FoldModels(
                 lstm=lstm,
                 linear=linear,
                 scaler=Scaler(*_floats(entry, "scaler", 2)),
@@ -148,10 +169,13 @@ class ModelStore:
                 window=_typed(entry, "window", int),
                 mode=WindowMode(entry["mode"]),
             )
+            if key in keep:
+                fold_models[key] = fm
         pooled = None
         if manifest["pooled"] is not None:
             pe = manifest["pooled"]
-            lstm, linear = _experts_from_entry(pe, archive)
+            read = ticker is None or not fold_models  # a ticker with folds needs no pool
+            lstm, linear = _experts_from_entry(pe, archive, read)
             pooled = PooledExperts(
                 lstm=lstm,
                 linear=linear,
@@ -160,6 +184,7 @@ class ModelStore:
                 decision_sigma=(None if pe["decision_sigma"] is None
                                 else _typed(pe, "decision_sigma", float)),
             )
+            pooled = pooled if read else None
         return cls(_typed(manifest, "fingerprint", str), fold_models, pooled)
 
     def folds_for(self, ticker: str) -> list[int]:

@@ -334,6 +334,42 @@ class TestCli:
                 expected = float(np.abs(paths[:, col] - actual).mean())
                 assert record.raw_mae == pytest.approx(expected, rel=1e-9)
 
+    def test_load_of_one_ticker_reads_only_what_its_forecast_uses(
+        self, cli_workspace, capsys, monkeypatch
+    ):
+        cfg, data, reports = cli_workspace
+        assert main(["--config", str(cfg), "synth"]) == 0
+        assert main(["--config", str(cfg), "backtest"]) == 0
+        path = reports / f"models_{parse_config(cfg).short_fingerprint}.npz"
+        whole = ModelStore.load(path)
+        stored = sorted({t for t, _ in whole.fold_models})
+        holdout = sorted(set(load_csv(data)) - set(whole.pooled.training_tickers))
+        reads = []
+        getitem = np.lib.npyio.NpzFile.__getitem__
+        monkeypatch.setattr(np.lib.npyio.NpzFile, "__getitem__",
+                            lambda archive, key: reads.append(key) or getitem(archive, key))
+
+        def same_experts(part, full):
+            assert part.lstm.hidden == full.lstm.hidden
+            assert part.lstm.theta.tobytes() == full.lstm.theta.tobytes()
+            rest = {k: v for k, v in vars(part).items() if k != "lstm"}
+            assert rest == {k: v for k, v in vars(full).items() if k != "lstm"}
+
+        for ticker in stored + holdout[:1]:
+            reads.clear()
+            part = ModelStore.load(path, ticker)
+            # the manifest, then one LSTM's ten arrays
+            assert reads[0] == "manifest" and len(reads) == 1 + len(PARAM_FIELDS)
+            assert part.fingerprint == whole.fingerprint
+            folds = whole.folds_for(ticker)
+            if folds:
+                key = (ticker, folds[-1])
+                assert list(part.fold_models) == [key] and part.pooled is None
+                same_experts(part.fold_models[key], whole.fold_models[key])
+            else:
+                assert part.fold_models == {}
+                same_experts(part.pooled, whole.pooled)
+
     def test_backtest_writes_the_same_bytes_forked_and_in_process(
         self, cli_workspace, capsys, monkeypatch
     ):
@@ -460,6 +496,9 @@ class TestCli:
         "decision_sigma_a_string": lambda m: m["pooled"].update(
             decision_sigma=str(m["pooled"]["decision_sigma"])
         ),
+        # the first ticker's first fold, whose arrays its forecast does not read
+        "first_fold_sigma_a_string": lambda m: m["entries"][0].update(sigma="0.01"),
+        "first_fold_member_missing": lambda m: m["entries"][0]["lstm"].update(W_f=10**6),
     }
 
     @pytest.mark.parametrize(
@@ -480,6 +519,8 @@ class TestCli:
             manifest = json.loads(str(arrays.pop("manifest")))
             self.MANIFEST_EDITS[case](manifest)
             ticker = manifest["entries"][0]["ticker"]
+            if case.startswith("first_fold"):
+                assert sum(e["ticker"] == ticker for e in manifest["entries"]) > 1
             np.savez(store, manifest=np.array(json.dumps(manifest)), **arrays)
             capsys.readouterr()
         elif case == "unsupported_version":
@@ -517,6 +558,8 @@ class TestCli:
             assert f"{store}: malformed manifest (FitError: W_f must have shape" in err
         elif case == "unsupported_version":
             assert err.endswith(f"{store}: unsupported version 2\n")
+        elif case == "first_fold_member_missing":
+            assert f"{store}: malformed manifest (KeyError: 'a1000000 is not a file" in err
         elif case in self.MANIFEST_EDITS:
             assert f"{store}: malformed manifest (TypeError: " in err
 
