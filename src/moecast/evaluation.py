@@ -130,13 +130,18 @@ def rmse(predictions, targets) -> float:
     return math.sqrt(mse(predictions, targets))
 
 
-def mase(predictions, targets, train_targets) -> float | None:
-    """MAE scaled by the in-sample one-step naive MAE of the training targets,
-    ``mean(|diff(train)|)``; None when that is 0 (constant training targets)."""
+def _naive_mae(train_targets) -> float:
+    """The in-sample one-step naive MAE of the training targets, ``mean(|diff(train)|)``."""
     train = np.asarray(train_targets, dtype=float).reshape(-1)
     if train.size < 2:
         raise EvaluationError(f"mase needs at least 2 training targets, got {train.size}")
-    denom = float(np.abs(np.diff(train)).mean())
+    return float(np.abs(np.diff(train)).mean())
+
+
+def mase(predictions, targets, train_targets) -> float | None:
+    """MAE scaled by the in-sample one-step naive MAE of the training targets;
+    None when that is 0 (constant training targets)."""
+    denom = _naive_mae(train_targets)
     return mae(predictions, targets) / denom if denom > 0 else None
 
 
@@ -517,6 +522,11 @@ class _FoldFirmData:
         """The time index of the first validation target, where forecasts launch."""
         return self.t_offset + self.inputs.shape[1] + self.train_rows
 
+    @functools.cached_property
+    def naive_mae(self) -> float:
+        """The denominator of every MASE this firm's validation scores."""
+        return _naive_mae(self.targets[:self.train_rows])
+
     def models(
         self, lstm: LstmParams, linear: LinearParams, regime: RegimeLabel, mode: WindowMode
     ) -> FoldModels:
@@ -616,17 +626,18 @@ def _model_records(
 ) -> list[MetricRecord]:
     """One record per model, scoring ``preds[model]`` against as many of the
     firm's validation targets, on the standardized scale and the raw one."""
-    train = data.targets[:data.train_rows]
+    a = data.targets[data.train_rows:][:len(preds[MODELS[0]])]
+    a_raw = fm.scaler.invert(a)
     records = []
     for model in MODELS:
         p = preds[model]
-        a = data.targets[data.train_rows:][:len(p)]
-        p_raw, a_raw = fm.scaler.invert(p), fm.scaler.invert(a)
+        p_raw = fm.scaler.invert(p)
+        p_mse, p_mae, raw_mse = mse(p, a), mae(p, a), mse(p_raw, a_raw)
         records.append(MetricRecord(
             data.ticker, fold_id, split, fm.regime, horizon, model,
-            mse=mse(p, a), mae=mae(p, a), rmse=rmse(p, a),
-            raw_mse=mse(p_raw, a_raw), raw_mae=mae(p_raw, a_raw), raw_rmse=rmse(p_raw, a_raw),
-            mase=mase(p, a, train),
+            mse=p_mse, mae=p_mae, rmse=math.sqrt(p_mse),
+            raw_mse=raw_mse, raw_mae=mae(p_raw, a_raw), raw_rmse=math.sqrt(raw_mse),
+            mase=p_mae / data.naive_mae if data.naive_mae > 0 else None,
         ))
     return records
 
@@ -708,13 +719,12 @@ def _run_fold(
         h1 = {"Linear": lin_h1, "LSTM": lstm_h1[k], "MoE": blend(weights, lstm_h1[k], lin_h1)}
         records += _model_records(data, fm, fold.fold_id, WALK_FORWARD_SPLIT, 1, h1)
         records += horizon_records[k]
+        actual_raw = fm.scaler.invert(actual).tolist()
         predictions += [
-            PredictionPoint(
-                data.ticker, fold.fold_id, fm.launch_t + j, model, float(preds[j]),
-                float(fm.scaler.invert(actual[j])), float(fm.scaler.invert(preds[j])),
-            )
+            PredictionPoint(data.ticker, fold.fold_id, fm.launch_t + j, model, p, a, p_raw)
             for model, preds in h1.items()
-            for j in range(len(actual))
+            for j, (p, a, p_raw) in enumerate(
+                zip(preds.tolist(), actual_raw, fm.scaler.invert(preds).tolist()))
         ]
     models = {(data.ticker, fold.fold_id): fm for data, fm in zip(firms, fms)}
     return WalkForwardResult(tuple(records), models, tuple(predictions))
