@@ -55,14 +55,13 @@ def main():
     vol = rolling_volatility(simple_returns(series), policy.vol_window)
     rows = range(policy.vol_window, train_end)
     sigma_at = lambda t: float(vol[t - 1])
-    report = fit_ols(
+    linear, rss = fit_ols(
         [float(t) for t in rows],
         [sigma_at(t) for t in rows],
         [float(targets[t - w]) for t in rows],
     )
-    linear = report.params
     print(f"linear expert: beta0 {linear.beta0:+.4f}, beta1 {linear.beta1:+.5f}, "
-          f"beta2 {linear.beta2:+.3f} (rss {report.rss:.3f})")
+          f"beta2 {linear.beta2:+.3f} (rss {rss:.3f})")
 
     # out-of-sample tail: volatility frozen at the last training read
     sigma_frozen = sigma_at(train_end - 1)

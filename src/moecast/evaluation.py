@@ -604,7 +604,7 @@ def _fit_experts(
         return [np.concatenate(part) for part in zip(*parts)]
 
     splits = [joined(_early_stopping_split(data, ES_VAL_FRACTION) for data in g) for g in groups]
-    linears = [fit_ols(*joined(map(_linear_design, g))).params for g in groups]
+    linears = [fit_ols(*joined(map(_linear_design, g)))[0] for g in groups]
     try:
         lstm, _ = train_early_stopping(
             *(np.stack(part) for part in zip(*splits)), settings.train, seeds, settings.hidden

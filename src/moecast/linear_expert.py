@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import FitError
 
-__all__ = ["LinearParams", "LinearFitReport", "fit_ols", "predict_linear"]
+__all__ = ["LinearParams", "fit_ols", "predict_linear"]
 
 # ratio of extreme Cholesky pivots beyond which the normal matrix is treated
 # as rank deficient (constant sigma is the realistic way to get here)
@@ -30,12 +30,6 @@ class LinearParams:
     beta2: float
 
 
-@dataclass(frozen=True)
-class LinearFitReport:
-    params: LinearParams
-    rss: float
-
-
 def _diagnose_deficiency(t: np.ndarray, sigma: np.ndarray) -> str:
     if np.ptp(sigma) == 0.0:
         return "sigma column is constant (collinear with intercept)"
@@ -47,8 +41,9 @@ def _diagnose_deficiency(t: np.ndarray, sigma: np.ndarray) -> str:
     return "design columns are numerically collinear"
 
 
-def fit_ols(t, sigma, y) -> LinearFitReport:
-    """Least-squares fit of ``y`` on ``[1, t, sigma]``.
+def fit_ols(t, sigma, y) -> tuple[LinearParams, float]:
+    """Least-squares fit of ``y`` on ``[1, t, sigma]``: the coefficients and
+    the residual sum of squares.
 
     Raises :class:`FitError` when the lengths disagree, fewer than 3
     observations are supplied, or the design is rank deficient (the failing
@@ -83,7 +78,7 @@ def fit_ols(t, sigma, y) -> LinearFitReport:
     beta = beta + np.linalg.solve(xtx, xty - xtx @ beta)
     residuals = y - X @ beta
     params = LinearParams(float(beta[0]), float(beta[1]), float(beta[2]))
-    return LinearFitReport(params, float(residuals @ residuals))
+    return params, float(residuals @ residuals)
 
 
 def predict_linear(

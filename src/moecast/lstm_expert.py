@@ -36,15 +36,15 @@ each, and a fit of one firm is a stack of one.
 
 Every pass runs the one cell kernel, :func:`_cell`, which writes into
 buffers its caller holds, and the buffers follow one rule.  A pass owns its
-buffers: it takes them once, not once per step, from a :class:`_Workspace`,
-a fresh one unless it is handed one.  A fit owns its workspace, which holds
-the tape, the gradient and the Adam temporaries of every mini-batch, and it
-updates ``theta`` and the Adam moments in place.  Nothing returned aliases
-a buffer that a later call overwrites: predictions and fitted parameters
-are fresh arrays, and a tape aliases only the workspace it was written to,
-a fresh one for a public caller.  Each buffer is laid out as a fresh array
-of its shape would be, and every element goes through the same operations
-in the same order, so the buffers change no bit.
+buffers: it takes them once, not once per step, from a :class:`_Workspace`.
+A fit owns its workspace, and its three steps run on it: the forward pass
+leaves the mini-batch's tape there, BPTT its gradient, and Adam its
+temporaries, while ``theta`` and the Adam moments are updated in place.
+Nothing a public function returns aliases a buffer that a later call
+overwrites: predictions and fitted parameters are fresh arrays.  Each
+buffer is laid out as a fresh array of its shape would be, and every
+element goes through the same operations in the same order, so the buffers
+change no bit.
 """
 
 from __future__ import annotations
@@ -61,12 +61,8 @@ from .errors import FitError
 __all__ = [
     "LstmParams",
     "TrainConfig",
-    "Tape",
     "EpochRecord",
     "init_params",
-    "forward_batch",
-    "backward_bptt",
-    "adam_step",
     "train_early_stopping",
     "predict_lstm",
     "recurse_lstm",
@@ -75,22 +71,16 @@ __all__ = [
 PARAM_FIELDS = ("W_f", "W_i", "W_C", "W_o", "b_f", "b_i", "b_C", "b_o", "W_y", "b_y")
 
 
-def _sigmoid(
-    x: np.ndarray,
-    out: np.ndarray | None = None,
-    work: tuple[np.ndarray, np.ndarray] | None = None,
-) -> np.ndarray:
+def _sigmoid(x: np.ndarray, out: np.ndarray, work: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """The logistic function of ``x``, written to ``out`` (which may be ``x``).
 
-    ``work`` is two scratch arrays of ``x``'s shape; they and ``out`` are
-    fresh when left out.
+    ``work`` is two scratch arrays of ``x``'s shape.
     """
     # 1 / (1 + e) where x >= 0, else e / (1 + e), with e = exp(-|x|): exp only
     # ever sees a non-positive argument, so neither branch overflows.  The
     # numerator is max(e, sign x): as e <= 1, that is 1 where x > 0, e where
     # x < 0, and 1 = e at x = 0
-    out = np.empty_like(x) if out is None else out
-    den, sign = (np.empty_like(x), np.empty_like(x)) if work is None else work
+    den, sign = work
     np.sign(x, out=sign)
     np.abs(x, out=out)
     np.negative(out, out=out)
@@ -212,35 +202,6 @@ class _Workspace:
         return flat[:size].reshape(shape)
 
 
-@dataclass(frozen=True)
-class Tape:
-    """Every step's activations, kept by the forward pass for exact BPTT.
-
-    ``z``, ``C_cbar`` and ``gates`` are the buffers of :func:`_cell`'s
-    :class:`_Slot` with a leading step axis: ``z[t]`` is step t's ``[h, x]`` rows, ``C_cbar[t]``
-    its incoming cell state and its ``cbar`` (``C_cbar[t + 1, 0]`` is its
-    outgoing state, ``C_cbar[0, 0]`` zero), and ``gates[t]`` its ``f, i,
-    tanh C', o``.  ``h`` is the last step's hidden state; each earlier one
-    is the ``h`` part of the next step's rows.
-    """
-
-    z: np.ndarray
-    C_cbar: np.ndarray
-    gates: np.ndarray
-    h: np.ndarray
-    predictions: np.ndarray
-
-    @property
-    def steps(self) -> tuple[tuple[np.ndarray, ...], ...]:
-        """``steps[t]`` is ``(z, C_prev, f, i, cbar, o, C, tanh_C, h)``, views into the buffers."""
-        last, hidden = len(self.z) - 1, self.h.shape[-1]
-        return tuple(
-            (self.z[t], self.C_cbar[t, 0], g[0], g[1], self.C_cbar[t, 1], g[3],
-             self.C_cbar[t + 1, 0], g[2], self.h if t == last else self.z[t + 1, ..., :hidden])
-            for t, g in enumerate(self.gates)
-        )
-
-
 def init_params(hidden: int, seed: int | tuple[int, ...]) -> LstmParams:
     """Uniform fan-scaled weights, zero biases except a forget bias of one.
 
@@ -260,15 +221,6 @@ def init_params(hidden: int, seed: int | tuple[int, ...]) -> LstmParams:
             bound = math.sqrt(6.0 / sum(w.shape))
             w[...] = rng.uniform(-bound, bound, size=w.shape)
     return params if isinstance(seed, tuple) else params.firm(0)
-
-
-def _as_batch(params: LstmParams, inputs: np.ndarray) -> np.ndarray:
-    """``inputs`` as ``(batch, steps)`` after the firm axes of ``params``."""
-    lead = params.theta.shape[:-1]
-    X = np.asarray(inputs, dtype=float)
-    if X.ndim != len(lead) + 2 or X.shape[:len(lead)] != lead or X.shape[-1] < 1:
-        raise FitError(f"inputs must be {lead} + (batch, steps) with steps >= 1, got {X.shape}")
-    return X
 
 
 class _Slot(NamedTuple):
@@ -338,27 +290,33 @@ def _head(params: LstmParams, h: np.ndarray) -> np.ndarray:
 
 
 def forward_batch(
-    params: LstmParams, inputs: np.ndarray, *, work: _Workspace | None = None
-) -> tuple[np.ndarray, Tape]:
-    """Run a batch of sequences from a zero state and apply the output head.
+    params: LstmParams, inputs: np.ndarray, work: _Workspace
+) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """The fit's forward step: a batch of sequences from a zero state, then
+    the output head.
 
     ``inputs`` has shape (batch, steps), after the firm axes of stacked
     ``params``.  Returns the per-sequence predictions, ``firm axes +
-    (batch,)``, and the activation tape needed by :func:`backward_bptt`.
-    The tape is written to ``work``, the trainer's workspace, when it is
-    given, and to fresh buffers otherwise.
+    (batch,)``, and the tape that :func:`backward_bptt` reads, written to
+    ``work``.
     """
-    return _run(params, _as_batch(params, inputs), _Workspace() if work is None else work, True)
+    return _run(params, inputs, work, keep=True)
 
 
 def _run(
     params: LstmParams, X: np.ndarray, work: _Workspace, keep: bool = False
-) -> tuple[np.ndarray, Tape | None]:
-    """The predictions for the batch ``X`` (:func:`_as_batch`'s layout), and
-    its :class:`Tape` when ``keep`` is set.
+) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """The predictions for the batch ``X``, firm axes + ``(batch, steps)``,
+    and the tape ``(z, C_cbar, gates, h, predictions)``.
 
-    The buffers come from ``work``, taken once for the whole pass.  Without
-    a tape there is one step's worth of them, which every step overwrites.
+    The buffers come from ``work``, taken once for the whole pass.  With
+    ``keep`` the tape holds every step's activations, for exact BPTT:
+    ``z[t]`` is step t's ``[h, x]`` rows, ``C_cbar[t]`` its incoming cell
+    state and its ``cbar`` (``C_cbar[t + 1, 0]`` is its outgoing state,
+    ``C_cbar[0, 0]`` zero), and ``gates[t]`` its ``f, i, tanh C', o``;
+    ``h`` is the last step's hidden state, each earlier one the ``h`` part
+    of the next step's rows.  Without ``keep`` there is one step's worth of
+    buffers, which every step overwrites.
     """
     hidden, steps = params.hidden, X.shape[-1]
     state = X.shape[:-1] + (hidden,)
@@ -382,27 +340,26 @@ def _run(
         slot.x[...] = X[..., t]
         _cell(weights, slot, scratch)
     predictions = _head(params, h)
-    return predictions, (Tape(Z, C_cbar, gates, h, predictions) if keep else None)
+    return predictions, (Z, C_cbar, gates, h, predictions)
 
 
 def backward_bptt(
-    params: LstmParams, targets: np.ndarray, tape: Tape, *, work: _Workspace | None = None
+    params: LstmParams, targets: np.ndarray, tape: tuple[np.ndarray, ...], work: _Workspace
 ) -> LstmParams:
-    """Exact gradient of the batch MSE with respect to every parameter.
+    """The fit's backward step: the exact gradient of the batch MSE with
+    respect to every parameter.
 
     The gradient comes back as an :class:`LstmParams` of the same layout, one
-    per firm for a stack.  The tape must come from :func:`forward_batch` on
-    the batch the targets belong to.  The gradient and the pass's buffers are
-    taken from ``work``, the trainer's workspace, when it is given, and are
-    fresh otherwise.
+    per firm for a stack, over a buffer of ``work``, which also holds the
+    pass's other buffers.  The tape must come from :func:`forward_batch` on
+    the batch the targets belong to.
     """
-    preds = tape.predictions
+    Z, C_cbars, gates, h, preds = tape
     targets = np.asarray(targets, dtype=float)
     if targets.size != preds.size:
         raise FitError(f"tape batch shape {preds.shape} does not match {targets.shape} targets")
     targets = targets.reshape(preds.shape)
-    work = _Workspace() if work is None else work
-    hidden, state = params.hidden, tape.h.shape
+    hidden, state = params.hidden, h.shape
     grads = params.with_theta(work.take("grad", params.theta.shape))
     # the gate gradients accumulate step by step in contiguous arrays, and are
     # copied into grads' strided views once
@@ -416,11 +373,11 @@ def backward_bptt(
     dC.fill(0.0)
 
     dpred = 2.0 * (preds - targets) / preds.shape[-1]
-    grads.W_y[...] = dpred[..., None, :] @ tape.h
+    grads.W_y[...] = dpred[..., None, :] @ h
     grads.b_y[...] = dpred.sum(axis=-1, keepdims=True)
     np.multiply(dpred[..., None], params.W_y, out=dh)
-    for t in reversed(range(len(tape.z))):
-        z, C_cbar, g = tape.z[t], tape.C_cbar[t], tape.gates[t]
+    for t in reversed(range(len(Z))):
+        z, C_cbar, g = Z[t], C_cbars[t], gates[t]
         # dgate ends as df, di, dcbar and do: what each gate's value receives;
         # its row 2 holds dh * o until dC is updated
         np.multiply(dh, g[3:1:-1], out=dgate[2:])  # dh * o and do = dh * tanh_C
@@ -473,34 +430,28 @@ def adam_step(
     moments: tuple[np.ndarray, np.ndarray],
     t: int,
     cfg: TrainConfig,
-    *,
-    work: _Workspace | None = None,
-) -> tuple[LstmParams, tuple[np.ndarray, np.ndarray]]:
-    """One bias-corrected Adam update of ``theta``; returns the params and moments.
+    work: _Workspace,
+) -> None:
+    """The fit's update step: one bias-corrected Adam update of ``theta``.
 
     ``moments`` is the pair of first/second moment arrays, shaped like
-    ``theta`` and zeros before the first step.  Without ``work`` the params
-    and moments that come back are fresh.  With the trainer's workspace
-    ``work``, which also holds the update's temporaries, ``theta`` and the
-    moments, which the fit owns, are updated in place and come back.
+    ``theta`` and zeros before the first step.  ``theta`` and the moments,
+    which the fit owns, are updated in place; the update's temporaries are
+    buffers of ``work``.
     """
     if t < 1:
         raise FitError(f"Adam step counter must be >= 1, got {t}")
     g = grads.theta
     if g.shape != params.theta.shape:
         raise FitError(f"gradient has shape {g.shape}, expected {params.theta.shape}")
-    if work is None:
-        work = _Workspace()
-        theta, m, v = (np.empty_like(g) for _ in range(3))
-    else:
-        theta, (m, v) = params.theta, moments
+    m, v = moments
     step, tmp = work.take("adam_step", g.shape), work.take("adam_tmp", g.shape)
     b1, b2 = cfg.adam_beta1, cfg.adam_beta2
     # m = b1 * m + (1 - b1) * g and v = b2 * v + (1 - b2) * g * g
-    np.multiply(b1, moments[0], out=m)
+    np.multiply(b1, m, out=m)
     np.multiply(1.0 - b1, g, out=tmp)
     np.add(m, tmp, out=m)
-    np.multiply(b2, moments[1], out=v)
+    np.multiply(b2, v, out=v)
     np.multiply(1.0 - b2, g, out=tmp)
     np.multiply(tmp, g, out=tmp)
     np.add(v, tmp, out=v)
@@ -511,8 +462,7 @@ def adam_step(
     np.sqrt(tmp, out=tmp)
     np.add(tmp, cfg.adam_eps, out=tmp)
     np.divide(step, tmp, out=step)
-    np.subtract(params.theta, step, out=theta)
-    return (params if theta is params.theta else params.with_theta(theta)), (m, v)
+    np.subtract(params.theta, step, out=params.theta)
 
 
 @dataclass(frozen=True)
@@ -572,6 +522,8 @@ def train_early_stopping(
     val_x = np.asarray(val_inputs, dtype=float)
     if train_x.ndim != 3 or train_x.shape[:-1] != train_y.shape:
         raise FitError(f"inputs {train_x.shape} do not match targets {train_y.shape}")
+    if train_x.shape[-1] < 1:
+        raise FitError(f"windows must have steps >= 1, got inputs {train_x.shape}")
     if val_x.shape != val_y.shape + train_x.shape[-1:]:
         raise FitError(f"validation inputs {val_x.shape} do not match validation targets "
                        f"{val_y.shape} and {train_x.shape[-1]}-step training windows")
@@ -595,14 +547,13 @@ def train_early_stopping(
         epoch_sse = 0.0
         for start in range(0, n, cfg.batch_size):
             batch_y = epoch_y[..., start:start + cfg.batch_size]
-            preds, tape = forward_batch(
-                params, epoch_x[..., start:start + cfg.batch_size, :], work=work
-            )
-            grads = backward_bptt(params, batch_y, tape, work=work)
+            batch_x = epoch_x[..., start:start + cfg.batch_size, :]
+            preds, tape = forward_batch(params, batch_x, work)
+            grads = backward_bptt(params, batch_y, tape, work)
             if cfg.clip_norm is not None:
                 grads = _clipped(grads, cfg.clip_norm)
             step += 1
-            params, moments = adam_step(params, grads, moments, step, cfg, work=work)
+            adam_step(params, grads, moments, step, cfg, work)
             epoch_sse = epoch_sse + ((preds - batch_y) ** 2).sum(axis=-1)
         val_mae = _validation_mae(params, val_x, val_y)
         train_mse = epoch_sse / n
@@ -634,8 +585,8 @@ def train_early_stopping(
 def predict_lstm(params: LstmParams, windows: np.ndarray) -> float | np.ndarray:
     """Forward pass of one window, or of many, that keeps no activations.
 
-    One window, ``(steps,)``, gives a float and equals
-    ``forward_batch(params, window[None])[0][0]`` bit for bit.  Otherwise
+    One window, ``(steps,)``, gives a float and equals the fit's forward
+    pass on the one-row batch ``window[None]`` bit for bit.  Otherwise
     ``windows`` is the firm axes of ``params`` (none for unstacked ones), then
     any batch axes, then ``steps``, and the result has the shape of those
     leading axes.  Every window runs as its own one-row batch, so each

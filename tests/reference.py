@@ -14,11 +14,17 @@ from moecast.lstm_expert import (
     LstmParams,
     _clipped,
     _sigmoid,
+    _Workspace,
     adam_step,
     backward_bptt,
     forward_batch,
     init_params,
 )
+
+
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    """``lstm_expert``'s logistic function of ``x``, into fresh arrays."""
+    return _sigmoid(x, np.empty_like(x), (np.empty_like(x), np.empty_like(x)))
 
 
 def cell_step(
@@ -35,11 +41,11 @@ def cell_step(
     if h.shape != (params.hidden,) or C.shape != (params.hidden,):
         raise FitError("state vectors do not match the hidden size")
     z = np.concatenate([h, x_t])
-    f = _sigmoid(params.W_f @ z + params.b_f)
-    i = _sigmoid(params.W_i @ z + params.b_i)
+    f = sigmoid(params.W_f @ z + params.b_f)
+    i = sigmoid(params.W_i @ z + params.b_i)
     cbar = np.tanh(params.W_C @ z + params.b_C)
     C_new = f * C + i * cbar
-    o = _sigmoid(params.W_o @ z + params.b_o)
+    o = sigmoid(params.W_o @ z + params.b_o)
     return o * np.tanh(C_new), C_new
 
 
@@ -83,8 +89,8 @@ def aggregate_stratified(records) -> dict:
 def train_early_stopping(train_x, train_y, val_x, val_y, cfg, seeds, hidden):
     """The early-stopping fit of ``lstm_expert.train_early_stopping``, one firm at a time.
 
-    A plain loop over the public ``forward_batch``, ``backward_bptt`` and
-    ``adam_step`` (and the trainer's ``_clipped``), each called without a
+    A plain loop over the trainer's steps ``forward_batch``, ``backward_bptt``
+    and ``adam_step`` (and its ``_clipped``), each called with a new
     workspace, so every step works on fresh arrays.  Each firm trains as a
     stack of one: its own shuffle per ``(seed, epoch)``, the same mini-batch
     partition (the trailing partial batch included), validation as one batch
@@ -104,14 +110,16 @@ def train_early_stopping(train_x, train_y, val_x, val_y, cfg, seeds, hidden):
             sse = 0.0
             for start in range(0, n, cfg.batch_size):
                 batch_y = ey[:, start:start + cfg.batch_size]
-                preds, tape = forward_batch(params, ex[:, start:start + cfg.batch_size])
-                grads = backward_bptt(params, batch_y, tape)
+                batch_x = ex[:, start:start + cfg.batch_size]
+                preds, tape = forward_batch(params, batch_x, _Workspace())
+                grads = backward_bptt(params, batch_y, tape, _Workspace())
                 if cfg.clip_norm is not None:
                     grads = _clipped(grads, cfg.clip_norm)
                 step += 1
-                params, moments = adam_step(params, grads, moments, step, cfg)
+                adam_step(params, grads, moments, step, cfg, _Workspace())
                 sse = sse + ((preds - batch_y) ** 2).sum(axis=-1)
-            val_mae = float(np.abs(forward_batch(params, vx)[0] - vy).mean(axis=-1)[0])
+            val_preds = forward_batch(params, vx, _Workspace())[0]
+            val_mae = float(np.abs(val_preds - vy).mean(axis=-1)[0])
             if val_mae < best_mae:
                 best, best_mae, since = params.theta.copy(), val_mae, 0
             else:

@@ -29,6 +29,7 @@ from moecast.linear_expert import fit_ols
 from moecast.lstm_expert import (
     PARAM_FIELDS,
     TrainConfig,
+    _Workspace,
     backward_bptt,
     forward_batch,
     init_params,
@@ -85,11 +86,11 @@ def test_criterion_1_gradient_correctness():
         params = init_params(hidden=4, seed=17)
         inputs = rng.normal(size=(3, 5))
         targets = rng.normal(size=3)
-        _, tape = forward_batch(params, inputs)
-        analytic = backward_bptt(params, targets, tape)
+        _, tape = forward_batch(params, inputs, _Workspace())
+        analytic = backward_bptt(params, targets, tape, _Workspace())
 
         def batch_loss():
-            preds, _ = forward_batch(params, inputs)
+            preds, _ = forward_batch(params, inputs, _Workspace())
             return loss_mse(preds, targets)
 
         step = 1e-5
@@ -125,9 +126,9 @@ def test_criterion_2_ols_exactness():
             beta_true = rng.normal(size=3) * np.array([10.0, 0.05, 20.0])
             X = np.column_stack([np.ones(n), t, sigma])
             y = X @ beta_true
-            report = fit_ols(t, sigma, y)
-            assert np.abs(astuple(report.params) - beta_true).max() < 1e-8
-            resid = y - X @ astuple(report.params)
+            params, _ = fit_ols(t, sigma, y)
+            assert np.abs(astuple(params) - beta_true).max() < 1e-8
+            resid = y - X @ astuple(params)
             assert np.abs(X.T @ resid).max() < 1e-8 * np.linalg.norm(y)
         elapsed = time.monotonic() - started
         assert elapsed < 1.0, f"OLS check took {elapsed:.2f}s"

@@ -20,15 +20,15 @@ class TestFitOls:
         rng = np.random.default_rng(0)
         t, sigma = random_problem(rng)
         y = 2.0 + 3.0 * t + 0.0 * sigma
-        report = fit_ols(t, sigma, y)
-        np.testing.assert_allclose(astuple(report.params), [2.0, 3.0, 0.0], atol=1e-8)
+        params, _ = fit_ols(t, sigma, y)
+        np.testing.assert_allclose(astuple(params), [2.0, 3.0, 0.0], atol=1e-8)
 
     def test_constant_target(self):
         rng = np.random.default_rng(1)
         t, sigma = random_problem(rng, n=20)
-        report = fit_ols(t, sigma, np.full(20, 7.5))
-        np.testing.assert_allclose(astuple(report.params), [7.5, 0.0, 0.0], atol=1e-8)
-        assert report.rss == pytest.approx(0.0, abs=1e-12)
+        params, rss = fit_ols(t, sigma, np.full(20, 7.5))
+        np.testing.assert_allclose(astuple(params), [7.5, 0.0, 0.0], atol=1e-8)
+        assert rss == pytest.approx(0.0, abs=1e-12)
 
     def test_random_coefficients_recovered(self):
         # oracle: construct y from known coefficients, then demand recovery
@@ -37,17 +37,17 @@ class TestFitOls:
             t, sigma = random_problem(rng, n=30)
             beta_true = rng.normal(size=3) * np.array([5.0, 0.1, 10.0])
             y = beta_true[0] + beta_true[1] * t + beta_true[2] * sigma
-            report = fit_ols(t, sigma, y)
-            np.testing.assert_allclose(astuple(report.params), beta_true, atol=1e-8)
+            params, _ = fit_ols(t, sigma, y)
+            np.testing.assert_allclose(astuple(params), beta_true, atol=1e-8)
 
     def test_residual_orthogonality(self):
         rng = np.random.default_rng(3)
         for trial in range(10):
             t, sigma = random_problem(rng, n=60, t_scale=300.0)
             y = rng.normal(size=60) * 2.0 + 0.01 * t
-            report = fit_ols(t, sigma, y)
+            params, _ = fit_ols(t, sigma, y)
             X = np.column_stack([np.ones(60), t, sigma])
-            resid = y - X @ astuple(report.params)
+            resid = y - X @ astuple(params)
             assert np.abs(X.T @ resid).max() < 1e-8 * np.linalg.norm(y)
 
     def test_agrees_with_lstsq_oracle(self):
@@ -55,7 +55,7 @@ class TestFitOls:
         for trial in range(10):
             t, sigma = random_problem(rng, n=50)
             y = rng.normal(size=50)
-            mine = astuple(fit_ols(t, sigma, y).params)
+            mine = astuple(fit_ols(t, sigma, y)[0])
             X = np.column_stack([np.ones(50), t, sigma])
             reference = np.linalg.lstsq(X, y, rcond=None)[0]
             np.testing.assert_allclose(mine, reference, rtol=1e-6, atol=1e-9)
@@ -84,8 +84,8 @@ class TestFitOls:
         rng = np.random.default_rng(5)
         t, sigma = random_problem(rng, n=25)
         y = rng.normal(size=25)
-        base = fit_ols(t, sigma, y).params
-        shifted = fit_ols(t, sigma, y + 11.5).params
+        base, _ = fit_ols(t, sigma, y)
+        shifted, _ = fit_ols(t, sigma, y + 11.5)
         assert shifted.beta0 - base.beta0 == pytest.approx(11.5, abs=1e-8)
         assert shifted.beta1 == pytest.approx(base.beta1, abs=1e-8)
         assert shifted.beta2 == pytest.approx(base.beta2, abs=1e-8)
@@ -94,13 +94,12 @@ class TestFitOls:
         rng = np.random.default_rng(6)
         t, sigma = random_problem(rng, n=30)
         y = 1.0 + 0.02 * t + 3.0 * sigma + rng.normal(0, 0.1, size=30)
-        report = fit_ols(t, sigma, y)
-        p = report.params
+        p, rss = fit_ols(t, sigma, y)
         t2 = np.append(t, t[-1] + 5.0)
         s2 = np.append(sigma, 0.03)
         y2 = np.append(y, predict_linear(p, t[-1] + 5.0, 0.03))
-        report2 = fit_ols(t2, s2, y2)
-        assert report2.rss <= report.rss + 1e-9
+        _, rss2 = fit_ols(t2, s2, y2)
+        assert rss2 <= rss + 1e-9
 
 
 class TestPredictLinear:
@@ -116,6 +115,6 @@ class TestPredictLinear:
         rng = np.random.default_rng(7)
         t, sigma = random_problem(rng, n=15)
         y = -2.0 + 0.5 * t + 4.0 * sigma
-        p = fit_ols(t, sigma, y).params
+        p, _ = fit_ols(t, sigma, y)
         preds = np.array([predict_linear(p, tk, sk) for tk, sk in zip(t, sigma)])
         np.testing.assert_allclose(preds, y, atol=1e-8)
