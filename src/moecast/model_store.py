@@ -49,24 +49,26 @@ def _typed(record: dict, name: str, kind: type):
     return value
 
 
-def _floats(record: dict, name: str, count: int) -> list[float]:
-    """``record[name]``, which must be a list of ``count`` floats, no int or bool."""
+def _items(record: dict, name: str, kind: type, count: int | None = None) -> list:
+    """``record[name]``, which must be a list of ``kind`` values, ``count`` of
+    them when given; no other type passes, so no int or bool for a float."""
     value = record[name]
-    if not (isinstance(value, list) and len(value) == count
-            and all(type(v) is float for v in value)):
-        raise TypeError(f"{name} must be {count} floats, got {value!r}")
+    if not (isinstance(value, list) and count in (None, len(value))
+            and all(type(v) is kind for v in value)):
+        size = "" if count is None else f"{count} "
+        raise TypeError(f"{name} must be a list of {size}{kind.__name__}, got {value!r}")
     return value
 
 
 def _experts_from_entry(entry: dict, archive, read: bool) -> tuple[LstmParams | None, LinearParams]:
     """The entry's experts.  Its LSTM's members must exist either way, but
     they are read only if ``read``; else the LSTM is None."""
-    members = {name: f"a{entry['lstm'][name]}" for name in PARAM_FIELDS}
+    members = {name: f"a{_typed(entry['lstm'], name, int)}" for name in PARAM_FIELDS}
     for member in members.values():
         if member not in archive:
             raise KeyError(f"{member} is not a file in the archive")
     lstm = LstmParams.from_arrays({n: archive[m] for n, m in members.items()}) if read else None
-    return lstm, LinearParams(*_floats(entry, "linear", 3))
+    return lstm, LinearParams(*_items(entry, "linear", float, 3))
 
 
 @dataclass
@@ -162,7 +164,7 @@ class ModelStore:
             fm = FoldModels(
                 lstm=lstm,
                 linear=linear,
-                scaler=Scaler(*_floats(entry, "scaler", 2)),
+                scaler=Scaler(*_items(entry, "scaler", float, 2)),
                 sigma=_typed(entry, "sigma", float),
                 regime=RegimeLabel(entry["regime"]),
                 launch_t=_typed(entry, "launch_t", int),
@@ -180,7 +182,7 @@ class ModelStore:
                 lstm=lstm,
                 linear=linear,
                 launch_t=_typed(pe, "launch_t", int),
-                training_tickers=tuple(pe["training_tickers"]),
+                training_tickers=tuple(_items(pe, "training_tickers", str)),
                 decision_sigma=(None if pe["decision_sigma"] is None
                                 else _typed(pe, "decision_sigma", float)),
             )

@@ -24,6 +24,12 @@ from test_evaluation import fast_settings, small_policy
 from test_golden import GOLDEN_CONFIG
 
 
+# the manifest entry of a well-formed pooled fit whose LSTM is arrays a0..a9
+POOLED_ENTRY = {"lstm": {name: k for k, name in enumerate(PARAM_FIELDS)},
+                "linear": [0.0, 0.0, 0.0], "launch_t": 40,
+                "training_tickers": ["STB02", "VOL02"], "decision_sigma": None}
+
+
 class TestParseConfig:
     def test_empty_text_gives_published_defaults(self):
         config = parse_config_text("")
@@ -573,14 +579,25 @@ class TestCli:
                  "launch_t": 40, "window": 5, "mode": "price_levels"},
             ]},
             [1, 2],
+            # a pooled entry that would load but for one field; the archive
+            # holds the ten arrays of its hidden-3 LSTM
+            {"version": 1, "fingerprint": "f" * 64, "entries": [],
+             "pooled": dict(POOLED_ENTRY, training_tickers="STB02VOL02")},
+            {"version": 1, "fingerprint": "f" * 64, "entries": [],
+             "pooled": dict(POOLED_ENTRY, training_tickers=[1, 2])},
+            {"version": 1, "fingerprint": "f" * 64, "entries": [],
+             "pooled": dict(POOLED_ENTRY, lstm=dict(POOLED_ENTRY["lstm"], W_f="0"))},
         ],
-        ids=["no_entries", "entry_without_lstm", "json_list"],
+        ids=["no_entries", "entry_without_lstm", "json_list", "training_tickers_a_string",
+             "training_tickers_ints", "member_index_a_string"],
     )
     def test_malformed_manifest_fails_naming_the_path(self, cli_workspace, capsys, manifest):
         cfg, _, reports = cli_workspace
         reports.mkdir()
         store = reports / f"models_{parse_config(cfg).short_fingerprint}.npz"
-        np.savez(store, manifest=np.array(json.dumps(manifest)))
+        shapes = [(3, 4)] * 4 + [(3,)] * 4 + [(1, 3), (1,)]
+        np.savez(store, manifest=np.array(json.dumps(manifest)),
+                 **{f"a{k}": np.zeros(shape) for k, shape in enumerate(shapes)})
         with pytest.raises(DataError, match="cannot read model store"):
             ModelStore.load(store)
         code = main(["--config", str(cfg), "forecast", "--ticker", "STB01", "--horizon", "3"])
