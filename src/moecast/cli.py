@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import sys
 from pathlib import Path
 
@@ -21,7 +22,6 @@ from .evaluation import (
     holdout_models,
     plan_walk_forward,
     run_walk_forward,
-    HoldoutSpec,
 )
 from .market_data import PriceSeries, generate_synthetic, load_csv, write_csv
 from .model_store import ModelStore
@@ -94,32 +94,30 @@ def cmd_classify(config: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def _select_holdout(
-    universe: dict[str, PriceSeries], config: RunConfig
-) -> tuple[dict[str, PriceSeries], HoldoutSpec | None]:
+def _select_holdout(universe: dict[str, PriceSeries], config: RunConfig) -> tuple[str, ...]:
+    """The ``holdout.k`` most and ``holdout.k`` least volatile firms, none when it is 0."""
     k = config["holdout.k"]
     if k == 0:
-        return dict(universe), None
+        return ()
     policy = config.policy_for_backtest()
     # the defined entries' own mean: np.nanmean sums other blocks and can round differently
     mean_sigma = {
         ticker: float(policy.volatility(series)[policy.vol_window - 1:].mean())
         for ticker, series in universe.items()
     }
-    top, bottom = rank_by_volatility(mean_sigma, k)
-    holdout = HoldoutSpec(volatile_holdout=tuple(top), stable_holdout=tuple(bottom))
-    train = {t: s for t, s in universe.items() if t not in set(holdout.tickers)}
-    if not train:
+    top, bottom = rank_by_volatility(mean_sigma, k)  # which rejects 2k > firms
+    if 2 * k == len(universe):
         raise ConfigError(f"holdout.k={k} leaves no firms to train on")
-    return train, holdout
+    return tuple(top + bottom)
 
 
 def cmd_backtest(config: RunConfig, args: argparse.Namespace) -> int:
     universe = _load_universe(config)
     settings = config.backtest_settings()
     policy = config.policy_for_backtest()
-    train_universe, holdout = _select_holdout(universe, config)
-    n = min(len(s) - settings.mode.offset for s in train_universe.values())
+    holdout = _select_holdout(universe, config)
+    train = [s for t, s in universe.items() if t not in holdout]
+    n = min(len(s) - settings.mode.offset for s in train)
     plan = plan_walk_forward(
         n, config["wf.init_train"], config["wf.val_len"], config["wf.step"],
         config.train_mode(),
@@ -141,11 +139,11 @@ def cmd_backtest(config: RunConfig, args: argparse.Namespace) -> int:
     with _writing(store_path):
         store.save(store_path)
 
-    print(f"backtest: {len(train_universe)} firms, {len(plan)} folds, "
+    print(f"backtest: {len(train)} firms, {len(plan)} folds, "
           f"{len(result.records)} metric records")
-    if holdout is not None:
-        print(f"holdout: {len(holdout.volatile_holdout)} volatile + "
-              f"{len(holdout.stable_holdout)} stable firms")
+    if holdout:
+        k = config["holdout.k"]
+        print(f"holdout: {k} volatile + {k} stable firms")
     for path in (config_path, records_path, predictions_path, store_path):
         print(f"wrote {path}")
     return 0
@@ -258,9 +256,18 @@ def main(argv: list[str] | None = None) -> int:
             config = parse_config(args.config, seed_override=args.seed)
         else:
             config = parse_config_text("", seed_override=args.seed)
-        return args.run(config, args)
+        code = args.run(config, args)
+        # a closed stdout shows here, and not in the flush at exit
+        sys.stdout.flush()
+        return code
     except MoecastError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader closed stdout (``moecast forecast ... | head``): point it
+        # at devnull, as the Python signal docs advise, so that the flush at
+        # exit raises nothing more
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

@@ -68,7 +68,6 @@ __all__ = [
     "HorizonSpec",
     "MetricRecord",
     "CellStats",
-    "HoldoutSpec",
     "BacktestSettings",
     "FoldModels",
     "PredictionPoint",
@@ -77,7 +76,6 @@ __all__ = [
     "mse",
     "mae",
     "rmse",
-    "mase",
     "improvement_pct",
     "plan_walk_forward",
     "recursive_forecast",
@@ -128,21 +126,6 @@ def mae(predictions, targets) -> float:
 
 def rmse(predictions, targets) -> float:
     return math.sqrt(mse(predictions, targets))
-
-
-def _naive_mae(train_targets) -> float:
-    """The in-sample one-step naive MAE of the training targets, ``mean(|diff(train)|)``."""
-    train = np.asarray(train_targets, dtype=float).reshape(-1)
-    if train.size < 2:
-        raise EvaluationError(f"mase needs at least 2 training targets, got {train.size}")
-    return float(np.abs(np.diff(train)).mean())
-
-
-def mase(predictions, targets, train_targets) -> float | None:
-    """MAE scaled by the in-sample one-step naive MAE of the training targets;
-    None when that is 0 (constant training targets)."""
-    denom = _naive_mae(train_targets)
-    return mae(predictions, targets) / denom if denom > 0 else None
 
 
 def improvement_pct(candidate: float, baseline: float) -> float:
@@ -411,23 +394,6 @@ def aggregate_stratified(
     return cells
 
 
-@dataclass(frozen=True)
-class HoldoutSpec:
-    """Firms excluded from every fold and scored only in the final phase."""
-
-    volatile_holdout: tuple[str, ...]
-    stable_holdout: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        overlap = set(self.volatile_holdout) & set(self.stable_holdout)
-        if overlap:
-            raise EvaluationError(f"holdout lists overlap: {sorted(overlap)}")
-
-    @property
-    def tickers(self) -> tuple[str, ...]:
-        return tuple(self.volatile_holdout) + tuple(self.stable_holdout)
-
-
 # ---------------------------------------------------------------------------
 # the per-fold pipeline
 
@@ -524,8 +490,12 @@ class _FoldFirmData:
 
     @functools.cached_property
     def naive_mae(self) -> float:
-        """The denominator of every MASE this firm's validation scores."""
-        return _naive_mae(self.targets[:self.train_rows])
+        """The denominator of every MASE this firm's validation scores: the
+        in-sample one-step naive MAE of the training targets, ``mean(|diff|)``."""
+        train = self.targets[:self.train_rows]
+        if train.size < 2:
+            raise EvaluationError(f"mase needs at least 2 training targets, got {train.size}")
+        return float(np.abs(np.diff(train)).mean())
 
     def models(
         self, lstm: LstmParams, linear: LinearParams, regime: RegimeLabel, mode: WindowMode
@@ -785,7 +755,7 @@ def run_walk_forward(
     plan: Sequence[FoldSpec],
     policy: RegimePolicy,
     settings: BacktestSettings,
-    holdout: HoldoutSpec | None = None,
+    holdout: Sequence[str] = (),
 ) -> WalkForwardResult:
     """Re-train, re-classify, and score every firm inside every fold, then
     score the holdout firms, if any, against pooled experts.
@@ -799,10 +769,10 @@ def run_walk_forward(
     from ``(settings.seed, ticker, fold)``, so reruns are bit-identical.
     With a holdout, :func:`fit_pooled_experts` fits the walk-forward firms
     up to the last fold's validation start and :func:`run_holdout` scores
-    the held-out firms.  A plan with no folds is an :class:`EvaluationError`.
-    Every firm, held out or not, must carry the first walk-forward firm's
-    dates up to the plan's end (or its own), else :class:`DataError`; firms
-    are never re-aligned.
+    the held-out firms; an empty ``holdout`` runs no pooled fit.  A plan
+    with no folds is an :class:`EvaluationError`.  Every firm, held out or
+    not, must carry the first walk-forward firm's dates up to the plan's
+    end (or its own), else :class:`DataError`; firms are never re-aligned.
 
     Every fold, and the pooled fit with its holdout scoring, reads only its
     own inputs, so each is one task of :func:`_in_parallel`: they run on up
@@ -812,7 +782,7 @@ def run_walk_forward(
     """
     if not plan:
         raise EvaluationError("the plan has no folds")
-    excluded = set(holdout.tickers) if holdout is not None else set()
+    excluded = set(holdout)
     train = {t: s for t, s in universe.items() if t not in excluded}
     if not train:
         raise EvaluationError("universe is empty")
@@ -838,7 +808,7 @@ def run_walk_forward(
     tasks = [functools.partial(_run_fold, train, fold, policy, settings) for fold in plan]
     # a task's cost is its training observations times its firms
     costs = [len(fold.train_range) * len(train) for fold in plan]
-    if holdout is not None:
+    if holdout:
         launch_t = plan[-1].val_range.start
 
         def pooled_phase() -> WalkForwardResult:
@@ -936,7 +906,7 @@ def holdout_models(
 
 def run_holdout(
     universe: Mapping[str, PriceSeries],
-    holdout: HoldoutSpec,
+    holdout: Sequence[str],
     experts: PooledExperts,
     policy: RegimePolicy,
     settings: BacktestSettings,
@@ -946,11 +916,15 @@ def run_holdout(
     Each holdout firm is standardized by its own pre-launch scaler, labelled
     against the frozen decision boundary, and scored on recursive forecasts
     launched at the shared launch index.  Model parameters are never touched.
+    A ticker named twice is an :class:`EvaluationError`.
     """
-    overlap = set(holdout.tickers) & set(experts.training_tickers)
+    tickers = sorted(holdout)
+    repeated = sorted(t for t in set(tickers) if tickers.count(t) > 1)
+    if repeated:
+        raise EvaluationError(f"holdout tickers repeat: {repeated}")
+    overlap = set(tickers) & set(experts.training_tickers)
     if overlap:
         raise EvaluationError(f"holdout firms overlap the training universe: {sorted(overlap)}")
-    tickers = sorted(holdout.tickers)
     for ticker in tickers:
         if ticker not in universe:
             raise EvaluationError(f"holdout ticker {ticker} missing from the universe")

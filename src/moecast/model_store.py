@@ -171,6 +171,10 @@ class ModelStore:
                 window=_typed(entry, "window", int),
                 mode=WindowMode(entry["mode"]),
             )
+            # a forecast launches at launch_t from the window values before it
+            if not 1 <= fm.window <= fm.launch_t:
+                raise ValueError(f"window must lie in [1, launch_t={fm.launch_t}], "
+                                 f"got {fm.window}")
             if key in keep:
                 fold_models[key] = fm
         pooled = None
@@ -186,6 +190,8 @@ class ModelStore:
                 decision_sigma=(None if pe["decision_sigma"] is None
                                 else _typed(pe, "decision_sigma", float)),
             )
+            if pooled.launch_t < 1:
+                raise ValueError(f"pooled launch_t must be >= 1, got {pooled.launch_t}")
             pooled = pooled if read else None
         return cls(_typed(manifest, "fingerprint", str), fold_models, pooled)
 

@@ -46,12 +46,6 @@ class GateWeights:
         if abs(self.w_rnn + self.w_lm - 1.0) > WEIGHT_SUM_TOL:
             raise EvaluationError(f"gate weights must sum to 1, got {self}")
 
-    @classmethod
-    def from_rnn_weight(cls, w_rnn: float) -> "GateWeights":
-        if not 0.0 <= w_rnn <= 1.0:
-            raise EvaluationError(f"w_rnn must lie in [0, 1], got {w_rnn}")
-        return cls(w_rnn, 1.0 - w_rnn)
-
 
 def gate_for_regime(
     regime: RegimeLabel,
@@ -69,7 +63,7 @@ def gate_for_regime(
     other = RegimeLabel.STABLE if regime is RegimeLabel.VOLATILE else RegimeLabel.VOLATILE
     if other in table and abs(table[regime] + table[other] - 1.0) <= WEIGHT_SUM_TOL:
         return GateWeights(w_rnn, table[other])
-    return GateWeights.from_rnn_weight(w_rnn)
+    return GateWeights(w_rnn, 1.0 - w_rnn)
 
 
 def combine(expert_preds: Iterable[tuple[float, float]]) -> float:

@@ -3,6 +3,8 @@
 import json
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +30,10 @@ from test_golden import GOLDEN_CONFIG
 POOLED_ENTRY = {"lstm": {name: k for k, name in enumerate(PARAM_FIELDS)},
                 "linear": [0.0, 0.0, 0.0], "launch_t": 40,
                 "training_tickers": ["STB02", "VOL02"], "decision_sigma": None}
+FOLD_ENTRY = {"ticker": "STB01", "fold": 0, "linear": [0.0, 0.0, 0.0],
+              "scaler": [0.0, 1.0], "sigma": 0.01, "regime": "Stable",
+              "launch_t": 40, "window": 1, "mode": "price_levels",
+              "lstm": {name: k for k, name in enumerate(PARAM_FIELDS)}}
 
 
 class TestParseConfig:
@@ -394,6 +400,27 @@ class TestCli:
         fp = parse_config(cfg).short_fingerprint
         assert {f"models_{fp}.npz", f"records_{fp}.csv", f"predictions_{fp}.csv"} <= set(forked[1])
 
+    def test_a_closed_stdout_exits_1_without_a_traceback(self, cli_workspace):
+        # ``moecast forecast ... | head -n 1``: the reader leaves after one line,
+        # long before the forecast's rows fill the pipe
+        cfg, _, _ = cli_workspace
+        assert main(["--config", str(cfg), "synth"]) == 0
+        assert main(["--config", str(cfg), "backtest"]) == 0
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "moecast.cli", "--config", str(cfg),
+             "forecast", "--ticker", "STB01", "--horizon", "3000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 1
+        assert b"Traceback" not in err and b"Exception ignored" not in err
+        assert err.count(b"error: ") <= 1
+
     def test_forecast_without_store_fails(self, cli_workspace, capsys):
         cfg, _, _ = cli_workspace
         code = main(["--config", str(cfg), "forecast", "--ticker", "STB01", "--horizon", "3"])
@@ -587,9 +614,18 @@ class TestCli:
              "pooled": dict(POOLED_ENTRY, training_tickers=[1, 2])},
             {"version": 1, "fingerprint": "f" * 64, "entries": [],
              "pooled": dict(POOLED_ENTRY, lstm=dict(POOLED_ENTRY["lstm"], W_f="0"))},
+            # well typed, but a forecast would launch before the series starts
+            {"version": 1, "fingerprint": "f" * 64, "pooled": None,
+             "entries": [dict(FOLD_ENTRY, launch_t=-7)]},
+            # a window longer than the values before the launch
+            {"version": 1, "fingerprint": "f" * 64, "pooled": None,
+             "entries": [dict(FOLD_ENTRY, launch_t=120, window=200)]},
+            {"version": 1, "fingerprint": "f" * 64, "entries": [],
+             "pooled": dict(POOLED_ENTRY, launch_t=-7)},
         ],
         ids=["no_entries", "entry_without_lstm", "json_list", "training_tickers_a_string",
-             "training_tickers_ints", "member_index_a_string"],
+             "training_tickers_ints", "member_index_a_string", "launch_t_negative",
+             "window_past_launch_t", "pooled_launch_t_negative"],
     )
     def test_malformed_manifest_fails_naming_the_path(self, cli_workspace, capsys, manifest):
         cfg, _, reports = cli_workspace

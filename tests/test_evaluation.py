@@ -15,7 +15,6 @@ from moecast import evaluation, lstm_expert
 from moecast.errors import DataError, EvaluationError, FitError
 from moecast.evaluation import (
     BacktestSettings,
-    HoldoutSpec,
     HorizonSpec,
     MetricRecord,
     TrainMode,
@@ -27,7 +26,6 @@ from moecast.evaluation import (
     linear_one_step,
     lstm_one_step,
     mae,
-    mase,
     moe_one_step,
     mse,
     plan_walk_forward,
@@ -100,24 +98,6 @@ class TestMetrics:
     def test_length_mismatch(self):
         with pytest.raises(EvaluationError):
             mse([1.0], [1.0, 2.0])
-
-    def test_mase_perfect_is_zero(self):
-        assert mase([1.0, 2.0], [1.0, 2.0], [0.0, 1.0, 3.0]) == 0.0
-
-    def test_mase_naive_forecast_is_about_one(self):
-        # a one-step naive forecast on a series with the same step scale as
-        # the training targets scores close to 1 by construction
-        rng = np.random.default_rng(0)
-        train = np.cumsum(rng.normal(0, 1.0, size=2000))
-        future = np.cumsum(rng.normal(0, 1.0, size=2000)) + train[-1]
-        naive_preds = np.concatenate([[train[-1]], future[:-1]])
-        value = mase(naive_preds, future, train)
-        assert 0.8 < value < 1.2
-
-    def test_mase_constant_training_targets_is_none(self):
-        assert mase([1.0], [2.0], [5.0, 5.0, 5.0]) is None
-        with pytest.raises(EvaluationError):
-            mase([1.0], [2.0], [5.0])
 
 
 class TestImprovementPct:
@@ -405,8 +385,8 @@ class TestRunWalkForward:
         assert len(result.predictions) == 3 * 10
 
     def test_a_plan_with_no_folds_is_rejected_first(self, tiny_universe):
-        holdout = HoldoutSpec(volatile_holdout=(sorted(tiny_universe)[-1],), stable_holdout=())
-        for universe, spec in itertools.product((tiny_universe, {}), (None, holdout)):
+        holdout = (sorted(tiny_universe)[-1],)
+        for universe, spec in itertools.product((tiny_universe, {}), ((), holdout)):
             with pytest.raises(EvaluationError, match="^the plan has no folds$"):
                 run_walk_forward(universe, (), small_policy(), fast_settings(), spec)
 
@@ -525,7 +505,7 @@ class TestCalendarAlignment:
     def test_a_misaligned_holdout_firm_is_rejected(self, pooled_setup):
         universe, holdout, _, policy, settings = pooled_setup
         plan = plan_walk_forward(60, 40, 10, 10)
-        ticker = holdout.tickers[0]
+        ticker = holdout[0]
         series = universe[ticker]
         dates = series.dates.copy()
         dates[30:] += 1
@@ -549,8 +529,8 @@ def pooled_setup():
     universe = generate_synthetic(
         SyntheticSpec(n_stable=3, n_volatile=3, length=60), seed=11
     )
-    holdout = HoldoutSpec(volatile_holdout=("VOL03",), stable_holdout=("STB03",))
-    train = {t: s for t, s in universe.items() if t not in holdout.tickers}
+    holdout = ("VOL03", "STB03")
+    train = {t: s for t, s in universe.items() if t not in holdout}
     settings = fast_settings(horizons=HorizonSpec((2, 3)))
     policy = small_policy()
     experts = fit_pooled_experts(train, policy, settings, launch_t=50)
@@ -584,7 +564,7 @@ class TestHoldout:
 
     def test_empty_holdout_empty_records(self, pooled_setup):
         universe, _, experts, policy, settings = pooled_setup
-        records = run_holdout(universe, HoldoutSpec((), ()), experts, policy, settings)
+        records = run_holdout(universe, (), experts, policy, settings)
         assert records == ()
 
     def test_holdout_never_mutates_parameters(self, pooled_setup):
@@ -596,9 +576,13 @@ class TestHoldout:
 
     def test_overlap_rejected(self, pooled_setup):
         universe, _, experts, policy, settings = pooled_setup
-        overlap = HoldoutSpec(volatile_holdout=("VOL01",), stable_holdout=())
         with pytest.raises(EvaluationError):
-            run_holdout(universe, overlap, experts, policy, settings)
+            run_holdout(universe, ("VOL01",), experts, policy, settings)
+
+    def test_a_repeated_ticker_is_rejected(self, pooled_setup):
+        universe, holdout, experts, policy, settings = pooled_setup
+        with pytest.raises(EvaluationError, match=r"^holdout tickers repeat: \['VOL03'\]$"):
+            run_holdout(universe, (*holdout, "VOL03"), experts, policy, settings)
 
     def test_empty_horizons_give_no_records(self, pooled_setup):
         universe, holdout, experts, policy, settings = pooled_setup
@@ -607,7 +591,7 @@ class TestHoldout:
 
     def test_a_constant_pre_launch_series_stores_no_mase(self, pooled_setup):
         universe, holdout, experts, policy, settings = pooled_setup
-        ticker = holdout.stable_holdout[0]
+        ticker = "STB03"
         series = universe[ticker]
         prices = series.prices.copy()
         prices[:experts.launch_t] = 100.0  # every training target is the same value
@@ -615,6 +599,35 @@ class TestHoldout:
         records = run_holdout(flat, holdout, experts, policy, settings)
         assert [r.mase for r in records if r.ticker == ticker] == [None] * 6
         assert all(r.mase is not None for r in records if r.ticker != ticker)
+
+    def test_every_record_scales_its_mae_by_the_naive_mae(self, pooled_setup):
+        # a record's mase is its mae over mean(|diff|) of the firm's
+        # standardized training targets, and None where that mean is 0
+        universe, holdout, _, policy, settings = pooled_setup
+        plan = plan_walk_forward(60, 40, 10, 10)
+        launch_t = plan[-1].val_range.start
+        series = universe["STB03"]
+        prices = series.prices.copy()
+        prices[:launch_t] = 100.0
+        universe = {**universe, "STB03": PriceSeries("STB03", series.dates, prices)}
+        result = run_walk_forward(universe, plan, policy, settings, holdout)
+        blank = []
+        for r in result.records:
+            if r.split == "holdout":
+                fm = holdout_models(universe[r.ticker], result.pooled, policy, settings)
+                start = 0
+            else:
+                fm = result.models[(r.ticker, r.fold_id)]
+                start = plan[r.fold_id].train_range.start
+            standardized = fm.scaler.apply(fm.mode.values(universe[r.ticker]))
+            naive_mae = np.abs(np.diff(standardized[start + fm.window:fm.launch_t])).mean()
+            if naive_mae == 0:
+                assert r.mase is None
+                blank.append(r.ticker)
+            else:
+                assert r.mase == r.mae / naive_mae
+        assert len(result.records) == 4 * 2 * 3 * 3 + 2 * 3 * 2
+        assert blank == ["STB03"] * 6
 
     def test_a_diverged_pooled_fit_names_itself(self, pooled_setup):
         universe, holdout, _, policy, settings = pooled_setup
@@ -633,8 +646,8 @@ class TestHoldout:
         )
         volatile = tuple(f"VOL{k:02d}" for k in range(3, 13))
         stable = tuple(f"STB{k:02d}" for k in range(3, 13))
-        holdout = HoldoutSpec(volatile_holdout=volatile, stable_holdout=stable)
-        train = {t: s for t, s in universe.items() if t not in holdout.tickers}
+        holdout = volatile + stable
+        train = {t: s for t, s in universe.items() if t not in holdout}
         settings = fast_settings(horizons=HorizonSpec((2, 3, 5)))
         experts = fit_pooled_experts(train, small_policy(), settings, launch_t=50)
         records = run_holdout(universe, holdout, experts, small_policy(), settings)
@@ -848,7 +861,7 @@ class TestParallelBacktest:
         universe, holdout, experts, policy, settings = pooled_setup
         plan = plan_walk_forward(60, 40, 10, 10)  # the last fold launches at 50
         result = run_walk_forward(universe, plan, policy, settings, holdout)
-        train = {t: s for t, s in universe.items() if t not in holdout.tickers}
+        train = {t: s for t, s in universe.items() if t not in holdout}
         one_core(monkeypatch)
         alone = run_walk_forward(train, plan, policy, settings)
         # the holdout records first, then the walk-forward records

@@ -39,11 +39,12 @@ class TestGateForRegime:
         table = {RegimeLabel.VOLATILE: 0.6, RegimeLabel.STABLE: 0.3}
         w = gate_for_regime(RegimeLabel.VOLATILE, table)
         assert (w.w_rnn, w.w_lm) == (0.6, 0.4)
-        assert w == GateWeights.from_rnn_weight(0.6)
+        assert w == GateWeights(0.6, 1.0 - 0.6)
 
     def test_out_of_range_weight_rejected(self):
+        table = {RegimeLabel.VOLATILE: 1.5, RegimeLabel.STABLE: 0.3}
         with pytest.raises(EvaluationError):
-            GateWeights.from_rnn_weight(1.5)
+            gate_for_regime(RegimeLabel.VOLATILE, table)
 
 
 class TestCombine:
