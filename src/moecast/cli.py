@@ -63,11 +63,11 @@ def _artifact(config: RunConfig, kind: str, suffix: str) -> Path:
     return directory / f"{kind}_{config.short_fingerprint}.{suffix}"
 
 
-def _load_universe(config: RunConfig) -> dict[str, PriceSeries]:
+def _load_universe(config: RunConfig, ticker: str | None = None) -> dict[str, PriceSeries]:
     data_path = config["data.path"]
     if not data_path:
         raise ConfigError("data.path is not set; point it at a ticker,date,adj_close CSV")
-    return load_csv(data_path)
+    return load_csv(data_path, ticker)
 
 
 def cmd_synth(config: RunConfig, args: argparse.Namespace) -> int:
@@ -165,7 +165,7 @@ def cmd_forecast(config: RunConfig, args: argparse.Namespace) -> int:
     folds = store.folds_for(ticker)
     if not folds and store.pooled is None:
         raise DataError(f"no stored models for ticker {ticker!r}")
-    universe = _load_universe(config)
+    universe = _load_universe(config, ticker)
     if ticker not in universe:
         raise DataError(f"ticker {ticker!r} missing from {config['data.path']}")
     series = universe[ticker]

@@ -349,6 +349,7 @@ class CellStats:
 
 
 _metric_values = operator.attrgetter(*METRIC_NAMES)
+_cell_key = operator.attrgetter("regime", "model", "horizon")
 
 
 def aggregate_stratified(
@@ -363,34 +364,42 @@ def aggregate_stratified(
     (``mase`` on a constant training series) is left out of the cell, and a
     one-member cell has std 0.0.
 
-    The (cell, metric) value lists of equal length are stacked into one
-    C-contiguous block and reduced row-wise, one ``mean`` and one ``std``
-    call per length.  numpy sums each row of a last-axis reduction with the
-    same pairwise summation ``ndarray.mean()`` runs on a lone 1-D array, so
-    every value is the one a per-cell reduction gives, bit for bit.
-    ``np.add.reduceat`` over one flat array would need no grouping by length,
+    The records' metrics form one ``(records, metrics)`` block, a ``None``
+    read as NaN.  The cells of each member count are gathered from it into
+    one C-contiguous ``(cells, metrics, members)`` block and reduced along
+    the last axis, one ``mean`` and one ``std`` call per count.  numpy sums
+    each row of a contiguous last-axis reduction with the same pairwise
+    summation ``ndarray.mean()`` runs on a lone 1-D array, so every value is
+    the one a per-(cell, metric) reduction gives, bit for bit.
+    ``np.add.reduceat`` over one flat array would need no grouping by count,
     but it sums each segment sequentially, not pairwise, so it rounds
-    differently from ``ndarray.mean()``.
+    differently from ``ndarray.mean()``.  A cell whose ``mase`` is ``None``
+    on some members only reduces the set values on their own.
     """
-    groups: dict[tuple[RegimeLabel, str, int], list[tuple]] = {}
-    for record in records:
-        key = (record.regime, record.model, record.horizon)
-        groups.setdefault(key, []).append(_metric_values(record))
-    cells: dict[tuple[RegimeLabel, str, int], dict[str, CellStats]] = {}
-    by_length: dict[int, list[tuple[dict[str, CellStats], str, list[float]]]] = {}
-    for key, rows in groups.items():
-        stats = cells[key] = {}
-        for metric, column in zip(METRIC_NAMES, zip(*rows)):
-            values = [v for v in column if v is not None]
-            if values:
-                stats[metric] = None  # holds the metric's place until its length is reduced
-                by_length.setdefault(len(values), []).append((stats, metric, values))
-    for n, lists in by_length.items():
-        block = np.array([values for _, _, values in lists], dtype=float)
-        means = block.mean(axis=-1).tolist()
-        stds = block.std(axis=-1, ddof=1).tolist() if n > 1 else [0.0] * len(lists)
-        for (stats, metric, _), mean, std in zip(lists, means, stds):
-            stats[metric] = CellStats(mean, std, n)
+    members: dict[tuple[RegimeLabel, str, int], list[int]] = {}
+    rows = []
+    for k, record in enumerate(records):
+        members.setdefault(_cell_key(record), []).append(k)
+        rows.append(_metric_values(record))
+    block = np.array(rows, dtype=float)
+    by_count: dict[int, list[tuple[RegimeLabel, str, int]]] = {}
+    for key, index in members.items():
+        by_count.setdefault(len(index), []).append(key)
+    cells: dict[tuple[RegimeLabel, str, int], dict[str, CellStats]] = dict.fromkeys(members)
+    for n, keys in by_count.items():
+        gathered = np.ascontiguousarray(block[[members[key] for key in keys]].swapaxes(1, 2))
+        means = gathered.mean(axis=-1).tolist()
+        stds = (gathered.std(axis=-1, ddof=1).tolist() if n > 1
+                else [[0.0] * len(METRIC_NAMES)] * len(keys))
+        for key, mean, std in zip(keys, means, stds):
+            stats = cells[key] = {m: CellStats(a, s, n) for m, a, s in zip(METRIC_NAMES, mean, std)}
+            if math.isnan(mean[-1]):  # mase, the last metric, is None on some member
+                del stats["mase"]
+                values = block[members[key], -1]
+                values = values[~np.isnan(values)]
+                if values.size:
+                    std = float(values.std(ddof=1)) if values.size > 1 else 0.0
+                    stats["mase"] = CellStats(float(values.mean()), std, values.size)
     return cells
 
 
@@ -770,9 +779,10 @@ def run_walk_forward(
     With a holdout, :func:`fit_pooled_experts` fits the walk-forward firms
     up to the last fold's validation start and :func:`run_holdout` scores
     the held-out firms; an empty ``holdout`` runs no pooled fit.  A plan
-    with no folds is an :class:`EvaluationError`.  Every firm, held out or
-    not, must carry the first walk-forward firm's dates up to the plan's
-    end (or its own), else :class:`DataError`; firms are never re-aligned.
+    with no folds, or a string for ``holdout``, is an
+    :class:`EvaluationError`.  Every firm, held out or not, must carry the
+    first walk-forward firm's dates up to the plan's end (or its own), else
+    :class:`DataError`; firms are never re-aligned.
 
     Every fold, and the pooled fit with its holdout scoring, reads only its
     own inputs, so each is one task of :func:`_in_parallel`: they run on up
@@ -782,6 +792,8 @@ def run_walk_forward(
     """
     if not plan:
         raise EvaluationError("the plan has no folds")
+    if isinstance(holdout, str):
+        raise EvaluationError(f"holdout must be a sequence of tickers, got the string {holdout!r}")
     excluded = set(holdout)
     train = {t: s for t, s in universe.items() if t not in excluded}
     if not train:
@@ -916,8 +928,11 @@ def run_holdout(
     Each holdout firm is standardized by its own pre-launch scaler, labelled
     against the frozen decision boundary, and scored on recursive forecasts
     launched at the shared launch index.  Model parameters are never touched.
-    A ticker named twice is an :class:`EvaluationError`.
+    A ticker named twice, or a string for ``holdout``, is an
+    :class:`EvaluationError`.
     """
+    if isinstance(holdout, str):
+        raise EvaluationError(f"holdout must be a sequence of tickers, got the string {holdout!r}")
     tickers = sorted(holdout)
     repeated = sorted(t for t in set(tickers) if tickers.count(t) > 1)
     if repeated:

@@ -143,12 +143,17 @@ class Scaler:
         return np.asarray(values, dtype=float) * self.std + self.mean
 
 
-def load_csv(path) -> dict[str, PriceSeries]:
+def load_csv(path, ticker: str | None = None) -> dict[str, PriceSeries]:
     """Read a long-format ``ticker,date,adj_close`` file into per-ticker series.
 
     Rows may be interleaved across tickers and out of order; each resulting
     series is sorted by date.  Every malformed row is reported with its
     1-based line number.
+
+    With ``ticker``, only that ticker's series is read, and ``{}`` if it has
+    no rows.  Another ticker's row is skipped before its date and price are
+    parsed, so a malformed one does not fail the read; the header, every
+    row's field count and a file with no rows at all are still checked.
     """
     try:
         # utf-8-sig drops the byte-order mark that Excel writes before the header
@@ -167,11 +172,14 @@ def load_csv(path) -> dict[str, PriceSeries]:
         )
     rows: dict[str, list[tuple[dt.date, float]]] = {}
     seen: set[tuple[str, dt.date]] = set()
+    lineno = 1
     for lineno, row in enumerate(reader, start=2):
         if len(row) != 3:
             raise DataError(f"{path}: line {lineno}: expected 3 fields, got {len(row)}")
-        ticker, date_text, price_text = (f.strip() for f in row)
-        if not ticker:
+        if ticker is not None and row[0].strip() != ticker:
+            continue
+        firm, date_text, price_text = (f.strip() for f in row)
+        if not firm:
             raise DataError(f"{path}: line {lineno}: empty ticker")
         try:
             date = dt.date.fromisoformat(date_text)
@@ -183,18 +191,18 @@ def load_csv(path) -> dict[str, PriceSeries]:
             raise DataError(f"{path}: line {lineno}: invalid price {price_text!r}")
         if not (math.isfinite(price) and price > 0):
             raise DataError(
-                f"{path}: line {lineno}: non-positive price {price_text} for {ticker}"
+                f"{path}: line {lineno}: non-positive price {price_text} for {firm}"
             )
-        if (ticker, date) in seen:
-            raise DataError(f"{path}: line {lineno}: duplicate ({ticker}, {date})")
-        seen.add((ticker, date))
-        rows.setdefault(ticker, []).append((date, price))
-    if not rows:
+        if (firm, date) in seen:
+            raise DataError(f"{path}: line {lineno}: duplicate ({firm}, {date})")
+        seen.add((firm, date))
+        rows.setdefault(firm, []).append((date, price))
+    if lineno == 1:
         raise DataError(f"{path}: no price rows after the header")
     out: dict[str, PriceSeries] = {}
-    for ticker in sorted(rows):
-        dates, prices = zip(*sorted(rows[ticker]))
-        out[ticker] = PriceSeries(ticker, dates, prices)
+    for firm in sorted(rows):
+        dates, prices = zip(*sorted(rows[firm]))
+        out[firm] = PriceSeries(firm, dates, prices)
     return out
 
 

@@ -205,19 +205,18 @@ def render_tables_text(records: Sequence[MetricRecord], fingerprint: str, seed: 
 
 
 def tables_to_csv(records: Sequence[MetricRecord], fingerprint: str, seed: int) -> str:
-    """Tidy aggregate cells: one row per (split, scale, regime, model, horizon, metric)."""
-    out = io.StringIO()
-    out.write(stamp(fingerprint, seed))
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["split", "scale", "regime", "model", "horizon", "metric", "mean", "std", "count"])
+    """Tidy aggregate cells: one row per (split, scale, regime, model, horizon, metric).
+
+    No field can hold a comma, a quote or a newline (each is a fixed name, an
+    integer or a float's ``repr``), so rows are formatted without a csv writer.
+    """
+    rows = [stamp(fingerprint, seed) + "split,scale,regime,model,horizon,metric,mean,std,count"]
     for split in (WALK_FORWARD_SPLIT, HOLDOUT_SPLIT):
         report = _split_report(records, split)
         for key in sorted(report, key=lambda k: (k[0].value, k[1], k[2])):
-            regime, model, horizon = key
+            cell = f"{key[0].value},{key[1]},{key[2]}"
             for metric, stats in sorted(report[key].items()):
                 scale = "raw" if metric.startswith("raw_") else "standardized"
-                writer.writerow(
-                    [split, scale, regime.value, model, horizon,
-                     metric.removeprefix("raw_"), repr(stats.mean), repr(stats.std), stats.count]
-                )
-    return out.getvalue()
+                rows.append(f"{split},{scale},{cell},{metric.removeprefix('raw_')},"
+                            f"{stats.mean!r},{stats.std!r},{stats.count}")
+    return "\n".join(rows) + "\n"

@@ -3,12 +3,14 @@
 None of these is part of moecast's API: the package never calls them.
 """
 
+import csv
+import io
 import math
 
 import numpy as np
 
 from moecast.errors import FitError
-from moecast.evaluation import METRIC_NAMES, CellStats
+from moecast.evaluation import HOLDOUT_SPLIT, METRIC_NAMES, WALK_FORWARD_SPLIT, CellStats
 from moecast.lstm_expert import (
     EpochRecord,
     LstmParams,
@@ -84,6 +86,30 @@ def aggregate_stratified(records) -> dict:
             stats[metric] = CellStats(float(arr.mean()), std, arr.size)
         cells[key] = stats
     return cells
+
+
+def tables_to_csv(records, fingerprint: str, seed: int) -> str:
+    """The aggregate cells of each split through a ``csv.writer``.
+
+    One row per (split, scale, regime, model, horizon, metric), over
+    :func:`aggregate_stratified`, as the reference the directly formatted
+    rows of ``moecast.reporting.tables_to_csv`` are tested against.
+    """
+    out = io.StringIO()
+    out.write(f"# fingerprint={fingerprint} seed={seed}\n")
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["split", "scale", "regime", "model", "horizon", "metric", "mean", "std", "count"])
+    for split in (WALK_FORWARD_SPLIT, HOLDOUT_SPLIT):
+        report = aggregate_stratified(r for r in records if r.split == split)
+        for key in sorted(report, key=lambda k: (k[0].value, k[1], k[2])):
+            regime, model, horizon = key
+            for metric, stats in sorted(report[key].items()):
+                scale = "raw" if metric.startswith("raw_") else "standardized"
+                writer.writerow(
+                    [split, scale, regime.value, model, horizon,
+                     metric.removeprefix("raw_"), repr(stats.mean), repr(stats.std), stats.count]
+                )
+    return out.getvalue()
 
 
 def train_early_stopping(train_x, train_y, val_x, val_y, cfg, seeds, hidden):

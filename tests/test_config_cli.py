@@ -5,24 +5,30 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import reference
 from moecast import cli
 from moecast.cli import main
 from moecast.config import parse_config, parse_config_text
 from moecast.errors import ConfigError, DataError
-from moecast.evaluation import HorizonSpec, plan_walk_forward, run_walk_forward
+from moecast.evaluation import (
+    HOLDOUT_SPLIT, WALK_FORWARD_SPLIT, HorizonSpec, plan_walk_forward, run_walk_forward,
+)
 from moecast.lstm_expert import PARAM_FIELDS, predict_lstm
 from moecast.market_data import PriceSeries, SyntheticSpec, generate_synthetic, load_csv, write_csv
 from moecast.model_store import ModelStore
 from moecast.regime import PolicyKind, RegimeLabel
 from moecast.reporting import (
-    RECORD_COLUMNS, records_from_csv, records_to_csv, render_tables_text,
+    RECORD_COLUMNS, records_from_csv, records_to_csv, render_tables_text, tables_to_csv,
 )
-from test_evaluation import fast_settings, small_policy
+from test_evaluation import CELL_KEYS, fast_settings, scored_record, small_policy
 from test_golden import GOLDEN_CONFIG
 
 
@@ -240,6 +246,44 @@ class TestRecordsCsv:
         assert "(no horizon-1 records for Stable firms)" not in text
 
 
+@st.composite
+def split_cells(draw):
+    """Records of up to four cells per split, 1 to 300 members each, shuffled.
+
+    Each cell's ``mase`` is never, sometimes or always ``None``; the metric
+    values come from a drawn seed, spread over twelve decades.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    slots = []
+    for split in (WALK_FORWARD_SPLIT, HOLDOUT_SPLIT):
+        sizes = draw(st.lists(st.integers(1, 300), max_size=4))
+        for key, size in zip(draw(st.permutations(CELL_KEYS)), sizes):
+            missing = draw(st.sampled_from(["never", "sometimes", "always"]))
+            for _ in range(size):
+                none = missing == "always" or (missing == "sometimes" and rng.random() < 0.5)
+                slots.append((split, key, None if none else float(rng.lognormal())))
+    return [
+        replace(scored_record(key, i, (10.0 ** rng.uniform(-6, 6, size=6)).tolist(), mase),
+                split=split)
+        for i, (split, key, mase) in enumerate(slots[k] for k in rng.permutation(len(slots)))
+    ]
+
+
+class TestTablesCsvMatchesReference:
+    """Directly formatted table rows are the bytes a csv.writer writes."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(split_cells())
+    @example([])
+    def test_equals_the_csv_writer_reference(self, records):
+        assert tables_to_csv(records, "e" * 64, 9) == reference.tables_to_csv(records, "e" * 64, 9)
+
+    def test_equals_the_reference_on_a_backtest(self, small_result):
+        _, result = small_result
+        records = list(result.records)
+        assert tables_to_csv(records, "f" * 64, 2) == reference.tables_to_csv(records, "f" * 64, 2)
+
+
 @pytest.fixture()
 def cli_workspace(tmp_path):
     data = tmp_path / "prices.csv"
@@ -381,6 +425,34 @@ class TestCli:
             else:
                 assert part.fold_models == {}
                 same_experts(part.pooled, whole.pooled)
+
+    def test_forecast_reads_only_its_tickers_rows(self, cli_workspace, capsys, monkeypatch):
+        cfg, data, _ = cli_workspace
+        assert main(["--config", str(cfg), "synth"]) == 0
+        assert main(["--config", str(cfg), "backtest"]) == 0
+        tickers = sorted(load_csv(data))
+
+        def forecasts(names):
+            capsys.readouterr()
+            for ticker in names:
+                argv = ["--config", str(cfg), "forecast", "--ticker", ticker, "--horizon", "4"]
+                assert main(argv) == 0
+            return capsys.readouterr().out
+
+        one_ticker = forecasts(tickers)
+        with monkeypatch.context() as whole_file:
+            whole_file.setattr(cli, "load_csv", lambda path, ticker=None: load_csv(path))
+            assert forecasts(tickers) == one_ticker
+        # a malformed row of the last ticker fails only what reads that ticker
+        *others, bad = tickers
+        before = forecasts(others)
+        lines = data.read_text(encoding="utf-8").splitlines()
+        data.write_text("\n".join(lines + [f"{bad},2099-01-01,-1.0"]) + "\n", encoding="utf-8")
+        assert forecasts(others) == before
+        expected = f"error: {data}: line {len(lines) + 1}: non-positive price -1.0 for {bad}\n"
+        for argv in (["backtest"], ["forecast", "--ticker", bad, "--horizon", "4"]):
+            assert main(["--config", str(cfg), *argv]) == 1
+            assert capsys.readouterr().err == expected
 
     def test_backtest_writes_the_same_bytes_forked_and_in_process(
         self, cli_workspace, capsys, monkeypatch

@@ -584,6 +584,23 @@ class TestHoldout:
         with pytest.raises(EvaluationError, match=r"^holdout tickers repeat: \['VOL03'\]$"):
             run_holdout(universe, (*holdout, "VOL03"), experts, policy, settings)
 
+    def test_a_string_holdout_is_rejected_before_any_task_runs(self, pooled_setup, monkeypatch):
+        universe, _, experts, policy, settings = pooled_setup
+        message = r"^holdout must be a sequence of tickers, got the string 'VOL03'$"
+        with pytest.raises(EvaluationError, match=message):
+            run_holdout(universe, "VOL03", experts, policy, settings)
+        # in-process, so that a fold or pooled fit that ran would be counted here
+        one_core(monkeypatch)
+        calls = []
+        for name in ("_run_fold", "fit_pooled_experts"):
+            original = getattr(evaluation, name)
+            monkeypatch.setattr(evaluation, name,
+                                lambda *args, _f=original: calls.append(args) or _f(*args))
+        with pytest.raises(EvaluationError, match=message):
+            run_walk_forward(universe, plan_walk_forward(60, 40, 10, 10), policy, settings,
+                             "VOL03")
+        assert calls == []
+
     def test_empty_horizons_give_no_records(self, pooled_setup):
         universe, holdout, experts, policy, settings = pooled_setup
         settings = fast_settings(horizons=HorizonSpec(()))

@@ -2,6 +2,7 @@
 
 import datetime as dt
 import math
+import re
 
 import numpy as np
 import pytest
@@ -167,6 +168,39 @@ class TestLoadCsv:
         with pytest.raises(DataError) as exc:
             load_csv(path)
         assert str(exc.value) == f"{path}: no price rows after the header"
+
+    def test_one_ticker_skips_other_tickers_rows_unparsed(self, tmp_path):
+        # BBB's rows hold a bad date, a bad price, a duplicate and an empty ticker
+        path = self.write(tmp_path, "ticker,date,adj_close\nBBB,2020-13-01,10\n"
+                          "AAA,2020-01-02,11\nBBB,2020-01-01,-1\nAAA,2020-01-01,10\n"
+                          "BBB,2020-01-01,-1\n,2020-01-01,5\n")
+        out = load_csv(path, "AAA")
+        assert list(out) == ["AAA"]
+        np.testing.assert_array_equal(out["AAA"].prices, [10.0, 11.0])
+        with pytest.raises(DataError, match="line 2: invalid ISO date '2020-13-01'"):
+            load_csv(path)
+        assert load_csv(path, "CCC") == {}
+
+    @pytest.mark.parametrize("row, message", [
+        ("AAA,2020-01-03,0", "line 4: non-positive price 0 for AAA"),
+        ("AAA,2020-01-01,12", r"line 4: duplicate \(AAA, 2020-01-01\)"),
+        ("AAA,Jan 3,12", "line 4: invalid ISO date 'Jan 3'"),
+        ("BBB,2020-01-03", "line 4: expected 3 fields, got 2"),
+    ])
+    def test_one_ticker_keeps_its_own_checks_and_every_rows_field_count(
+        self, tmp_path, row, message
+    ):
+        path = self.write(
+            tmp_path, f"ticker,date,adj_close\nAAA,2020-01-01,10\nBBB,2020-01-01,7\n{row}\n"
+        )
+        for ticker in (None, "AAA"):
+            with pytest.raises(DataError, match=f"^{re.escape(str(path))}: {message}$"):
+                load_csv(path, ticker)
+
+    def test_one_ticker_of_a_header_only_file_is_rejected(self, tmp_path):
+        path = self.write(tmp_path, "ticker,date,adj_close\n")
+        with pytest.raises(DataError, match="no price rows after the header$"):
+            load_csv(path, "AAA")
 
     def test_byte_order_mark_before_header_accepted(self, tmp_path):
         # Excel writes a UTF-8 byte-order mark before the header
