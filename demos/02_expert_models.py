@@ -48,7 +48,7 @@ def main():
     )
     lstm = stack.firm(0)
     print(f"LSTM trained for {len(history)} epochs, "
-          f"best validation MAE {history[-1].best_val_mae:.4f}")
+          f"best validation MAE {history[-1, 2]:.4f}")
 
     # linear expert: standardized price on time index and trailing volatility
     policy = RegimePolicy.threshold()

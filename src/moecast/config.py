@@ -5,7 +5,8 @@ or constant that uses it (``BacktestSettings``, ``TrainConfig``,
 ``HorizonSpec``, ``DEFAULT_GATE_TABLE``, ``SyntheticSpec``, ``regime``'s
 rule constants); the registry holds only the rest (the 80/20/20
 walk-forward geometry, ``holdout.k``, ``report.dir``, the synthetic firm
-counts).  Unknown keys and out-of-domain values are rejected
+counts), as one table from each key's name to its kind and default, in
+canonical order.  Unknown keys and out-of-domain values are rejected
 with the offending key named.  The canonical serialization of a resolved
 configuration is hashed into a fingerprint that every output file embeds.
 
@@ -13,7 +14,8 @@ configuration is hashed into a fingerprint that every output file embeds.
 single-shot classification uses the 30-day threshold rule while the
 walk-forward backtest uses the 21-day cross-sectional median rule, and the
 keys stay out of the canonical serialization so that behaviour survives a
-round trip.  No set value parses to None, so None is what marks them unset.
+round trip.  No set value parses to None, so None marks them unset; a set
+of names marks them contextual, as ``train.clip_norm`` defaults to None too.
 """
 
 from __future__ import annotations
@@ -107,49 +109,44 @@ _FILE = _Kind(str.strip, "file path", lambda v: True)
 _DIRECTORY = _Kind(str.strip, "directory path", lambda v: True)
 
 
-@dataclass(frozen=True)
-class _Key:
-    name: str
-    kind: _Kind
-    default: Any
-    contextual: bool = False  # default None, and omitted from serialization while None
-
-
 _SETTINGS = BacktestSettings()
 _TRAIN = TrainConfig()
 
-_REGISTRY: tuple[_Key, ...] = (
-    _Key("data.path", _FILE, ""),
-    _Key("data.mode", _choice(WindowMode), _SETTINGS.mode.value),
-    _Key("window.length", _INT_GE_1, _SETTINGS.window),
-    _Key("vol.policy", _choice(PolicyKind), None, contextual=True),
-    _Key("vol.window", _INT_GE_2, None, contextual=True),
-    _Key("vol.tau", _POSITIVE, DEFAULT_TAU),
-    _Key("wf.init_train", _INT_GE_1, 80),
-    _Key("wf.val_len", _INT_GE_1, 20),
-    _Key("wf.step", _INT_GE_1, 20),
-    _Key("wf.mode", _choice(TrainMode), TrainMode.SLIDING.value),
-    _Key("train.learning_rate", _POSITIVE, _TRAIN.learning_rate),
-    _Key("train.batch_size", _INT_GE_1, _TRAIN.batch_size),
-    _Key("train.max_epochs", _INT_GE_1, _TRAIN.max_epochs),
-    _Key("train.patience", _INT_GE_1, _TRAIN.patience),
-    _Key("train.adam_beta1", _OPEN_UNIT, _TRAIN.adam_beta1),
-    _Key("train.adam_beta2", _OPEN_UNIT, _TRAIN.adam_beta2),
-    _Key("train.adam_eps", _POSITIVE, _TRAIN.adam_eps),
-    _Key("train.hidden_units", _INT_GE_1, _SETTINGS.hidden),
-    _Key("train.clip_norm", _CLIP, _TRAIN.clip_norm),
-    _Key("gate.volatile.w_rnn", _UNIT, DEFAULT_GATE_TABLE[RegimeLabel.VOLATILE]),
-    _Key("gate.stable.w_rnn", _UNIT, DEFAULT_GATE_TABLE[RegimeLabel.STABLE]),
-    _Key("horizons", _HORIZONS, _SETTINGS.horizons.horizons),
-    _Key("holdout.k", _INT_GE_0, 10),
-    _Key("seed", _INT_GE_0, _SETTINGS.seed),
-    _Key("report.dir", _DIRECTORY, "reports"),
-    _Key("synth.stable_firms", _INT_GE_0, 15),
-    _Key("synth.volatile_firms", _INT_GE_0, 15),
-    _Key("synth.length", _INT_GE_1, SyntheticSpec().length),
-)
+# every key's kind and default, in canonical serialization order
+_REGISTRY: dict[str, tuple[_Kind, Any]] = {
+    "data.path": (_FILE, ""),
+    "data.mode": (_choice(WindowMode), _SETTINGS.mode.value),
+    "window.length": (_INT_GE_1, _SETTINGS.window),
+    "vol.policy": (_choice(PolicyKind), None),
+    "vol.window": (_INT_GE_2, None),
+    "vol.tau": (_POSITIVE, DEFAULT_TAU),
+    "wf.init_train": (_INT_GE_1, 80),
+    "wf.val_len": (_INT_GE_1, 20),
+    "wf.step": (_INT_GE_1, 20),
+    "wf.mode": (_choice(TrainMode), TrainMode.SLIDING.value),
+    "train.learning_rate": (_POSITIVE, _TRAIN.learning_rate),
+    "train.batch_size": (_INT_GE_1, _TRAIN.batch_size),
+    "train.max_epochs": (_INT_GE_1, _TRAIN.max_epochs),
+    "train.patience": (_INT_GE_1, _TRAIN.patience),
+    "train.adam_beta1": (_OPEN_UNIT, _TRAIN.adam_beta1),
+    "train.adam_beta2": (_OPEN_UNIT, _TRAIN.adam_beta2),
+    "train.adam_eps": (_POSITIVE, _TRAIN.adam_eps),
+    "train.hidden_units": (_INT_GE_1, _SETTINGS.hidden),
+    "train.clip_norm": (_CLIP, _TRAIN.clip_norm),
+    "gate.volatile.w_rnn": (_UNIT, DEFAULT_GATE_TABLE[RegimeLabel.VOLATILE]),
+    "gate.stable.w_rnn": (_UNIT, DEFAULT_GATE_TABLE[RegimeLabel.STABLE]),
+    "horizons": (_HORIZONS, _SETTINGS.horizons.horizons),
+    "holdout.k": (_INT_GE_0, 10),
+    "seed": (_INT_GE_0, _SETTINGS.seed),
+    "report.dir": (_DIRECTORY, "reports"),
+    "synth.stable_firms": (_INT_GE_0, 15),
+    "synth.volatile_firms": (_INT_GE_0, 15),
+    "synth.length": (_INT_GE_1, SyntheticSpec().length),
+}
 
-_BY_NAME = {key.name: key for key in _REGISTRY}
+# default None, and left out of the serialization while None
+_CONTEXTUAL = {"vol.policy", "vol.window"}
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -216,10 +213,10 @@ class RunConfig:
         exactly, including its context-dependent defaults.
         """
         lines = []
-        for key in _REGISTRY:
-            if key.contextual and self.values[key.name] is None:
+        for name, (kind, _) in _REGISTRY.items():
+            if name in _CONTEXTUAL and self.values[name] is None:
                 continue
-            lines.append(f"{key.name} = {key.kind.fmt(self.values[key.name])}")
+            lines.append(f"{name} = {kind.fmt(self.values[name])}")
         return "\n".join(lines) + "\n"
 
     @property
@@ -247,33 +244,32 @@ def parse_config_text(
             raise ConfigError(f"{source}: line {lineno}: expected 'key = value', got {line!r}")
         name, _, value_text = stripped.partition("=")
         name = name.strip()
-        if name not in _BY_NAME:
+        if name not in _REGISTRY:
             raise ConfigError(f"{source}: line {lineno}: unknown key {name!r}")
         if name in raw:
             raise ConfigError(f"{source}: line {lineno}: duplicate key {name!r}")
         raw[name] = value_text.strip()
     values: dict[str, Any] = {}
-    for key in _REGISTRY:
-        if key.name in raw:
+    for name, (kind, default) in _REGISTRY.items():
+        if name in raw:
             try:
-                value = key.kind.parse(raw[key.name])
+                value = kind.parse(raw[name])
             except ConfigError as exc:
-                raise ConfigError(f"{source}: key {key.name}: {exc}")
-            if not key.kind.check(value):
+                raise ConfigError(f"{source}: key {name}: {exc}")
+            if not kind.check(value):
                 raise ConfigError(
-                    f"{source}: key {key.name}: value {raw[key.name]!r} "
-                    f"outside domain ({key.kind.domain})"
+                    f"{source}: key {name}: value {raw[name]!r} outside domain ({kind.domain})"
                 )
-            values[key.name] = value
+            values[name] = value
         else:
-            values[key.name] = key.default
+            values[name] = default
     if values["train.patience"] > values["train.max_epochs"]:
         raise ConfigError(
             f"{source}: key train.patience: value {values['train.patience']} exceeds "
             f"train.max_epochs = {values['train.max_epochs']}"
         )
     if seed_override is not None:
-        seed = _BY_NAME["seed"].kind
+        seed = _REGISTRY["seed"][0]
         if not seed.check(seed_override):
             raise ConfigError(f"--seed: value {seed_override} outside domain ({seed.domain})")
         values["seed"] = seed_override

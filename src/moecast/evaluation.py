@@ -779,10 +779,11 @@ def run_walk_forward(
     With a holdout, :func:`fit_pooled_experts` fits the walk-forward firms
     up to the last fold's validation start and :func:`run_holdout` scores
     the held-out firms; an empty ``holdout`` runs no pooled fit.  A plan
-    with no folds, or a string for ``holdout``, is an
+    with no folds, or a holdout whose tickers :func:`run_holdout` rejects, is an
     :class:`EvaluationError`.  Every firm, held out or not, must carry the
     first walk-forward firm's dates up to the plan's end (or its own), else
-    :class:`DataError`; firms are never re-aligned.
+    :class:`DataError`; firms are never re-aligned.  These checks, and the
+    folds' own on the shortest training range, run before the pooled fit.
 
     Every fold, and the pooled fit with its holdout scoring, reads only its
     own inputs, so each is one task of :func:`_in_parallel`: they run on up
@@ -792,9 +793,7 @@ def run_walk_forward(
     """
     if not plan:
         raise EvaluationError("the plan has no folds")
-    if isinstance(holdout, str):
-        raise EvaluationError(f"holdout must be a sequence of tickers, got the string {holdout!r}")
-    excluded = set(holdout)
+    excluded = set(_checked_holdout(universe, holdout))
     train = {t: s for t, s in universe.items() if t not in excluded}
     if not train:
         raise EvaluationError("universe is empty")
@@ -816,6 +815,14 @@ def run_walk_forward(
             k = bad[0]
             raise DataError(f"{ticker}: date {dates[k]} at index {k} differs from "
                             f"{first}'s {calendar[k]}; the firms must share one calendar")
+    # a fold's windows, volatility window and fits fail on its training range's
+    # length alone: the shortest fails first if any does, as its fold would
+    shortest = min(plan, key=lambda fold: len(fold.train_range))
+    for t in sorted(train):
+        data = _prepare_fold_firm(train[t], shortest.train_range, shortest.val_range.stop,
+                                  policy, settings)
+        _early_stopping_split(data, ES_VAL_FRACTION)
+        _linear_design(data)
 
     tasks = [functools.partial(_run_fold, train, fold, policy, settings) for fold in plan]
     # a task's cost is its training observations times its firms
@@ -916,6 +923,25 @@ def holdout_models(
     return _holdout_firm(series, experts, policy, settings)[1]
 
 
+def _checked_holdout(
+    universe: Mapping[str, PriceSeries], holdout: Sequence[str], training: Iterable[str] = ()
+) -> list[str]:
+    """``holdout``'s tickers, sorted, if each is in ``universe``, once, and not in ``training``."""
+    if isinstance(holdout, str):
+        raise EvaluationError(f"holdout must be a sequence of tickers, got the string {holdout!r}")
+    tickers = sorted(holdout)
+    repeated = sorted(t for t in set(tickers) if tickers.count(t) > 1)
+    if repeated:
+        raise EvaluationError(f"holdout tickers repeat: {repeated}")
+    overlap = set(tickers) & set(training)
+    if overlap:
+        raise EvaluationError(f"holdout firms overlap the training universe: {sorted(overlap)}")
+    for ticker in tickers:
+        if ticker not in universe:
+            raise EvaluationError(f"holdout ticker {ticker} missing from the universe")
+    return tickers
+
+
 def run_holdout(
     universe: Mapping[str, PriceSeries],
     holdout: Sequence[str],
@@ -931,18 +957,7 @@ def run_holdout(
     A ticker named twice, or a string for ``holdout``, is an
     :class:`EvaluationError`.
     """
-    if isinstance(holdout, str):
-        raise EvaluationError(f"holdout must be a sequence of tickers, got the string {holdout!r}")
-    tickers = sorted(holdout)
-    repeated = sorted(t for t in set(tickers) if tickers.count(t) > 1)
-    if repeated:
-        raise EvaluationError(f"holdout tickers repeat: {repeated}")
-    overlap = set(tickers) & set(experts.training_tickers)
-    if overlap:
-        raise EvaluationError(f"holdout firms overlap the training universe: {sorted(overlap)}")
-    for ticker in tickers:
-        if ticker not in universe:
-            raise EvaluationError(f"holdout ticker {ticker} missing from the universe")
+    tickers = _checked_holdout(universe, holdout, experts.training_tickers)
     pairs = [_holdout_firm(universe[t], experts, policy, settings) for t in tickers]
     firms, fms = [data for data, _ in pairs], [fm for _, fm in pairs]
     gates = [gate_for_regime(fm.regime, settings.gate_table) for fm in fms]

@@ -32,7 +32,7 @@ forward pass, BPTT and Adam runs all F firms in one numpy call
 call.  Each slice of such a call is the same BLAS call as one gate of one
 firm alone, so a stack reproduces F separate fits bit for bit.  Every fit is
 such a stack: :func:`train_early_stopping` trains F >= 1 firms from one seed
-each, and a fit of one firm is a stack of one.
+each, with one history array per firm; a fit of one firm is a stack of one.
 
 Every pass runs the one cell kernel, :func:`_cell`, which writes into
 buffers its caller holds, and the buffers follow one rule.  A pass owns its
@@ -61,7 +61,6 @@ from .errors import FitError
 __all__ = [
     "LstmParams",
     "TrainConfig",
-    "EpochRecord",
     "init_params",
     "train_early_stopping",
     "predict_lstm",
@@ -465,14 +464,6 @@ def adam_step(
     np.subtract(params.theta, step, out=params.theta)
 
 
-@dataclass(frozen=True)
-class EpochRecord:
-    epoch: int
-    train_mse: float
-    val_mae: float
-    best_val_mae: float
-
-
 def _validation_mae(params: LstmParams, val_inputs: np.ndarray, val_targets: np.ndarray):
     """Mean absolute validation error of each firm of the stack.
 
@@ -490,7 +481,7 @@ def train_early_stopping(
     cfg: TrainConfig,
     seeds: Sequence[int],
     hidden: int,
-) -> tuple[LstmParams, list[list[EpochRecord]]]:
+) -> tuple[LstmParams, list[np.ndarray]]:
     """Mini-batch Adam training of a stack of F firms with patience-based early stopping.
 
     Firm ``k`` starts from ``init_params(hidden, seeds[k])``.  Inputs are
@@ -505,10 +496,11 @@ def train_early_stopping(
     ``cfg.patience`` consecutive epochs that firm stops training, and its
     parameters from its best-validation epoch are the ones returned.
 
-    Returns the ``(F, P)`` stack of best parameters and one history, a list
-    of :class:`EpochRecord`, per firm.  Raises :class:`FitError` naming the
-    firm (``FitError.firm``) when no epoch reached a finite validation error
-    or the best epoch's parameters are not all finite.
+    Returns the ``(F, P)`` stack of best parameters and one float64 history
+    per firm, of shape ``(epochs_run, 3)``: row ``e`` is epoch ``e + 1``'s
+    training MSE, validation MAE and best validation MAE so far.  A firm with
+    no finite validation error, or non-finite best parameters, raises a
+    :class:`FitError` naming it (``FitError.firm``).
     """
     seeds = tuple(seeds)
     train_y = np.asarray(train_targets, dtype=float)
@@ -538,7 +530,9 @@ def train_early_stopping(
     best = params.theta.copy()
     best_mae = np.full(len(seeds), math.inf)
     since_improvement = np.zeros(len(seeds), dtype=int)
-    histories: list[list[EpochRecord]] = [[] for _ in seeds]
+    # firm f's history is histories[f, :epochs_run[f]]
+    histories = np.empty((len(seeds), cfg.max_epochs, 3))
+    epochs_run = np.zeros(len(seeds), dtype=int)
 
     for epoch in range(1, cfg.max_epochs + 1):
         order = np.array([np.random.default_rng([seeds[f], epoch]).permutation(n) for f in firms])
@@ -561,10 +555,8 @@ def train_early_stopping(
         best_mae[firms[improved]] = val_mae[improved]
         best[firms[improved]] = params.theta[improved]
         since_improvement[firms] = np.where(improved, 0, since_improvement[firms] + 1)
-        for k, f in enumerate(firms):
-            histories[f].append(
-                EpochRecord(epoch, float(train_mse[k]), float(val_mae[k]), float(best_mae[f]))
-            )
+        histories[firms, epoch - 1] = np.stack((train_mse, val_mae, best_mae[firms]), axis=-1)
+        epochs_run[firms] = epoch
         live = since_improvement[firms] < cfg.patience
         if not live.any():
             break
@@ -579,7 +571,7 @@ def train_early_stopping(
                 f"firm {f}: the fit diverged: no epoch left finite parameters and validation error",
                 firm=f,
             )
-    return LstmParams(best, hidden), histories
+    return LstmParams(best, hidden), [histories[f, :epochs_run[f]] for f in range(len(seeds))]
 
 
 def predict_lstm(params: LstmParams, windows: np.ndarray) -> float | np.ndarray:

@@ -152,8 +152,10 @@ def load_csv(path, ticker: str | None = None) -> dict[str, PriceSeries]:
 
     With ``ticker``, only that ticker's series is read, and ``{}`` if it has
     no rows.  Another ticker's row is skipped before its date and price are
-    parsed, so a malformed one does not fail the read; the header, every
-    row's field count and a file with no rows at all are still checked.
+    parsed, so a malformed one does not fail the read.  As the file comes
+    from outside the program, its header, every row's field count and a
+    file with no rows at all are still checked, so the CSV reader still
+    splits every row.
     """
     try:
         # utf-8-sig drops the byte-order mark that Excel writes before the header

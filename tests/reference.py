@@ -12,7 +12,6 @@ import numpy as np
 from moecast.errors import FitError
 from moecast.evaluation import HOLDOUT_SPLIT, METRIC_NAMES, WALK_FORWARD_SPLIT, CellStats
 from moecast.lstm_expert import (
-    EpochRecord,
     LstmParams,
     _clipped,
     _sigmoid,
@@ -121,7 +120,8 @@ def train_early_stopping(train_x, train_y, val_x, val_y, cfg, seeds, hidden):
     stack of one: its own shuffle per ``(seed, epoch)``, the same mini-batch
     partition (the trailing partial batch included), validation as one batch
     and patience counted per firm.  Returns the ``(F, P)`` best parameters
-    and one ``EpochRecord`` history per firm.
+    and one history per firm, an array whose row ``e`` is epoch ``e + 1``'s
+    training MSE, validation MAE and best validation MAE so far.
     """
     n = train_y.shape[-1]
     best_thetas, histories = [], []
@@ -150,9 +150,9 @@ def train_early_stopping(train_x, train_y, val_x, val_y, cfg, seeds, hidden):
                 best, best_mae, since = params.theta.copy(), val_mae, 0
             else:
                 since += 1
-            history.append(EpochRecord(epoch, float(sse[0] / n), val_mae, best_mae))
+            history.append((float(sse[0] / n), val_mae, best_mae))
             if since >= cfg.patience:
                 break
         best_thetas.append(best[0])
-        histories.append(history)
+        histories.append(np.array(history))
     return LstmParams(np.stack(best_thetas), hidden), histories

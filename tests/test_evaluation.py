@@ -589,16 +589,43 @@ class TestHoldout:
         message = r"^holdout must be a sequence of tickers, got the string 'VOL03'$"
         with pytest.raises(EvaluationError, match=message):
             run_holdout(universe, "VOL03", experts, policy, settings)
-        # in-process, so that a fold or pooled fit that ran would be counted here
-        one_core(monkeypatch)
-        calls = []
-        for name in ("_run_fold", "fit_pooled_experts"):
-            original = getattr(evaluation, name)
-            monkeypatch.setattr(evaluation, name,
-                                lambda *args, _f=original: calls.append(args) or _f(*args))
+        calls = count_tasks(monkeypatch)
         with pytest.raises(EvaluationError, match=message):
             run_walk_forward(universe, plan_walk_forward(60, 40, 10, 10), policy, settings,
                              "VOL03")
+        assert calls == []
+
+    @pytest.mark.parametrize("holdout, message", [
+        (("NOPE",), r"^holdout ticker NOPE missing from the universe$"),
+        (("VOL01", "VOL01"), r"^holdout tickers repeat: \['VOL01'\]$"),
+    ], ids=["missing", "repeated"])
+    def test_a_bad_holdout_is_rejected_before_any_task_runs(
+        self, pooled_setup, monkeypatch, holdout, message
+    ):
+        universe, _, _, policy, settings = pooled_setup
+        calls = count_tasks(monkeypatch)
+        with pytest.raises(EvaluationError, match=message):
+            run_walk_forward(universe, plan_walk_forward(60, 40, 10, 10), policy, settings,
+                             holdout)
+        assert calls == []
+
+    @pytest.mark.parametrize("policy, settings", [
+        # a volatility window longer than every fold's 40 training observations
+        (RegimePolicy.threshold(vol_window=45, tau=0.025), fast_settings()),
+        # windows that leave each fold 2 training rows, too few for the linear design
+        (small_policy(), fast_settings(window=38)),
+    ], ids=["volatility-window", "linear-design"])
+    def test_a_fold_too_short_fails_before_the_pooled_fit(
+        self, pooled_setup, monkeypatch, policy, settings
+    ):
+        universe, holdout, _, _, _ = pooled_setup
+        train = {t: s for t, s in universe.items() if t not in holdout}
+        plan = plan_walk_forward(60, 40, 10, 10)  # the pooled fit trains on 50 observations
+        with pytest.raises((DataError, EvaluationError)) as alone:
+            run_walk_forward(train, plan, policy, settings)
+        calls = count_tasks(monkeypatch)
+        with pytest.raises(type(alone.value), match=f"^{re.escape(str(alone.value))}$"):
+            run_walk_forward(universe, plan, policy, settings, holdout)
         assert calls == []
 
     def test_empty_horizons_give_no_records(self, pooled_setup):
@@ -840,6 +867,18 @@ class TestAggregateStratifiedMatchesReference:
 def one_core(monkeypatch):
     """Make every later backtest in the test run its tasks in this process."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+
+
+def count_tasks(monkeypatch) -> list:
+    """The arguments of every fold and pooled fit that a later backtest in the
+    test runs, which it runs in this process, so that each is counted."""
+    one_core(monkeypatch)
+    calls = []
+    for name in ("_run_fold", "fit_pooled_experts"):
+        original = getattr(evaluation, name)
+        monkeypatch.setattr(evaluation, name,
+                            lambda *args, _f=original: calls.append(args) or _f(*args))
+    return calls
 
 
 def assert_same_models(a, b):

@@ -540,10 +540,9 @@ class TestTrainEarlyStopping:
             inputs[:, :10], targets[:, :10], inputs[:, 10:], targets[:, 10:], cfg, (3,), hidden=4
         )
         assert len(history) == 6
-        assert [h.epoch for h in history] == [1, 2, 3, 4, 5, 6]
         for name in PARAM_FIELDS:
             assert np.array_equal(getattr(best, name), getattr(snapshots[0], name))
-        assert all(h.best_val_mae == 1.0 for h in history)
+        assert (history[:, 2] == 1.0).all()
 
     def test_max_epochs_one_runs_exactly_one_epoch(self):
         rng = np.random.default_rng(11)
@@ -563,7 +562,7 @@ class TestTrainEarlyStopping:
         _, (history,) = train_early_stopping(
             inputs[:, :16], targets[:, :16], inputs[:, 16:], targets[:, 16:], cfg, (1,), hidden=4
         )
-        best = [h.best_val_mae for h in history]
+        best = history[:, 2].tolist()
         assert best == sorted(best, reverse=True) or all(
             b2 <= b1 for b1, b2 in zip(best, best[1:])
         )
@@ -689,7 +688,7 @@ class TestStackedFirms:
                 hidden=5,
             )
             assert np.array_equal(stack.theta[k], alone.theta[0])
-            assert histories[k] == history
+            assert np.array_equal(histories[k], history)
         # patience runs out at a different epoch for every firm
         assert len({len(h) for h in histories}) == 3
 
@@ -706,7 +705,9 @@ class TestStackedFirms:
             *problem, cfg, STACK_SEEDS, hidden=5
         )
         assert np.array_equal(stack.theta, expected.theta)
-        assert histories == expected_histories
+        assert len(histories) == len(expected_histories) == 3
+        for history, expected_history in zip(histories, expected_histories):
+            assert np.array_equal(history, expected_history)
         assert len({len(h) for h in histories}) == 3
 
     def test_scripted_validation_stops_each_firm_after_its_patience(self, monkeypatch):
@@ -735,7 +736,10 @@ class TestStackedFirms:
         assert np.array_equal(best.theta[0], snapshots[0].theta[0])
         assert np.array_equal(best.theta[1], snapshots[2].theta[1])
         assert np.array_equal(best.theta[2], snapshots[9].theta[0])
-        assert [h.best_val_mae for h in histories[1]] == [3.0, 2.0, 1.0, 1.0, 1.0]
+        # one row per epoch run: training MSE, validation MAE, best so far
+        assert all(h.dtype == np.float64 and h.shape[1:] == (3,) for h in histories)
+        assert histories[1][:, 1].tolist() == [3.0, 2.0, 1.0, 5.0, 5.0]
+        assert histories[1][:, 2].tolist() == [3.0, 2.0, 1.0, 1.0, 1.0]
 
     def test_non_finite_init_names_the_firm(self, monkeypatch):
         train_x, train_y, val_x, val_y = stacked_problem()
