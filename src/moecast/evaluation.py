@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import math
 import operator
 import os
@@ -350,6 +351,9 @@ class CellStats:
 
 _metric_values = operator.attrgetter(*METRIC_NAMES)
 _cell_key = operator.attrgetter("regime", "model", "horizon")
+# the same cells, keyed by the regime's value: a str hashes in C, an Enum member
+# in Python
+_cell_code_key = operator.attrgetter("regime._value_", "model", "horizon")
 
 
 def aggregate_stratified(
@@ -364,6 +368,27 @@ def aggregate_stratified(
     (``mase`` on a constant training series) is left out of the cell, and a
     one-member cell has std 0.0.
 
+    The cells are built from :func:`_cell_moments`, the one reduction the
+    report writers also format from.
+    """
+    return {
+        key: {m: CellStats(a, s, n) for m, a, s, n in zip(METRIC_NAMES, mean, std, count) if n}
+        for key, (mean, std, count) in _cell_moments(records).items()
+    }
+
+
+_Moments = tuple[list[float], list[float], list[int]]
+
+
+def _cell_moments(records: Iterable[MetricRecord]) -> dict[tuple[RegimeLabel, str, int], _Moments]:
+    """``{(regime, model, horizon): (means, stds, counts)}``, the reduction of
+    :func:`aggregate_stratified` as plain lists in ``METRIC_NAMES`` order.
+
+    A metric that is ``None`` on every member of its cell has count 0 and a
+    NaN mean.  Each record gets its cell's integer code in arrival order, and
+    one stable ``argsort`` of the codes lists every cell's members, in
+    arrival order, as one slice.
+
     The records' metrics form one ``(records, metrics)`` block, a ``None``
     read as NaN.  The cells of each member count are gathered from it into
     one C-contiguous ``(cells, metrics, members)`` block and reduced along
@@ -376,31 +401,37 @@ def aggregate_stratified(
     differently from ``ndarray.mean()``.  A cell whose ``mase`` is ``None``
     on some members only reduces the set values on their own.
     """
-    members: dict[tuple[RegimeLabel, str, int], list[int]] = {}
-    rows = []
-    for k, record in enumerate(records):
-        members.setdefault(_cell_key(record), []).append(k)
-        rows.append(_metric_values(record))
-    block = np.array(rows, dtype=float)
-    by_count: dict[int, list[tuple[RegimeLabel, str, int]]] = {}
-    for key, index in members.items():
-        by_count.setdefault(len(index), []).append(key)
-    cells: dict[tuple[RegimeLabel, str, int], dict[str, CellStats]] = dict.fromkeys(members)
-    for n, keys in by_count.items():
-        gathered = np.ascontiguousarray(block[[members[key] for key in keys]].swapaxes(1, 2))
-        means = gathered.mean(axis=-1).tolist()
-        stds = (gathered.std(axis=-1, ddof=1).tolist() if n > 1
-                else [[0.0] * len(METRIC_NAMES)] * len(keys))
-        for key, mean, std in zip(keys, means, stds):
-            stats = cells[key] = {m: CellStats(a, s, n) for m, a, s in zip(METRIC_NAMES, mean, std)}
-            if math.isnan(mean[-1]):  # mase, the last metric, is None on some member
-                del stats["mase"]
-                values = block[members[key], -1]
-                values = values[~np.isnan(values)]
-                if values.size:
-                    std = float(values.std(ddof=1)) if values.size > 1 else 0.0
-                    stats["mase"] = CellStats(float(values.mean()), std, values.size)
-    return cells
+    records = list(records)
+    if not records:
+        return {}
+    codes: dict[tuple[str, str, int], int] = {}
+    code = np.array([codes.setdefault(key, len(codes)) for key in map(_cell_code_key, records)])
+    # numpy converts one flat list of floats faster than a list of rows
+    flat = itertools.chain.from_iterable(map(_metric_values, records))
+    block = np.array(list(flat), dtype=float).reshape(len(records), len(METRIC_NAMES))
+    order = np.argsort(code, kind="stable")
+    sizes = np.bincount(code)
+    starts = np.cumsum(sizes) - sizes
+    means = np.empty((len(codes), len(METRIC_NAMES)))
+    stds = np.zeros_like(means)
+    for n in dict.fromkeys(sizes.tolist()):
+        cells = np.flatnonzero(sizes == n)
+        members = order[starts[cells, None] + np.arange(n)]
+        gathered = np.ascontiguousarray(block[members].swapaxes(1, 2))
+        means[cells] = gathered.mean(axis=-1)
+        if n > 1:
+            stds[cells] = gathered.std(axis=-1, ddof=1)
+    moments = list(zip(means.tolist(), stds.tolist(),
+                       ([n] * len(METRIC_NAMES) for n in sizes.tolist())))
+    for c in np.flatnonzero(np.isnan(means[:, -1])).tolist():  # mase, the last metric, is None
+        values = block[order[starts[c]:starts[c] + sizes[c]], -1]
+        values = values[~np.isnan(values)]
+        mean, std, count = moments[c]
+        count[-1] = values.size
+        if values.size:
+            mean[-1] = float(values.mean())
+            std[-1] = float(values.std(ddof=1)) if values.size > 1 else 0.0
+    return {_cell_key(records[first]): cell for first, cell in zip(order[starts].tolist(), moments)}
 
 
 # ---------------------------------------------------------------------------
@@ -782,8 +813,9 @@ def run_walk_forward(
     with no folds, or a holdout whose tickers :func:`run_holdout` rejects, is an
     :class:`EvaluationError`.  Every firm, held out or not, must carry the
     first walk-forward firm's dates up to the plan's end (or its own), else
-    :class:`DataError`; firms are never re-aligned.  These checks, and the
-    folds' own on the shortest training range, run before the pooled fit.
+    :class:`DataError`; firms are never re-aligned.  These checks, the
+    folds' own on the shortest training range, and each holdout firm's
+    length at the launch index run before the pooled fit.
 
     Every fold, and the pooled fit with its holdout scoring, reads only its
     own inputs, so each is one task of :func:`_in_parallel`: they run on up
@@ -793,8 +825,8 @@ def run_walk_forward(
     """
     if not plan:
         raise EvaluationError("the plan has no folds")
-    excluded = set(_checked_holdout(universe, holdout))
-    train = {t: s for t, s in universe.items() if t not in excluded}
+    held_out = _checked_holdout(universe, holdout)
+    train = {t: s for t, s in universe.items() if t not in held_out}
     if not train:
         raise EvaluationError("universe is empty")
     horizon_end = plan[-1].val_range.stop
@@ -823,13 +855,14 @@ def run_walk_forward(
                                   policy, settings)
         _early_stopping_split(data, ES_VAL_FRACTION)
         _linear_design(data)
+    launch_t = plan[-1].val_range.start
+    for t in held_out:
+        _observations_to_evaluate(universe[t], launch_t, settings.mode)
 
     tasks = [functools.partial(_run_fold, train, fold, policy, settings) for fold in plan]
     # a task's cost is its training observations times its firms
     costs = [len(fold.train_range) * len(train) for fold in plan]
     if holdout:
-        launch_t = plan[-1].val_range.start
-
         def pooled_phase() -> WalkForwardResult:
             pooled = fit_pooled_experts(train, policy, settings, launch_t)
             records = run_holdout(universe, holdout, pooled, policy, settings)
@@ -893,6 +926,14 @@ def fit_pooled_experts(
     return PooledExperts(lstm.firm(0), linear, launch_t, tuple(tickers), decision)
 
 
+def _observations_to_evaluate(series: PriceSeries, launch: int, mode: WindowMode) -> int:
+    """The observations of a held-out ``series``, if one is at index ``launch``."""
+    n_vals = len(series) - mode.offset
+    if n_vals < launch + 1:
+        raise EvaluationError(f"{series.ticker}: too short to evaluate at launch index {launch}")
+    return n_vals
+
+
 def _holdout_firm(
     series: PriceSeries,
     experts: PooledExperts,
@@ -900,9 +941,7 @@ def _holdout_firm(
     settings: BacktestSettings,
 ) -> tuple[_FoldFirmData, FoldModels]:
     launch = experts.launch_t
-    n_vals = len(series) - settings.mode.offset
-    if n_vals < launch + 1:
-        raise EvaluationError(f"{series.ticker}: too short to evaluate at launch index {launch}")
+    n_vals = _observations_to_evaluate(series, launch, settings.mode)
     data = _prepare_fold_firm(series, range(launch), n_vals, policy, settings)
     regime = policy.label_unseen(data.sigma_frozen, experts.decision_sigma)
     return data, data.models(experts.lstm, experts.linear, regime, settings.mode)

@@ -18,10 +18,10 @@ from .evaluation import (
     METRIC_NAMES,
     MODELS,
     WALK_FORWARD_SPLIT,
-    CellStats,
     MetricRecord,
     PredictionPoint,
-    aggregate_stratified,
+    _cell_moments,
+    _Moments,
     improvement_pct,
 )
 from .market_data import PriceSeries, WindowMode
@@ -44,9 +44,18 @@ DISPLAY_NAMES = {
     "MoE": "Mixture of Experts",
 }
 
-SCALES = (
-    ("standardized", "mse", "mae"),
-    ("raw", "raw_mse", "raw_mae"),
+# (scale, index of its MSE in METRIC_NAMES, index of its MAE)
+SCALES = tuple(
+    (scale, METRIC_NAMES.index(prefix + "mse"), METRIC_NAMES.index(prefix + "mae"))
+    for scale, prefix in (("standardized", ""), ("raw", "raw_"))
+)
+_MSE, _MAE = METRIC_NAMES.index("mse"), METRIC_NAMES.index("mae")
+
+# the tables CSV's metric rows of a cell: (index in METRIC_NAMES, scale, name),
+# sorted by metric name
+_CSV_METRICS = tuple(
+    (k, "raw" if metric.startswith("raw_") else "standardized", metric.removeprefix("raw_"))
+    for metric, k in sorted((metric, k) for k, metric in enumerate(METRIC_NAMES))
 )
 
 
@@ -123,40 +132,36 @@ def _fmt(value: float) -> str:
     return f"{value:.6f}"
 
 
-_Cells = dict[tuple[RegimeLabel, str, int], dict[str, CellStats]]
+_Cells = dict[tuple[RegimeLabel, str, int], _Moments]
 
 
 def _split_report(records: Iterable[MetricRecord], split: str) -> _Cells:
-    return aggregate_stratified(r for r in records if r.split == split)
+    return _cell_moments(r for r in records if r.split == split)
 
 
-def _regime_table(report: _Cells, regime: RegimeLabel,
-                  mse_key: str, mae_key: str) -> list[str]:
+def _regime_table(report: _Cells, regime: RegimeLabel, mse: int, mae: int) -> list[str]:
     lines = [f"{'Model':<22}{'MSE':>12}{'MAE':>12}"]
     cells = {}
     for model in MODELS:
         key = (regime, model, 1)
         if key not in report:
             return [f"(no horizon-1 records for {regime.value} firms)"]
-        stats = report[key]
-        cells[model] = (stats[mse_key], stats[mae_key])
-        lines.append(
-            f"{DISPLAY_NAMES[model]:<22}{_fmt(stats[mse_key].mean):>12}"
-            f"{_fmt(stats[mae_key].mean):>12}"
-        )
-    best_single_mse = min(cells["Linear"][0].mean, cells["LSTM"][0].mean)
-    best_single_mae = min(cells["Linear"][1].mean, cells["LSTM"][1].mean)
+        means = report[key][0]
+        cells[model] = (means[mse], means[mae])
+        lines.append(f"{DISPLAY_NAMES[model]:<22}{_fmt(means[mse]):>12}{_fmt(means[mae]):>12}")
+    best_single_mse = min(cells["Linear"][0], cells["LSTM"][0])
+    best_single_mae = min(cells["Linear"][1], cells["LSTM"][1])
     if best_single_mse > 0 and best_single_mae > 0:
         lines.append(
             "MoE vs best single model: "
-            f"MSE {improvement_pct(cells['MoE'][0].mean, best_single_mse):+.2f}%, "
-            f"MAE {improvement_pct(cells['MoE'][1].mean, best_single_mae):+.2f}%"
+            f"MSE {improvement_pct(cells['MoE'][0], best_single_mse):+.2f}%, "
+            f"MAE {improvement_pct(cells['MoE'][1], best_single_mae):+.2f}%"
         )
     return lines
 
 
-def _horizon_breakdown(report: _Cells, horizons: list[int],
-                       mse_key: str, mae_key: str) -> list[str]:
+def _horizon_breakdown(report: _Cells, horizons: list[int]) -> list[str]:
+    """The standardized MSE and MAE, mean ± std, of each cell at ``horizons``."""
     lines = [f"{'Regime':<10}{'Model':<22}{'Horizon':>8}{'MSE mean±std':>26}{'MAE mean±std':>26}"]
     for regime in (RegimeLabel.STABLE, RegimeLabel.VOLATILE):
         for model in MODELS:
@@ -164,12 +169,11 @@ def _horizon_breakdown(report: _Cells, horizons: list[int],
                 key = (regime, model, h)
                 if key not in report:
                     continue
-                stats = report[key]
-                m, a = stats[mse_key], stats[mae_key]
+                means, stds, _ = report[key]
                 lines.append(
                     f"{regime.value:<10}{DISPLAY_NAMES[model]:<22}{h:>8}"
-                    f"{_fmt(m.mean) + ' ± ' + _fmt(m.std):>26}"
-                    f"{_fmt(a.mean) + ' ± ' + _fmt(a.std):>26}"
+                    f"{_fmt(means[_MSE]) + ' ± ' + _fmt(stds[_MSE]):>26}"
+                    f"{_fmt(means[_MAE]) + ' ± ' + _fmt(stds[_MAE]):>26}"
                 )
     return lines
 
@@ -186,20 +190,20 @@ def render_tables_text(records: Sequence[MetricRecord], fingerprint: str, seed: 
     wf_horizons = sorted({h for _, _, h in wf})
     out = [stamp(fingerprint, seed).rstrip("\n"), ""]
     if 1 in wf_horizons:
-        for scale, mse_key, mae_key in SCALES:
+        for scale, mse, mae in SCALES:
             for regime in (RegimeLabel.STABLE, RegimeLabel.VOLATILE):
                 out.append(f"== Evaluation of models, {regime.value.lower()} firms "
                            f"({scale} scale, horizon 1) ==")
-                out.extend(_regime_table(wf, regime, mse_key, mae_key))
+                out.extend(_regime_table(wf, regime, mse, mae))
                 out.append("")
     multi = [h for h in wf_horizons if h > 1]
     if multi:
         out.append("== Walk-forward horizon breakdown (standardized scale) ==")
-        out.extend(_horizon_breakdown(wf, multi, "mse", "mae"))
+        out.extend(_horizon_breakdown(wf, multi))
         out.append("")
     if ho:
         out.append("== Holdout stress firms (standardized scale) ==")
-        out.extend(_horizon_breakdown(ho, sorted({h for _, _, h in ho}), "mse", "mae"))
+        out.extend(_horizon_breakdown(ho, sorted({h for _, _, h in ho})))
         out.append("")
     return "\n".join(out) + "\n"
 
@@ -215,8 +219,7 @@ def tables_to_csv(records: Sequence[MetricRecord], fingerprint: str, seed: int) 
         report = _split_report(records, split)
         for key in sorted(report, key=lambda k: (k[0].value, k[1], k[2])):
             cell = f"{key[0].value},{key[1]},{key[2]}"
-            for metric, stats in sorted(report[key].items()):
-                scale = "raw" if metric.startswith("raw_") else "standardized"
-                rows.append(f"{split},{scale},{cell},{metric.removeprefix('raw_')},"
-                            f"{stats.mean!r},{stats.std!r},{stats.count}")
+            means, stds, counts = report[key]
+            rows.extend(f"{split},{scale},{cell},{name},{means[k]!r},{stds[k]!r},{counts[k]}"
+                        for k, scale, name in _CSV_METRICS if counts[k])
     return "\n".join(rows) + "\n"

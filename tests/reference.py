@@ -10,7 +10,9 @@ import math
 import numpy as np
 
 from moecast.errors import FitError
-from moecast.evaluation import HOLDOUT_SPLIT, METRIC_NAMES, WALK_FORWARD_SPLIT, CellStats
+from moecast.evaluation import (
+    HOLDOUT_SPLIT, METRIC_NAMES, MODELS, WALK_FORWARD_SPLIT, CellStats, improvement_pct,
+)
 from moecast.lstm_expert import (
     LstmParams,
     _clipped,
@@ -21,6 +23,7 @@ from moecast.lstm_expert import (
     forward_batch,
     init_params,
 )
+from moecast.regime import RegimeLabel
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -109,6 +112,95 @@ def tables_to_csv(records, fingerprint: str, seed: int) -> str:
                      metric.removeprefix("raw_"), repr(stats.mean), repr(stats.std), stats.count]
                 )
     return out.getvalue()
+
+
+DISPLAY_NAMES = {
+    "Linear": "Linear Regression",
+    "LSTM": "LSTM (RNN)",
+    "MoE": "Mixture of Experts",
+}
+
+SCALES = (
+    ("standardized", "mse", "mae"),
+    ("raw", "raw_mse", "raw_mae"),
+)
+
+
+def _fmt(value: float) -> str:
+    return f"{value:.6f}"
+
+
+def _regime_table(report, regime, mse_key, mae_key):
+    lines = [f"{'Model':<22}{'MSE':>12}{'MAE':>12}"]
+    cells = {}
+    for model in MODELS:
+        key = (regime, model, 1)
+        if key not in report:
+            return [f"(no horizon-1 records for {regime.value} firms)"]
+        stats = report[key]
+        cells[model] = (stats[mse_key], stats[mae_key])
+        lines.append(
+            f"{DISPLAY_NAMES[model]:<22}{_fmt(stats[mse_key].mean):>12}"
+            f"{_fmt(stats[mae_key].mean):>12}"
+        )
+    best_single_mse = min(cells["Linear"][0].mean, cells["LSTM"][0].mean)
+    best_single_mae = min(cells["Linear"][1].mean, cells["LSTM"][1].mean)
+    if best_single_mse > 0 and best_single_mae > 0:
+        lines.append(
+            "MoE vs best single model: "
+            f"MSE {improvement_pct(cells['MoE'][0].mean, best_single_mse):+.2f}%, "
+            f"MAE {improvement_pct(cells['MoE'][1].mean, best_single_mae):+.2f}%"
+        )
+    return lines
+
+
+def _horizon_breakdown(report, horizons, mse_key, mae_key):
+    lines = [f"{'Regime':<10}{'Model':<22}{'Horizon':>8}{'MSE mean±std':>26}{'MAE mean±std':>26}"]
+    for regime in (RegimeLabel.STABLE, RegimeLabel.VOLATILE):
+        for model in MODELS:
+            for h in horizons:
+                key = (regime, model, h)
+                if key not in report:
+                    continue
+                stats = report[key]
+                m, a = stats[mse_key], stats[mae_key]
+                lines.append(
+                    f"{regime.value:<10}{DISPLAY_NAMES[model]:<22}{h:>8}"
+                    f"{_fmt(m.mean) + ' ± ' + _fmt(m.std):>26}"
+                    f"{_fmt(a.mean) + ' ± ' + _fmt(a.std):>26}"
+                )
+    return lines
+
+
+def render_tables_text(records, fingerprint: str, seed: int) -> str:
+    """The plain-text report of each split, over :func:`aggregate_stratified`.
+
+    Per-regime horizon-1 tables on both scales, the walk-forward horizon
+    breakdown and the holdout breakdown, each table reading ``CellStats`` by
+    metric name, as the reference the tables of
+    ``moecast.reporting.render_tables_text`` are tested against.
+    """
+    wf = aggregate_stratified(r for r in records if r.split == WALK_FORWARD_SPLIT)
+    ho = aggregate_stratified(r for r in records if r.split == HOLDOUT_SPLIT)
+    wf_horizons = sorted({h for _, _, h in wf})
+    out = [f"# fingerprint={fingerprint} seed={seed}", ""]
+    if 1 in wf_horizons:
+        for scale, mse_key, mae_key in SCALES:
+            for regime in (RegimeLabel.STABLE, RegimeLabel.VOLATILE):
+                out.append(f"== Evaluation of models, {regime.value.lower()} firms "
+                           f"({scale} scale, horizon 1) ==")
+                out.extend(_regime_table(wf, regime, mse_key, mae_key))
+                out.append("")
+    multi = [h for h in wf_horizons if h > 1]
+    if multi:
+        out.append("== Walk-forward horizon breakdown (standardized scale) ==")
+        out.extend(_horizon_breakdown(wf, multi, "mse", "mae"))
+        out.append("")
+    if ho:
+        out.append("== Holdout stress firms (standardized scale) ==")
+        out.extend(_horizon_breakdown(ho, sorted({h for _, _, h in ho}), "mse", "mae"))
+        out.append("")
+    return "\n".join(out) + "\n"
 
 
 def train_early_stopping(train_x, train_y, val_x, val_y, cfg, seeds, hidden):

@@ -284,6 +284,23 @@ class TestTablesCsvMatchesReference:
         assert tables_to_csv(records, "f" * 64, 2) == reference.tables_to_csv(records, "f" * 64, 2)
 
 
+class TestTablesTextMatchesReference:
+    """The text tables are the bytes the same tables over ``CellStats`` read."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(split_cells())
+    @example([])
+    def test_equals_the_cell_stats_reference(self, records):
+        text = render_tables_text(records, "e" * 64, 9)
+        assert text == reference.render_tables_text(records, "e" * 64, 9)
+
+    def test_equals_the_reference_on_a_backtest(self, small_result):
+        _, result = small_result
+        records = list(result.records)
+        text = render_tables_text(records, "f" * 64, 2)
+        assert text == reference.render_tables_text(records, "f" * 64, 2)
+
+
 @pytest.fixture()
 def cli_workspace(tmp_path):
     data = tmp_path / "prices.csv"

@@ -609,6 +609,18 @@ class TestHoldout:
                              holdout)
         assert calls == []
 
+    def test_a_holdout_firm_too_short_for_the_launch_fails_before_the_pooled_fit(
+        self, pooled_setup, monkeypatch
+    ):
+        universe, holdout, _, policy, settings = pooled_setup
+        series = universe["VOL03"]
+        short = {**universe, "VOL03": PriceSeries("VOL03", series.dates[:45], series.prices[:45])}
+        calls = count_tasks(monkeypatch)
+        with pytest.raises(EvaluationError,
+                           match=r"^VOL03: too short to evaluate at launch index 50$"):
+            run_walk_forward(short, plan_walk_forward(60, 40, 10, 10), policy, settings, holdout)
+        assert calls == []
+
     @pytest.mark.parametrize("policy, settings", [
         # a volatility window longer than every fold's 40 training observations
         (RegimePolicy.threshold(vol_window=45, tau=0.025), fast_settings()),
